@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 from .errors import (
     AxiomViolation,
     BoundTooSmall,
-    DisconnectedGraph,
     GenerationFailure,
     InfiniteGroup,
     InputError,
     InternalCheckError,
-    InternalInconsistency,
     MismatchedGroup,
     NonTorsionGenerator,
     NotGorenstein,
@@ -28,13 +26,9 @@ from .errors import (
     ParseError,
     RankZeroGroup,
     SignCountFailure,
-    UnclassifiableSignPattern,
-    UnknownClass,
 )
 from .groups import (
     FGGroup,
-    GroupElement,
-    QuotientMap,
     parse_element,
     quotient_by_subgroup,
     smith_normal_form,
@@ -43,11 +37,8 @@ from .groups import (
 from .weights import WeightSystem, validate
 from .poset import AxiomReport, GradedContext, check_axioms, grading_context
 from .uppersets import (
-    ExchangeGraph,
     Rim,
-    RimCheck,
     RimStatus,
-    TranslationClass,
     entry_index,
     exchange_graph,
     in_upper_set,
@@ -61,7 +52,6 @@ from .uppersets import (
     translation_classes,
 )
 from .nccr import (
-    MutationCertificate,
     SummandSet,
     is_mcm,
     is_modifying,
@@ -74,24 +64,19 @@ from .nccr import (
 from .oracle import (
     CONTRACTIBLE,
     EMPTY,
-    CrosscheckReport,
-    HomotopyType,
     SimplicialComplex,
     betti_numbers,
     classify_sign_vector,
     crosscheck_mcm,
     face_test,
     local_cohomology_window,
-    reduced_homology,
     sign_pattern_witness,
     sphere,
     sufficient_window,
     support_complex,
 )
 from .quivers import (
-    Arrow,
     Quiver,
-    default_search_bound,
     emit_dot,
     endomorphism_quiver,
     hom_monomial_count,

@@ -30,7 +30,7 @@ from .nccr import (
     preimage_summands,
     rim_of,
 )
-from .oracle import crosscheck_mcm
+from .oracle import crosscheck_mcm, sufficient_window
 from .poset import grading_context
 from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
 from .uppersets import exchange_graph, normalize, translation_classes
@@ -52,15 +52,23 @@ def load_document(path: str):
         raise ParseError(f"{path}: expected an object with 'group' and 'weights'")
     gspec = doc["group"]
     try:
-        group = FGGroup(int(gspec["free_rank"]), tuple(gspec.get("torsion", ())))
+        free_rank, torsion = gspec["free_rank"], gspec.get("torsion", [])
+        if not _json_ints([free_rank, *torsion]):
+            raise ValueError("free_rank and torsion must be JSON integers")
+        group = FGGroup(free_rank, tuple(torsion))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad group spec {gspec!r}: {exc}") from exc
     weights = []
     for vec in doc["weights"]:
-        if not isinstance(vec, list):
-            raise ParseError(f"{path}: weight {vec!r} is not a list")
+        if not isinstance(vec, list) or not _json_ints(vec):
+            raise ParseError(f"{path}: weight {vec!r} is not a list of JSON integers")
         weights.append(group.from_vector(vec))
     return group, weights
+
+
+def _json_ints(values) -> bool:
+    # bool is a subclass of int, so test the exact type
+    return all(type(v) is int for v in values)
 
 
 def _validation_summary(ws, ctx=None):
@@ -126,8 +134,7 @@ def _context_for(path):
     return ws, grading_context(ws)
 
 
-def _pick_class(ctx, k):
-    classes = translation_classes(ctx)
+def _pick_class(classes, k):
     if not 0 <= k < len(classes):
         raise UnknownClass(f"class {k} out of range 0..{len(classes) - 1}")
     return classes[k]
@@ -160,8 +167,10 @@ def cmd_quiver(args):
     ws, ctx = _context_for(args.file)
     if (args.klass is None) == (args.degrees is None):
         raise InputError("give exactly one of --class or --degrees")
+    if args.bound is not None and args.bound < 1:
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
     if args.klass is not None:
-        summands = preimage_summands(ctx, _pick_class(ctx, args.klass).rim)
+        summands = preimage_summands(ctx, _pick_class(translation_classes(ctx), args.klass).rim)
     else:
         degrees = [parse_element(ws.group, t) for t in args.degrees.split()]
         summands = degrees
@@ -187,11 +196,11 @@ def cmd_quiver(args):
 
 def cmd_mutate(args):
     ws, ctx = _context_for(args.file)
-    node = _pick_class(ctx, args.klass)
+    classes = translation_classes(ctx)
+    node = _pick_class(classes, args.klass)
     m = parse_element(ctx.group, args.at)
     summands = preimage_summands(ctx, node.rim)
     mutated, cert = mutate_nccr(ctx, summands, m)
-    classes = translation_classes(ctx)
     target = normalize(ctx, rim_of(ctx, mutated))
     target_index = next(
         i for i, c in enumerate(classes) if c.rim.serialized() == target.serialized()
@@ -247,6 +256,9 @@ def cmd_oracle(args):
         for f in range(lo, hi + 1)
         for t in ws.group.torsion_residues()
     ]
+    need = sufficient_window(ctx, degrees)
+    if args.window < need:
+        raise InputError(f"--window {args.window} is below the sufficiency bound {need}")
     report = crosscheck_mcm(ctx, degrees, args.window, strict=False)
     payload = {
         "validation": _validation_summary(ws, ctx),
@@ -287,9 +299,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ParseError(f"range must look like -10..10, got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise ParseError(f"bad range {text!r}") from exc
+    if lo > hi:
+        raise ParseError(f"range {text!r} is empty")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:

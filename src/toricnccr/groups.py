@@ -272,12 +272,9 @@ class GroupElement:
     def torsion_moduli(self) -> tuple[int, ...]:
         return self.group.torsion
 
-    def coordinates(self) -> tuple[int, ...]:
-        """Raw coordinates ``(free, t_1, ..., t_k)`` (free kept for rank 0 too)."""
-        return (self.free,) + self.tors
-
     def key(self) -> tuple:
-        """Sort key: free coordinate first, then torsion residues."""
+        """Raw coordinates ``(free, t_1, ..., t_k)`` (free kept for rank 0 too),
+        which also serve as the sort key."""
         return (self.free,) + self.tors
 
     def __str__(self):

@@ -30,7 +30,11 @@ from .weights import WeightSystem
 # Sign-pattern witnesses
 
 
-@lru_cache(maxsize=None)
+# Each cache holds one job's working set and is bounded so that it cannot grow
+# for the life of the process: a crosscheck reads four block-sum tables, a
+# system has one face list, and the sign vectors of a system with n weights
+# select at most 2^n distinct complexes (64 for six weights).
+@lru_cache(maxsize=4)
 def _block_sums(ws: WeightSystem, indices: tuple[int, ...], lo: int, hi: int):
     """All values of ``sum c_i * x_i`` with ``c_i`` in [lo, hi], with one witness."""
     table = {ws.group.zero(): ()}
@@ -236,7 +240,7 @@ class SimplicialComplex:
         return max((len(f) for f in self.facets), default=0) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     n = len(ws.weights)
     out = []
@@ -294,7 +298,7 @@ def _matrix_rank(rows) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def reduced_homology(complex_: SimplicialComplex) -> tuple[tuple[int, int], ...]:
     """Reduced Betti numbers over Q as ``((degree, rank), ...)`` for degrees
     -1 .. dim; the empty face is always part of the chain complex, so the

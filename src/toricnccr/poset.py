@@ -7,7 +7,8 @@ The element ``p`` (sum of the positive block, equivalently of the negated
 negative block) generates a Z-action ``h -> h + n*p`` with finitely many
 orbits, and every search downstream is made finite by the conductor: for each
 torsion coset of H, the free-part threshold above which membership in the
-monoid is automatic.
+monoid is automatic.  Below it, the reachability table that proves the
+conductor holds the exact answer, so membership is a table lookup.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from .weights import WeightSystem
 _CONDUCTOR_CAP = 100_000
 
 
-def _tsub(a, b, dims):
-    return tuple((x - y) % d for x, y, d in zip(a, b, dims))
-
-
 def _tadd(a, b, dims):
     return tuple((x + y) % d for x, y, d in zip(a, b, dims))
 
@@ -36,7 +33,8 @@ class GradedContext:
     """Immutable bundle of H, the projection q, p, and the conductor table.
 
     Built from a validated rank-one :class:`WeightSystem`; all methods are
-    pure, and the internal membership memo behaves as a cache only.
+    pure.  The reachability table grown for the conductor also answers every
+    membership query.
     """
 
     def __init__(self, ws: WeightSystem):
@@ -48,8 +46,8 @@ class GradedContext:
         self.group, self.q = quotient_by_subgroup(ws.group, ws.torsion_weights)
         pos_gens = [self.q(x) for x in ws.positive_block()]
         neg_gens = [-self.q(x) for x in ws.negative_block()]
-        p_from_pos = _sum_elements(pos_gens)
-        p_from_neg = _sum_elements(neg_gens)
+        p_from_pos = sum(pos_gens, self.group.zero())
+        p_from_neg = sum(neg_gens, self.group.zero())
         if p_from_pos != p_from_neg:
             raise InternalInconsistency(
                 f"period mismatch: {p_from_pos} vs {p_from_neg}"
@@ -62,15 +60,10 @@ class GradedContext:
 
         self._dims = self.group.torsion
         self._gen_raw = [(g.free, g.tors) for g in self.generators]
-        self._member_cache: dict[tuple, bool] = {}
         self._reach: list[set] = [{(0,) * len(self._dims)}]
         self.conductor = self._compute_conductor()
 
     # -- basic data ------------------------------------------------------
-
-    @property
-    def period_free(self) -> int:
-        return self.p.free
 
     @property
     def orbit_count(self) -> int:
@@ -83,58 +76,27 @@ class GradedContext:
     def element(self, free, tors=()) -> GroupElement:
         return self.group.element(free, tors)
 
-    # -- monoid membership (coefficient search) ---------------------------
+    # -- monoid membership (reachability table) ---------------------------
 
     def member(self, h: GroupElement) -> bool:
         """Is ``h`` a nonnegative integer combination of the generators?
 
-        Decided by exhaustive search over coefficient vectors; the free parts
-        of the generators are positive, so the free part of ``h`` bounds the
-        total budget and the search is finite.
+        At or above its coset's conductor the answer is yes; below it, the
+        reachability table grown for the conductor already holds the answer.
         """
-        key = (h.free, h.tors)
-        cached = self._member_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._member_search(h.free, h.tors)
-        self._member_cache[key] = result
-        return result
-
-    def _member_search(self, free, tors) -> bool:
-        if free < 0:
-            return False
-        if free == 0:
-            return not any(tors)
-        dims = self._dims
-        gens = self._gen_raw
-
-        def search(idx, f, t):
-            if idx == len(gens) - 1:
-                gf, gt = gens[idx]
-                if f % gf:
-                    return False
-                c = f // gf
-                return all((x - c * y) % d == 0 for x, y, d in zip(t, gt, dims))
-            gf, gt = gens[idx]
-            for c in range(f // gf + 1):
-                if search(idx + 1, f - c * gf, _tsub(t, tuple(c * y for y in gt), dims)):
-                    return True
-            return False
-
-        return search(0, free, tors)
+        if h.free >= self.conductor[h.tors]:
+            return True
+        return h.free >= 0 and h.tors in self._reach[h.free]
 
     def leq(self, h1: GroupElement, h2: GroupElement) -> bool:
         """The poset order: ``h1 <= h2`` iff ``h2 - h1`` is in the monoid."""
         return self.member(h2 - h1)
 
-    # -- reachability table (independent dynamic programming) -------------
-
     def reachable_residues(self, free: int) -> set:
         """Torsion cosets hit by the monoid at the given free part.
 
-        Grown bottom-up one free-part level at a time; this is the
-        independent route against which the coefficient search is tested,
-        and the engine behind the conductor.
+        Grown bottom-up one free-part level at a time by dynamic programming;
+        the engine behind the conductor and behind :meth:`member`.
         """
         if free < 0:
             return set()
@@ -157,14 +119,7 @@ class GradedContext:
         then pushes reachability upward forever.
         """
         gstar = min(self.generators, key=lambda g: g.free)
-        tors_order = 1
-        if self._dims:
-            step = gstar.tors
-            acc = step
-            while any(acc):
-                acc = _tadd(acc, step, self._dims)
-                tors_order += 1
-        run_needed = tors_order * gstar.free
+        run_needed = self.element(0, gstar.tors).order() * gstar.free
 
         cosets = list(self.group.torsion_residues())
         runs = {t: 0 for t in cosets}
@@ -214,13 +169,6 @@ class GradedContext:
             t = tuple(rng.randrange(d) for d in self._dims)
             out.append(self.element(f, t))
         return out
-
-
-def _sum_elements(elements):
-    total = elements[0].group.zero()
-    for e in elements:
-        total = total + e
-    return total
 
 
 def grading_context(ws: WeightSystem) -> GradedContext:

@@ -43,9 +43,6 @@ class Quiver:
     def loops(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.is_loop())
 
-    def arrow_labels(self) -> list[str]:
-        return [monomial_label(a.exponents) for a in self.arrows]
-
 
 def monomial_label(exponents) -> str:
     """Render an exponent vector: ``x1*x3^2`` style, ``1`` for the constant."""
@@ -125,11 +122,11 @@ def _minimal_hits(weights_raw, dims, vertex_index, source_raw, bound: int):
 
 def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
     dims = (0,) + ws.group.torsion  # free coordinate has no modulus
-    weights_raw = [w.coordinates() for w in ws.weights]
-    vertex_index = {v.coordinates(): i for i, v in enumerate(vertices)}
+    weights_raw = [w.key() for w in ws.weights]
+    vertex_index = {v.key(): i for i, v in enumerate(vertices)}
     arrows = []
     for s, src in enumerate(vertices):
-        found = _minimal_hits(weights_raw, dims, vertex_index, src.coordinates(), bound)
+        found = _minimal_hits(weights_raw, dims, vertex_index, src.key(), bound)
         for exps, target in found.items():
             arrows.append(Arrow(s, vertex_index[target], exps))
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
@@ -178,9 +175,7 @@ def mckay_quiver(ws: WeightSystem) -> Quiver:
 
 def _check_degree_coherence(ws: WeightSystem, quiver: Quiver) -> None:
     for arrow in quiver.arrows:
-        total = ws.group.zero()
-        for e, x in zip(arrow.exponents, ws.weights):
-            total = total + e * x
+        total = sum((e * x for e, x in zip(arrow.exponents, ws.weights)), ws.group.zero())
         expected = quiver.vertices[arrow.target] - quiver.vertices[arrow.source]
         if total != expected:
             raise InternalInconsistency(

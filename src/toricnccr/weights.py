@@ -55,13 +55,6 @@ class WeightSystem:
         return self.weights[self.positives : self.positives + self.negatives]
 
 
-def _signed_total(weights) -> GroupElement:
-    total = weights[0].group.zero()
-    for w in weights:
-        total = total + w
-    return total
-
-
 def validate(group: FGGroup, raw_weights) -> WeightSystem:
     """Check the weight data and return it with the canonical sign ordering.
 
@@ -81,8 +74,9 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
         if len(pos) < 2 or len(neg) < 2:
             raise SignCountFailure(len(pos), len(neg))
 
-    if not _signed_total(raw).is_zero():
-        raise NotGorenstein(f"weights sum to {_signed_total(raw)}, not zero")
+    total = sum(raw, group.zero())
+    if not total.is_zero():
+        raise NotGorenstein(f"weights sum to {total}, not zero")
 
     if group.free_rank == 0:
         if not subgroup_is_whole(group, raw):

@@ -59,6 +59,25 @@ class TestValidate:
         assert code == 2
         assert report["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "group,weights",
+        [
+            ({"free_rank": 1, "torsion": []}, [[1.7], [1], [-1], [-1.7]]),
+            ({"free_rank": 1, "torsion": []}, [[True], [1], [-1], [-1]]),
+            ({"free_rank": 1, "torsion": []}, [["x"], [1], [-1], [-1]]),
+            ({"free_rank": 1.0, "torsion": []}, [[1], [1], [-1], [-1]]),
+            ({"free_rank": True, "torsion": []}, [[1], [1], [-1], [-1]]),
+            ({"free_rank": 1, "torsion": [2.0]}, [[1, 0], [1, 1], [-1, 0], [-1, 1]]),
+            ({"free_rank": 1, "torsion": ["2"]}, [[1, 0], [1, 1], [-1, 0], [-1, 1]]),
+        ],
+        ids=["float", "bool", "string", "float-rank", "bool-rank", "float-torsion", "string-torsion"],
+    )
+    def test_non_integer_entries_exit_2(self, capsys, tmp_path, group, weights):
+        path = write_doc(tmp_path, {"group": group, "weights": weights})
+        code, report = run_json(capsys, "validate", path)
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+
 
 class TestClassify:
     def test_a1_single_class(self, capsys):
@@ -116,6 +135,13 @@ class TestQuiver:
         code, report = run_json(capsys, "quiver", INPUTS / "a1.json", "--class", 5)
         assert code == 2
         assert report["error"]["type"] == "UnknownClass"
+
+    def test_zero_bound_exit_2(self, capsys):
+        code, report = run_json(
+            capsys, "quiver", INPUTS / "ca4.json", "--class", 0, "--bound", 0
+        )
+        assert code == 2
+        assert report["error"]["type"] == "InputError"
 
     def test_small_bound_warning_lands_in_report(self, capsys):
         code, report = run_json(
@@ -175,6 +201,22 @@ class TestOracle:
             capsys, "oracle", INPUTS / "a1.json", "--range", "oops", "--window", "12"
         )
         assert code == 2
+
+    def test_empty_range_exit_2(self, capsys):
+        code, report = run_json(
+            capsys, "oracle", INPUTS / "a1.json", "--range", "5..-5", "--window", "12"
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("window", ["0", "2"])
+    def test_insufficient_window_exit_2(self, capsys, window):
+        code, report = run_json(
+            capsys, "oracle", INPUTS / "ca4.json", "--range", "-20..20", "--window", window
+        )
+        assert code == 2
+        assert report["error"]["type"] == "InputError"
+        assert "sufficiency bound" in report["error"]["detail"]
 
     def test_internal_mismatch_exit_3(self, capsys, monkeypatch):
         import toricnccr.nccr

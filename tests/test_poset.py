@@ -3,9 +3,80 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toricnccr import AxiomViolation, FGGroup, check_axioms, grading_context, validate
+from toricnccr import (
+    AxiomViolation,
+    FGGroup,
+    InputError,
+    check_axioms,
+    grading_context,
+    validate,
+)
 from conftest import build_context
+
+
+def member_by_search(ctx, h):
+    """Membership oracle: exhaustive search over coefficient vectors.
+
+    The generators' free parts are positive, so the free part of ``h`` bounds
+    the total budget and the search is finite.  Independent of the
+    reachability table that ``ctx.member`` reads.
+    """
+    if h.free < 0:
+        return False
+    dims = ctx.group.torsion
+    gens = [(g.free, g.tors) for g in ctx.generators]
+
+    def search(idx, f, t):
+        if idx == len(gens):
+            return f == 0 and not any(t)
+        gf, gt = gens[idx]
+        for c in range(f // gf + 1):
+            rest = tuple((x - c * y) % d for x, y, d in zip(t, gt, dims))
+            if search(idx + 1, f - c * gf, rest):
+                return True
+        return False
+
+    return search(0, h.free, h.tors)
+
+
+def assert_member_matches_search(ctx):
+    bound = 2 * ctx.max_conductor + 2 * ctx.p.free + 2
+    for f in range(-3, bound + 1):
+        for t in ctx.group.torsion_residues():
+            h = ctx.element(f, t)
+            assert ctx.member(h) == member_by_search(ctx, h), h
+
+
+def assert_conductor_sound_and_minimal(ctx):
+    """Below each coset's conductor one element is missing; from it on, a run
+    long enough to shift by a torsion-free multiple of a generator is present,
+    so every larger free part is present too."""
+    g = min(ctx.generators, key=lambda g: g.free)
+    run = g.free * ctx.element(0, g.tors).order()
+    for t, c in ctx.conductor.items():
+        assert all(member_by_search(ctx, ctx.element(f, t)) for f in range(c, c + run))
+        if c > 0:
+            assert not member_by_search(ctx, ctx.element(c - 1, t))
+
+
+@st.composite
+def rank_one_systems(draw):
+    """Valid rank-one systems: 4-6 weights, free parts in -5..5, torsion none,
+    Z/2 or Z/3; the last weight completes the zero sum."""
+    torsion = draw(st.sampled_from([(), (2,), (3,)]))
+    n = draw(st.integers(4, 6))
+    weight = st.tuples(st.integers(-5, 5), *(st.integers(0, d - 1) for d in torsion))
+    vecs = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    last = [-sum(v[i] for v in vecs) for i in range(1 + len(torsion))]
+    assume(abs(last[0]) <= 5)
+    group = FGGroup(1, torsion)
+    try:
+        return validate(group, [group.from_vector(v) for v in vecs + [last]])
+    except InputError:
+        assume(False)
 
 
 class TestMembership:
@@ -21,11 +92,8 @@ class TestMembership:
         assert not z2.member(z2.element(0, (1,)))
 
     def test_agrees_with_reachability_table(self, ctx):
-        bound = 2 * ctx.max_conductor + 2 * ctx.p.free + 2
-        for f in range(bound + 1):
-            level = ctx.reachable_residues(f)
-            for t in ctx.group.torsion_residues():
-                assert ctx.member(ctx.element(f, t)) == (t in level)
+        # member reads the reachability table; the coefficient search is the oracle
+        assert_member_matches_search(ctx)
 
     def test_antisymmetry_on_samples(self, ctx):
         rng = random.Random(3)
@@ -76,12 +144,24 @@ class TestConductor:
     def test_soundness(self, ctx):
         for t, c in ctx.conductor.items():
             for f in range(c, c + 2 * ctx.p.free + 1):
-                assert ctx.member(ctx.element(f, t))
+                assert member_by_search(ctx, ctx.element(f, t))
 
     def test_minimality(self, ctx):
         for t, c in ctx.conductor.items():
             if c > 0:
-                assert not ctx.member(ctx.element(c - 1, t))
+                assert not member_by_search(ctx, ctx.element(c - 1, t))
+
+
+class TestRandomSystems:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_member_agrees_with_coefficient_search(self, ws):
+        assert_member_matches_search(grading_context(ws))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_conductor_sound_and_minimal(self, ws):
+        assert_conductor_sound_and_minimal(grading_context(ws))
 
 
 class TestOrbits:
