@@ -8,16 +8,20 @@ moreover meets every orbit of the ``+p`` action, which pins down ``I`` as the
 set of elements above some rim member.  Mutation removes a minimal element
 ``m`` of ``I``, which on rims swaps ``m`` for ``m + p``.
 
+A complete rim is an integer vector ``n``, one entry per orbit: its element
+in orbit ``a`` is ``r_a + n_a*p``.  The rim condition becomes the difference
+constraints ``n_a - n_b <= tau(a, b)`` of a per-orbit-pair threshold table,
+which :func:`translation_classes` solves exactly (the proof is there).
+
 Translation classes quotient by translating rims by arbitrary elements of H;
-the canonical representative anchors the minimum free part into
-``[0, free(p))`` and takes the lexicographically smallest serialized form.
+the canonical representative moves the minimum free part to 0 and takes the
+lexicographically smallest serialized form over the torsion shifts.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DisconnectedGraph, InternalInconsistency, NotMinimal
 from .groups import GroupElement
@@ -91,20 +95,23 @@ def in_upper_set(ctx: GradedContext, rim: Rim, h: GroupElement) -> bool:
     return any(ctx.leq(y, h) for y in rim)
 
 
+def _least_shift(ctx: GradedContext, delta: GroupElement) -> int:
+    """The least ``m`` with ``delta + m*p`` in the monoid.
+
+    Membership is monotone in ``m`` because ``p`` is in the monoid; it fails
+    while the free part is negative and holds once it reaches the conductor.
+    """
+    m = -(delta.free // ctx.p.free)  # first m with free part >= 0
+    h = delta + m * ctx.p
+    while h.free < ctx.max_conductor and not ctx.member(h):
+        h += ctx.p
+        m += 1
+    return m
+
+
 def entry_index(ctx: GradedContext, rim: Rim, x: GroupElement) -> int:
     """The unique ``n0`` such that ``x + n*p`` is in the upper set iff ``n >= n0``."""
-    best = None
-    for y in rim:
-        delta = x - y
-        # membership of delta + n*p is monotone in n; scan the finite window
-        n = -(delta.free // ctx.p.free)  # first n with free part >= 0
-        while delta.free + n * ctx.p.free < ctx.max_conductor:
-            if ctx.member(delta + n * ctx.p):
-                break
-            n += 1
-        if best is None or n < best:
-            best = n
-    return best
+    return min(_least_shift(ctx, x - y) for y in rim)
 
 
 def rim_of_upper_closure(ctx: GradedContext, generators) -> Rim:
@@ -163,17 +170,17 @@ class TranslationClass:
 
 
 def normalize(ctx: GradedContext, rim: Rim) -> Rim:
-    """Canonical translate: minimum free part in [0, free(p)), smallest serialization."""
-    best = None
+    """Canonical translate: minimum free part 0, smallest serialization.
+
+    The first serialized key's free part is the minimum free part, so moving
+    that minimum to 0 beats every other free shift; only the torsion shift is
+    left to choose.
+    """
     min_free = min(e.free for e in rim)
-    for t_tors in ctx.group.torsion_residues():
-        for anchor in range(ctx.p.free):
-            t = ctx.element(anchor - min_free, t_tors)
-            cand = rim.translate(t)
-            key = cand.serialized()
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
+    translates = (
+        rim.translate(ctx.element(-min_free, t)) for t in ctx.group.torsion_residues()
+    )
+    return min(translates, key=Rim.serialized)
 
 
 def _stabilizer_order(rim: Rim) -> int:
@@ -190,48 +197,52 @@ def _stabilizer_order(rim: Rim) -> int:
 def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
     """All translation classes of complete rims, canonically ordered.
 
-    Enumeration pins the orbit of zero at the zero element, confines every
-    other orbit's shift to the window where neither domination constraint
-    against the anchor is automatic (outside it, the difference's free part
-    clears the conductor), filters the product by the full pairwise
-    condition, then normalizes and deduplicates.
-    """
-    p = ctx.p
-    pf = p.free
-    cmax = ctx.max_conductor
-    anchor = ctx.group.zero()
-    others = [r for r in ctx.orbit_reps() if not r.is_zero()]
+    Write the rim element in orbit ``a`` as ``x_a = r_a + n_a*p``, with
+    ``r_a`` the orbit representative, and let ``tau(a, b)`` be the least
+    ``m`` with ``r_a - r_b + m*p`` in the monoid.
 
-    windows = []
-    for rep in others:
-        # outside [lo, hi] one of the two differences against the anchor has
-        # free part >= the conductor, so a domination is automatic; one unit
-        # of slack on each side costs nothing
-        lo = (-rep.free - cmax) // pf - 1
-        hi = -((rep.free - cmax) // pf) + 1
-        windows.append([rep + n * p for n in range(lo, hi + 1)])
+    1. ``tau`` is finite: a free part below 0 is never in the monoid, one at
+       or above the conductor always is.  Membership of ``r_a - r_b + m*p``
+       is monotone in ``m`` because ``p`` is in the monoid.
+    2. So ``x_a >= x_b + p``, i.e. ``r_a - r_b + (n_a - n_b - 1)*p`` in the
+       monoid, holds iff ``n_a - n_b > tau(a, b)``: the complete rims are
+       exactly the integer vectors with ``n_a - n_b <= tau(a, b)`` for all
+       ``a, b``.
+    3. Floyd-Warshall tightens the table to shortest-path bounds ``d``.  A
+       negative diagonal entry would mean no rim at all, which the theorem
+       rules out.  After the closure, an assignment meeting the bounds among
+       its variables extends by any further variable ``c``: the interval
+       ``max_b (n_b - d(b, c)) .. min_b (n_b + d(c, b))`` is nonempty since
+       ``n_b - n_b' <= d(b, b') <= d(b, c) + d(c, b')``.
+    4. Every class has a rim through zero.  Pinning ``n = 0`` at the orbit of
+       zero and backtracking over plain integers reaches each such rim once,
+       with no dead ends; each leaf is normalized and deduplicated.
+    """
+    reps = ctx.orbit_reps()  # reps[0] is zero
+    k = len(reps)
+    d = [[_least_shift(ctx, ra - rb) for rb in reps] for ra in reps]
+    for c in range(k):
+        row_c = d[c]
+        for a in range(k):
+            via = d[a][c]
+            d[a] = [min(x, via + y) for x, y in zip(d[a], row_c)]
+    if any(d[a][a] < 0 for a in range(k)):
+        raise InternalInconsistency("the rim constraints admit no complete rim")
 
     found = {}
-    for combo in product(*windows):
-        elems = (anchor,) + combo
-        ok = True
-        for x in elems:
-            for y in elems:
-                if ctx.member(x - y - p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    stack = [(0,)]  # offset vectors n, assigned in orbit order
+    while stack:
+        n = stack.pop()
+        c = len(n)
+        if c == k:
+            elems = (r + m * ctx.p for r, m in zip(reps, n))
+            canon = normalize(ctx, Rim(_sorted_unique(elems), complete=True))
+            found.setdefault(canon.serialized(), canon)
             continue
-        canon = normalize(ctx, Rim(_sorted_unique(elems), complete=True))
-        found.setdefault(canon.serialized(), canon)
-
-    classes = [
-        TranslationClass(rim, _stabilizer_order(rim))
-        for _, rim in sorted(found.items())
-    ]
-    return tuple(classes)
+        lo = max(n[b] - d[b][c] for b in range(c))
+        hi = min(n[b] + d[c][b] for b in range(c))
+        stack.extend(n + (m,) for m in range(lo, hi + 1))
+    return tuple(TranslationClass(rim, _stabilizer_order(rim)) for _, rim in sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------

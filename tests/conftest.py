@@ -9,8 +9,10 @@ two-element kernel.
 from functools import cache
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from toricnccr import FGGroup, grading_context, validate
+from toricnccr import FGGroup, InputError, grading_context, validate
 
 SYSTEM_SPECS = {
     "a1": (1, (), [[1], [1], [-1], [-1]]),
@@ -48,6 +50,23 @@ def build_class_quiver(key, class_index, bound=None):
 
     ctx = build_context(key)
     return endomorphism_quiver(ctx, nccr_classes(ctx)[class_index], bound)
+
+
+@st.composite
+def rank_one_systems(draw, max_free=5):
+    """Valid rank-one systems: 4-6 weights, free parts in -max_free..max_free,
+    torsion none, Z/2 or Z/3; the last weight completes the zero sum."""
+    torsion = draw(st.sampled_from([(), (2,), (3,)]))
+    n = draw(st.integers(4, 6))
+    weight = st.tuples(st.integers(-max_free, max_free), *(st.integers(0, d - 1) for d in torsion))
+    vecs = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    last = [-sum(v[i] for v in vecs) for i in range(1 + len(torsion))]
+    assume(abs(last[0]) <= max_free)
+    group = FGGroup(1, torsion)
+    try:
+        return validate(group, [group.from_vector(v) for v in vecs + [last]])
+    except InputError:
+        assume(False)
 
 
 @pytest.fixture(params=sorted(SYSTEM_SPECS))

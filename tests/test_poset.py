@@ -3,18 +3,16 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from toricnccr import (
     AxiomViolation,
     FGGroup,
-    InputError,
     check_axioms,
     grading_context,
     validate,
 )
-from conftest import build_context
+from conftest import build_context, rank_one_systems
 
 
 def member_by_search(ctx, h):
@@ -60,23 +58,6 @@ def assert_conductor_sound_and_minimal(ctx):
         assert all(member_by_search(ctx, ctx.element(f, t)) for f in range(c, c + run))
         if c > 0:
             assert not member_by_search(ctx, ctx.element(c - 1, t))
-
-
-@st.composite
-def rank_one_systems(draw):
-    """Valid rank-one systems: 4-6 weights, free parts in -5..5, torsion none,
-    Z/2 or Z/3; the last weight completes the zero sum."""
-    torsion = draw(st.sampled_from([(), (2,), (3,)]))
-    n = draw(st.integers(4, 6))
-    weight = st.tuples(st.integers(-5, 5), *(st.integers(0, d - 1) for d in torsion))
-    vecs = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
-    last = [-sum(v[i] for v in vecs) for i in range(1 + len(torsion))]
-    assume(abs(last[0]) <= 5)
-    group = FGGroup(1, torsion)
-    try:
-        return validate(group, [group.from_vector(v) for v in vecs + [last]])
-    except InputError:
-        assume(False)
 
 
 class TestMembership:

@@ -1,31 +1,116 @@
 """Rims of upper sets: encoding, closure, enumeration, mutation, exchange."""
 
 import random
+from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
 
 from toricnccr import (
+    FGGroup,
     NotMinimal,
     Rim,
     RimStatus,
     entry_index,
     exchange_graph,
+    grading_context,
     in_upper_set,
     is_mutation_step,
+    is_nccr,
     make_rim,
     minimal_elements,
     mutate,
     normalize,
+    preimage_summands,
     rim_of_upper_closure,
     rim_status,
     translation_classes,
+    validate,
 )
-from conftest import EXPECTED_CLASS_COUNTS, build_context
+from conftest import EXPECTED_CLASS_COUNTS, rank_one_systems
+
+# torsion-free rank-one systems beyond the fixtures, named after their weights
+LADDER = {
+    "w2357": (2, 5, -3, -4),
+    "w2525": (2, 5, -2, -5),
+    "w3535": (3, 5, -3, -5),
+    "w4577": (4, 7, -5, -6),
+    "w40": (40, 1, -40, -1),
+}
+
+
+@cache
+def ladder_context(key):
+    group = FGGroup(1, ())
+    return grading_context(validate(group, [group.element(w) for w in LADDER[key]]))
 
 
 def els(ctx, *free_parts):
     return [ctx.element(f) for f in free_parts]
+
+
+def translation_classes_by_scan(ctx):
+    """Class oracle: a windowed product scan, independent of the
+    difference-constraint solver in ``translation_classes``.
+
+    Pins the orbit of zero at the zero element and confines every other
+    orbit's shift to the window where neither domination against zero is
+    automatic (outside it, the difference's free part clears the conductor),
+    with one unit of slack on each side.  The product is filtered by the full
+    pairwise rim condition, then normalized.  A class whose rim has
+    stabilizer S is hit once per rim element up to S, i.e. ``orbit_count /
+    |S|`` times, which gives the stabilizer order.  Returns ``{serialized
+    canonical rim: stabilizer order}``.
+    """
+    p = ctx.p
+    pf = p.free
+    cmax = ctx.max_conductor
+    anchor = ctx.group.zero()
+    others = [r for r in ctx.orbit_reps() if not r.is_zero()]
+    windows = []
+    for rep in others:
+        lo = (-rep.free - cmax) // pf - 1
+        hi = -((rep.free - cmax) // pf) + 1
+        windows.append([rep + n * p for n in range(lo, hi + 1)])
+    hits = Counter()
+    for combo in product(*windows):
+        elems = (anchor,) + combo
+        if not any(ctx.member(x - y - p) for x in elems for y in elems):
+            canon = normalize(ctx, Rim(tuple(sorted(elems, key=lambda e: e.key())), True))
+            hits[canon.serialized()] += 1
+    assert all(ctx.orbit_count % h == 0 for h in hits.values())
+    return {key: ctx.orbit_count // h for key, h in hits.items()}
+
+
+def assert_classes_match_scan(ctx):
+    fast = {cls.rim.serialized(): cls.stabilizer_order for cls in translation_classes(ctx)}
+    assert fast == translation_classes_by_scan(ctx)
+
+
+def mutation_closure(ctx):
+    """Canonical rims reachable by mutation from the upper closure of zero."""
+    start = normalize(ctx, rim_of_upper_closure(ctx, [ctx.group.zero()]))
+    seen = {start.serialized()}
+    frontier = [start]
+    while frontier:
+        rim = frontier.pop()
+        for m in minimal_elements(ctx, rim):
+            nxt = normalize(ctx, mutate(ctx, rim, m))
+            if nxt.serialized() not in seen:
+                seen.add(nxt.serialized())
+                frontier.append(nxt)
+    return seen
+
+
+def assert_graph_is_mutation_closure(ctx):
+    """Connected exchange graph, NCCR classes, and no class beyond mutation's reach."""
+    graph = exchange_graph(ctx)
+    assert graph.connected
+    assert {node.rim.serialized() for node in graph.nodes} == mutation_closure(ctx)
+    for node in graph.nodes:
+        assert is_nccr(ctx, preimage_summands(ctx, node.rim))
 
 
 class TestRimStatus:
@@ -201,6 +286,45 @@ class TestTranslationClasses:
                 found.add(canon.serialized())
         expected = {cls.rim.serialized() for cls in translation_classes(ctx)}
         assert found == expected
+
+
+class TestScanOracle:
+    def test_fixtures(self, ctx):
+        assert_classes_match_scan(ctx)
+
+    @pytest.mark.parametrize("key", ["w2357", "w2525"])
+    def test_ladder(self, key):
+        assert_classes_match_scan(ladder_context(key))
+
+
+class TestRandomSystems:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3))
+    def test_enumeration_matches_scan(self, ws):
+        ctx = grading_context(ws)
+        assume(ctx.orbit_count <= 6)
+        assert_classes_match_scan(ctx)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_classes_are_the_mutation_closure(self, ws):
+        ctx = grading_context(ws)
+        assume(ctx.orbit_count <= 12)
+        assert_graph_is_mutation_closure(ctx)
+
+
+class TestLadder:
+    """Systems too large for the scan oracle in a unit test: w3535's count is
+    the scan's, the other two were found by mutation BFS."""
+
+    @pytest.mark.parametrize(
+        "key,orbits,count", [("w3535", 8, 7), ("w4577", 11, 8), ("w40", 41, 1)]
+    )
+    def test_classes(self, key, orbits, count):
+        ctx = ladder_context(key)
+        assert ctx.orbit_count == orbits
+        assert len(translation_classes(ctx)) == count
+        assert_graph_is_mutation_closure(ctx)
 
 
 class TestExchangeGraph:
