@@ -50,6 +50,8 @@ def load_document(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "group" not in doc or "weights" not in doc:
         raise ParseError(f"{path}: expected an object with 'group' and 'weights'")
+    if not isinstance(doc["weights"], list):
+        raise ParseError(f"{path}: 'weights' must be a list, got {doc['weights']!r}")
     gspec = doc["group"]
     try:
         free_rank, torsion = gspec["free_rank"], gspec.get("torsion", [])
@@ -326,7 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--class", dest="klass", type=int, default=None)
     p.add_argument("--degrees", default=None, help="space-separated degree labels")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        help="cap on the total degree of the arrow search (default: the proven "
+        "degree bound; a lower cap warns that arrows may be missing)",
+    )
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_quiver)
 

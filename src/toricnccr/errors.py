@@ -102,4 +102,4 @@ class UnclassifiableSignPattern(InternalCheckError):
 
 
 class BoundTooSmall(UserWarning):
-    """The quiver arrow set did not stabilize when the degree bound doubled."""
+    """The quiver search was capped below the proven degree bound; arrows may be missing."""

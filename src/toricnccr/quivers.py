@@ -7,9 +7,11 @@ vector none of whose proper nonzero sub-vectors lands on a summand degree.
 Equivalently, the arrows out of ``u`` are the minimal nonzero exponent
 vectors (componentwise order) whose degree shifts ``u`` back into the set.
 
-No a priori degree bound for the irreducible monomials is available, so the
-search runs to a conductor-derived default bound and re-runs at twice that
-bound; a :class:`BoundTooSmall` warning is emitted if the two disagree.
+Irreducible monomials have bounded total degree: :func:`degree_bound` proves
+``(span + 2M)·|T|`` from the vertex free parts, the weights and the torsion
+order, so one depth-first search to that bound finds every arrow.  A caller
+may cap the search lower; a :class:`BoundTooSmall` warning then says that
+arrows may be missing.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def hom_monomial_count(ws: WeightSystem, g: GroupElement, h: GroupElement, bound
 
 
 def default_search_bound(ctx: GradedContext) -> int:
+    """The conductor-derived heuristic bound the arrow search once used.
+
+    The search no longer calls it (see :func:`degree_bound`);
+    ``perfbench/spans.py`` still reports it as ``quivers.search_bound``.
+    """
     ws = ctx.weights
     return (ws.positives + ws.negatives) * (1 + ctx.max_conductor + ctx.p.free)
 
@@ -132,23 +139,60 @@ def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
 
 
+def degree_bound(ws: WeightSystem, vertices) -> int:
+    """A proven bound on the total degree of every arrow between ``vertices``.
+
+    The bound is ``(span + 2M)·|T|``: ``span`` is the largest minus the
+    smallest free part over the vertex set (0 if it is empty), ``M`` the
+    largest absolute free part of a weight (at least 1, since a rank-one
+    system has positive weights) and ``|T|`` the torsion order of the grading
+    group.
+
+    Proof.  Let ``a`` be an irreducible exponent vector from ``u`` to ``v`` of
+    total degree ``L``, and ``D = free(v) - free(u)``, so ``|D| <= span``.
+    Write ``a`` as ``L`` unit steps (one weight each) and order them greedily:
+    take a step of nonnegative free part while the running free sum is at or
+    below ``D``, and a negative one while it is above ``D``.  While steps
+    remain, one of the preferred kind is left: the remaining steps sum to
+    ``D - s`` for the running sum ``s``, so they are not all negative when
+    ``s <= D`` and not all nonnegative when ``s > D``.  So a running sum at
+    or below ``D`` only rises, to at most ``D + M``, and one above ``D``
+    only falls, to at least ``D - M + 1``: every prefix free sum lies in
+    ``[min(0, D - M + 1), max(0, D + M)]``, an interval of at most
+    ``|D| + 2M`` integers.  Now let two prefix
+    degrees ``g_i = g_j`` (``i < j``) be equal, other than the pair
+    (first prefix, last prefix).  The segment of steps ``i+1..j`` is a
+    nonzero sub-vector ``c != a`` of degree 0, so ``a - c`` is a proper
+    nonzero sub-vector of ``a`` that lands on ``v`` as well: ``a`` is not
+    irreducible.  Hence the ``L + 1`` prefix degrees take at least ``L``
+    distinct values in (interval) x T, and ``L <= (|D| + 2M)·|T|``.
+    """
+    frees = [v.free for v in vertices]
+    span = max(frees) - min(frees) if frees else 0
+    m = max(abs(w.free) for w in ws.weights)
+    return (span + 2 * m) * ws.group.torsion_order()
+
+
 def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None = None) -> Quiver:
     """The quiver presenting the endomorphism algebra of the summand set.
 
-    Works for any degree set; meaningful when the set is modifying.  Emits
-    :class:`BoundTooSmall` if doubling the search bound changes the arrows.
+    Works for any degree set; meaningful when the set is modifying.  The
+    arrow search runs once, to :func:`degree_bound`.  ``search_bound`` caps
+    it: a cap at or above the proven bound changes nothing, and a cap below
+    it emits :class:`BoundTooSmall`, since arrows may then be missing.
     """
     vertices = tuple(sorted(set(summands), key=GroupElement.key))
-    bound = search_bound if search_bound is not None else default_search_bound(ctx)
-    if bound < 1:
+    if search_bound is not None and search_bound < 1:
         raise ValueError("search bound must be at least 1")
-    arrows = _arrow_set(ctx.weights, vertices, bound)
-    stabilized = _arrow_set(ctx.weights, vertices, 2 * bound)
-    if arrows != stabilized:
+    proven = degree_bound(ctx.weights, vertices)
+    bound = proven if search_bound is None else min(search_bound, proven)
+    if bound < proven:
         warnings.warn(
-            f"arrow set changed between bounds {bound} and {2 * bound}", BoundTooSmall
+            f"search bound {bound} is below the proven degree bound {proven}; "
+            "arrows may be missing",
+            BoundTooSmall,
         )
-    quiver = Quiver(vertices, arrows)
+    quiver = Quiver(vertices, _arrow_set(ctx.weights, vertices, bound))
     _check_degree_coherence(ctx.weights, quiver)
     return quiver
 

@@ -32,6 +32,23 @@ EXPECTED_VERTEX_COUNTS = {
 }
 
 
+# torsion-free rank-one systems beyond the fixtures, named after their weights
+LADDER = {
+    "w2357": (2, 5, -3, -4),
+    "w2525": (2, 5, -2, -5),
+    "w3535": (3, 5, -3, -5),
+    "w4577": (4, 7, -5, -6),
+    "w40": (40, 1, -40, -1),
+    "w6": (1, 2, 3, -1, -2, -3),
+}
+
+
+@cache
+def ladder_context(key):
+    group = FGGroup(1, ())
+    return grading_context(validate(group, [group.element(w) for w in LADDER[key]]))
+
+
 @cache
 def build_system(key):
     rank, torsion, vecs = SYSTEM_SPECS[key]

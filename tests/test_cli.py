@@ -1,9 +1,14 @@
 """Command-line interface: reports, DOT output, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricnccr import FGGroup, is_nccr, parse_element
 from toricnccr.cli import main
@@ -69,14 +74,80 @@ class TestValidate:
             ({"free_rank": True, "torsion": []}, [[1], [1], [-1], [-1]]),
             ({"free_rank": 1, "torsion": [2.0]}, [[1, 0], [1, 1], [-1, 0], [-1, 1]]),
             ({"free_rank": 1, "torsion": ["2"]}, [[1, 0], [1, 1], [-1, 0], [-1, 1]]),
+            ({"free_rank": 1, "torsion": []}, 5),
+            ({"free_rank": 1, "torsion": []}, None),
         ],
-        ids=["float", "bool", "string", "float-rank", "bool-rank", "float-torsion", "string-torsion"],
+        ids=[
+            "float",
+            "bool",
+            "string",
+            "float-rank",
+            "bool-rank",
+            "float-torsion",
+            "string-torsion",
+            "int-weights",
+            "null-weights",
+        ],
     )
     def test_non_integer_entries_exit_2(self, capsys, tmp_path, group, weights):
         path = write_doc(tmp_path, {"group": group, "weights": weights})
         code, report = run_json(capsys, "validate", path)
         assert code == 2
         assert report["error"]["type"] == "ParseError"
+
+
+# values of the wrong JSON type for any slot of an input document
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-6, 6),
+    st.text(max_size=3),
+    st.integers(-6, 6),
+    st.lists(st.integers(-6, 6), max_size=3),
+    st.dictionaries(st.sampled_from(["free_rank", "torsion", "x"]), st.integers(-6, 6), max_size=2),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """Input documents with wrong types, wrong vector lengths and missing keys
+    at every level; small integers only (|x| <= 6, invariant factors <= 4).
+    Each fault is drawn with probability about 1/5, so that most documents
+    get past the top level and some are valid."""
+
+    def rare():
+        return draw(st.integers(0, 4)) == 3
+
+    def slot(value):
+        return draw(JUNK) if rare() else value
+
+    torsion = slot(draw(st.lists(st.sampled_from([2, 2, 3, 4, 1]), max_size=2)))
+    group = slot({"free_rank": slot(draw(st.sampled_from([1, 1, 1, 0, 2]))), "torsion": torsion})
+    length = 1 + len(torsion) if isinstance(torsion, list) else 1
+    if rare():
+        length = draw(st.integers(0, 3))
+    vector = st.lists(st.integers(-6, 6), min_size=length, max_size=length)
+    vecs = draw(st.lists(vector, min_size=2, max_size=5))
+    vecs.append([-sum(col) for col in zip(*vecs)] if vecs[0] else [])  # zero sum
+    if rare():
+        vecs[draw(st.integers(0, len(vecs) - 1))] = draw(JUNK)
+    doc = {"group": group, "weights": slot(vecs)}
+    for mapping, keys in ((group, ["free_rank", "torsion"]), (doc, ["group", "weights"])):
+        if isinstance(mapping, dict) and rare():
+            mapping.pop(draw(st.sampled_from(keys)), None)
+    return slot(doc)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(malformed_documents())
+    def test_validate_exits_0_or_2(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["validate", str(path)])
+        assert code in (0, 2)
 
 
 class TestClassify:
@@ -143,6 +214,20 @@ class TestQuiver:
         assert code == 2
         assert report["error"]["type"] == "InputError"
 
+    def test_empty_degree_set_gives_empty_quiver(self, capsys):
+        code, report = run_json(capsys, "quiver", INPUTS / "ca4.json", "--degrees", "")
+        assert code == 0
+        assert report["quiver"]["vertices"] == [] and report["quiver"]["arrow_count"] == 0
+
+    @pytest.mark.parametrize("bound", ["10", "11", "64"])
+    def test_bound_at_or_above_proven_matches_default(self, capsys, bound):
+        # ca4 class 0: span 4 over the vertices, M = 3, so the proven bound is 10
+        _, default = run(capsys, "quiver", INPUTS / "ca4.json", "--class", 0)
+        code, capped = run(capsys, "quiver", INPUTS / "ca4.json", "--class", 0, "--bound", bound)
+        assert code == 0
+        assert capped == default
+        assert json.loads(capped)["warnings"] == []
+
     def test_small_bound_warning_lands_in_report(self, capsys):
         code, report = run_json(
             capsys, "quiver", INPUTS / "ca4.json", "--class", 0, "--bound", 1
@@ -150,6 +235,15 @@ class TestQuiver:
         assert code == 0
         assert report["warnings"]
         assert "bound" in report["warnings"][0]
+
+    def test_bound_just_below_proven_warns(self, capsys):
+        code, report = run_json(
+            capsys, "quiver", INPUTS / "ca4.json", "--class", 0, "--bound", 9
+        )
+        assert code == 0
+        assert report["warnings"] == [
+            "search bound 9 is below the proven degree bound 10; arrows may be missing"
+        ]
 
 
 class TestMutate:

@@ -4,6 +4,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
 
 from toricnccr import (
     BoundTooSmall,
@@ -12,13 +13,15 @@ from toricnccr import (
     SummandSet,
     emit_dot,
     endomorphism_quiver,
+    grading_context,
     hom_monomial_count,
     mckay_quiver,
     monomial_label,
     nccr_classes,
     validate,
 )
-from conftest import build_class_quiver, build_context, build_system
+from toricnccr.quivers import _arrow_set, degree_bound
+from conftest import build_class_quiver, ladder_context, rank_one_systems
 
 
 def quiver_of_class(key, k, bound=None):
@@ -109,10 +112,10 @@ class TestQuiverInvariants:
         rng = random.Random(f"twist-{ctx.group}")
         G = ctx.weights.group
         V = nccr_classes(ctx)[0]
-        base = endomorphism_quiver(ctx, V, 10)
+        base = endomorphism_quiver(ctx, V)
         for _ in range(3):
             g0 = G.element(rng.randint(-3, 3), tuple(rng.randrange(d) for d in G.torsion))
-            twisted = endomorphism_quiver(ctx, [g + g0 for g in V], 10)
+            twisted = endomorphism_quiver(ctx, [g + g0 for g in V])
             assert twisted.arrows == base.arrows  # indices relabel identically
 
     def test_no_arrow_factors_through_vertices(self, system_key, ctx):
@@ -198,6 +201,77 @@ def _path_factorable(ws, quiver, bound):
                     seen.add(nxt)
                     stack.append(nxt)
     return per_start
+
+
+def assert_matches_doubled_bound(ctx, summands):
+    """The test oracle for the proven bound: searching to twice it finds no
+    further arrow, no arrow exceeds it, and no arrow has a proper nonzero
+    sub-vector that lands on a vertex."""
+    ws = ctx.weights
+    q = endomorphism_quiver(ctx, summands)
+    bound = degree_bound(ws, q.vertices)
+    assert q.arrows == _arrow_set(ws, q.vertices, 2 * bound)
+    vertex_set = set(q.vertices)
+    for a in q.arrows:
+        assert sum(a.exponents) <= bound
+        src = q.vertices[a.source]
+        for b in _proper_subvectors(a.exponents):
+            assert sum((e * x for e, x in zip(b, ws.weights)), src) not in vertex_set
+    return q
+
+
+class TestDegreeBound:
+    def test_formula(self, z4):
+        # span 1 over the vertices, M = 1, |T| = 4
+        G = z4.weights.group
+        assert degree_bound(z4.weights, [G.element(0, (0,)), G.element(1, (3,))]) == 12
+        w6 = ladder_context("w6")
+        assert degree_bound(w6.weights, nccr_classes(w6)[0]) == 11  # span 5, M = 3
+        assert degree_bound(w6.weights, []) == 6  # no vertices: span 0
+
+    def test_doubled_bound_oracle_fixtures(self, ctx):
+        for V in nccr_classes(ctx):
+            assert_matches_doubled_bound(ctx, V)
+
+    @pytest.mark.parametrize("key", ["w2357", "w3535", "w6"])
+    def test_doubled_bound_oracle_ladder(self, key):
+        ctx = ladder_context(key)
+        assert_matches_doubled_bound(ctx, nccr_classes(ctx)[0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=2))
+    def test_doubled_bound_oracle_random(self, ws):
+        # the oracle's search grows steeply with the bound (about 0.4 s at 9,
+        # 20 s at 18 for six weights), so only cheap systems are kept
+        ctx = grading_context(ws)
+        V = nccr_classes(ctx)[0]
+        assume(degree_bound(ws, V) <= 9)
+        assert_matches_doubled_bound(ctx, V)
+
+    def test_single_vertex_has_loops_only(self, ca4):
+        q = assert_matches_doubled_bound(ca4, [ca4.weights.group.element(0)])
+        assert q.arrows and all(a.is_loop() for a in q.arrows)
+        assert sorted(monomial_label(a.exponents) for a in q.arrows) == [
+            "x1*x3",
+            "x1^3*x4^2",
+            "x2*x4",
+            "x2^2*x3^3",
+        ]
+
+    def test_bound_is_attained(self):
+        # over Z + Z/4 the loop x1^4*x3^4 at a single vertex has total degree
+        # (0 + 2·1)·4: no proper sub-vector has degree 0
+        G = FGGroup(1, (4,))
+        ws = validate(G, [G.from_vector(v) for v in ([1, 1], [1, 0], [-1, 0], [-1, 3])])
+        ctx = grading_context(ws)
+        q = assert_matches_doubled_bound(ctx, [G.zero()])
+        assert degree_bound(ws, q.vertices) == 8
+        assert sorted(monomial_label(a.exponents) for a in q.arrows) == [
+            "x1*x4",
+            "x1^4*x3^4",
+            "x2*x3",
+            "x2^4*x4^4",
+        ]
 
 
 class TestStabilization:

@@ -2,14 +2,12 @@
 
 import random
 from collections import Counter
-from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 
 from toricnccr import (
-    FGGroup,
     NotMinimal,
     Rim,
     RimStatus,
@@ -27,25 +25,8 @@ from toricnccr import (
     rim_of_upper_closure,
     rim_status,
     translation_classes,
-    validate,
 )
-from conftest import EXPECTED_CLASS_COUNTS, rank_one_systems
-
-# torsion-free rank-one systems beyond the fixtures, named after their weights
-LADDER = {
-    "w2357": (2, 5, -3, -4),
-    "w2525": (2, 5, -2, -5),
-    "w3535": (3, 5, -3, -5),
-    "w4577": (4, 7, -5, -6),
-    "w40": (40, 1, -40, -1),
-}
-
-
-@cache
-def ladder_context(key):
-    group = FGGroup(1, ())
-    return grading_context(validate(group, [group.element(w) for w in LADDER[key]]))
-
+from conftest import EXPECTED_CLASS_COUNTS, ladder_context, rank_one_systems
 
 def els(ctx, *free_parts):
     return [ctx.element(f) for f in free_parts]
