@@ -20,7 +20,7 @@ import sys
 import warnings as warnings_module
 
 from . import __version__
-from .errors import InputError, InternalCheckError, ParseError, UnknownClass
+from .errors import InputError, InternalCheckError, InternalInconsistency, ParseError, UnknownClass
 from .groups import FGGroup, parse_element
 from .nccr import (
     is_modifying,
@@ -204,9 +204,10 @@ def cmd_mutate(args):
     summands = preimage_summands(ctx, node.rim)
     mutated, cert = mutate_nccr(ctx, summands, m)
     target = normalize(ctx, rim_of(ctx, mutated))
-    target_index = next(
-        i for i, c in enumerate(classes) if c.rim.serialized() == target.serialized()
-    )
+    index = {c.rim.serialized(): i for i, c in enumerate(classes)}
+    target_index = index.get(target.serialized())
+    if target_index is None:
+        raise InternalInconsistency(f"mutation left the class list: {target}")
     payload = {
         "validation": _validation_summary(ws, ctx),
         "class": args.klass,

@@ -94,7 +94,7 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
     block entries at most ``(max |free(g)| - free(p)) / min generator free
     part + 1`` and torsion-weight entries at most the weight's order.
     """
-    maxpi = max(abs(g.free_part()) for g in degrees)
+    maxpi = max((abs(g.free_part()) for g in degrees), default=0)
     min_gen = min(g.free for g in ctx.generators)
     tors_orders = [int(x.order()) for x in ctx.weights.torsion_weights]
     block_bound = max(0, (maxpi - ctx.p.free)) // min_gen + 1

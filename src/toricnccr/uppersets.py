@@ -13,9 +13,12 @@ in orbit ``a`` is ``r_a + n_a*p``.  The rim condition becomes the difference
 constraints ``n_a - n_b <= tau(a, b)`` of a per-orbit-pair threshold table,
 which :func:`translation_classes` solves exactly (the proof is there).
 
-Translation classes quotient by translating rims by arbitrary elements of H;
-the canonical representative moves the minimum free part to 0 and takes the
-lexicographically smallest serialized form over the torsion shifts.
+Translation classes quotient by translating rims by arbitrary elements of H.
+A rim's *zero translates* are the translates ``rim - x`` by its elements
+``x`` of least free part; the canonical representative is the one with the
+smallest serialized form.  The enumerator reaches exactly the rims that are
+their own zero translate and keeps the canonical ones, so each class is
+found once, and the zero translates equal to it count its stabilizer.
 """
 
 from __future__ import annotations
@@ -169,29 +172,21 @@ class TranslationClass:
         return str(self.rim)
 
 
+def _zero_translates(rim: Rim) -> list[Rim]:
+    """The translates ``rim - x`` by the rim elements ``x`` of least free part."""
+    low = min(e.free for e in rim)
+    return [rim.translate(-x) for x in rim if x.free == low]
+
+
 def normalize(ctx: GradedContext, rim: Rim) -> Rim:
-    """Canonical translate: minimum free part 0, smallest serialization.
+    """Canonical translate: the smallest serialization among the translates
+    with minimum free part 0.
 
-    The first serialized key's free part is the minimum free part, so moving
-    that minimum to 0 beats every other free shift; only the torsion shift is
-    left to choose.
+    The least first key such a translate can have is the zero element's,
+    and the translates that start with it are exactly the zero translates,
+    so the winner is one of them.  ``ctx`` is unused and kept for callers.
     """
-    min_free = min(e.free for e in rim)
-    translates = (
-        rim.translate(ctx.element(-min_free, t)) for t in ctx.group.torsion_residues()
-    )
-    return min(translates, key=Rim.serialized)
-
-
-def _stabilizer_order(rim: Rim) -> int:
-    elems = set(rim.elements)
-    count = 0
-    base = rim.elements[0]
-    for e in rim.elements:
-        t = e - base
-        if {x + t for x in rim.elements} == elems:
-            count += 1
-    return count
+    return min(_zero_translates(rim), key=Rim.serialized)
 
 
 def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
@@ -214,13 +209,23 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
        its variables extends by any further variable ``c``: the interval
        ``max_b (n_b - d(b, c)) .. min_b (n_b + d(c, b))`` is nonempty since
        ``n_b - n_b' <= d(b, b') <= d(b, c) + d(c, b')``.
-    4. Every class has a rim through zero.  Pinning ``n = 0`` at the orbit of
-       zero and backtracking over plain integers reaches each such rim once,
-       with no dead ends; each leaf is normalized and deduplicated.
+    4. Pin ``n = 0`` at the orbit of zero and add the constraints
+       ``n_0 - n_a <= 0`` before the closure.  As ``0 <= free(r_a) <
+       free(p)``, ``n >= 0`` says exactly that every free part is ``>= 0``,
+       so backtracking over plain integers reaches, once each and with no
+       dead ends, the rims through zero with minimum free part 0.  Each
+       class has exactly one canonical leaf: its canonical rim contains 0
+       and has minimum free part 0, and every other leaf of the class has
+       the canonical rim among its zero translates.  A leaf is kept iff it
+       is the smallest of its zero translates.
+    5. Since ``0`` is in a kept rim ``R`` and translations keep the minimum
+       free part, ``Stab(R) = {-x : x in R, free(x) = 0, R - x = R}``: the
+       stabilizer order is the number of zero translates equal to ``R``.
     """
     reps = ctx.orbit_reps()  # reps[0] is zero
     k = len(reps)
     d = [[_least_shift(ctx, ra - rb) for rb in reps] for ra in reps]
+    d[0] = [min(x, 0) for x in d[0]]  # n_a >= n_0 = 0 (step 4)
     for c in range(k):
         row_c = d[c]
         for a in range(k):
@@ -229,20 +234,22 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
     if any(d[a][a] < 0 for a in range(k)):
         raise InternalInconsistency("the rim constraints admit no complete rim")
 
-    found = {}
+    classes = []
     stack = [(0,)]  # offset vectors n, assigned in orbit order
     while stack:
         n = stack.pop()
         c = len(n)
         if c == k:
-            elems = (r + m * ctx.p for r, m in zip(reps, n))
-            canon = normalize(ctx, Rim(_sorted_unique(elems), complete=True))
-            found.setdefault(canon.serialized(), canon)
+            rim = Rim(_sorted_unique(r + m * ctx.p for r, m in zip(reps, n)), complete=True)
+            key = rim.serialized()
+            keys = [t.serialized() for t in _zero_translates(rim)]
+            if min(keys) == key:
+                classes.append(TranslationClass(rim, keys.count(key)))
             continue
         lo = max(n[b] - d[b][c] for b in range(c))
         hi = min(n[b] + d[c][b] for b in range(c))
         stack.extend(n + (m,) for m in range(lo, hi + 1))
-    return tuple(TranslationClass(rim, _stabilizer_order(rim)) for _, rim in sorted(found.items()))
+    return tuple(sorted(classes, key=lambda cls: cls.rim.serialized()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricnccr import FGGroup, is_nccr, parse_element
+from toricnccr import FGGroup, Rim, is_nccr, parse_element
 from toricnccr.cli import main
 from conftest import build_context
 
@@ -263,6 +263,18 @@ class TestMutate:
         )
         assert code == 2
         assert report["error"]["type"] == "NotMinimal"
+
+    def test_result_outside_class_list_exit_3(self, capsys, monkeypatch):
+        import toricnccr.cli
+
+        ctx = build_context("ca4")
+        stray = Rim(tuple(ctx.element(f) for f in (0, 1, 2, 3, 9)), complete=True)
+        monkeypatch.setattr(toricnccr.cli, "normalize", lambda ctx, rim: stray)
+        code = main(["mutate", str(INPUTS / "ca4.json"), "--class", "0", "--at", "(1)"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "InternalInconsistency" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestExchangeGraph:

@@ -87,6 +87,11 @@ class TestCrosscheck:
         with pytest.raises(ValueError):
             crosscheck_mcm(ca4, degrees, 1)
 
+    def test_empty_degree_list(self, ctx):
+        report = crosscheck_mcm(ctx, [], sufficient_window(ctx, []))
+        assert (report.checked, report.agreements, report.mismatches) == (0, 0, ())
+        assert report.summary() == "agree: 0/0, mismatches: 0"
+
     def test_mismatch_raises(self, a1, monkeypatch):
         monkeypatch.setattr(toricnccr.nccr, "is_mcm", lambda ctx, g: True)
         degrees = [a1.weights.group.element(f) for f in range(-6, 7)]

@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 
 from toricnccr import (
+    FGGroup,
     NotMinimal,
     Rim,
     RimStatus,
@@ -25,11 +27,40 @@ from toricnccr import (
     rim_of_upper_closure,
     rim_status,
     translation_classes,
+    validate,
 )
 from conftest import EXPECTED_CLASS_COUNTS, ladder_context, rank_one_systems
 
 def els(ctx, *free_parts):
     return [ctx.element(f) for f in free_parts]
+
+
+@cache
+def torsion_ladder_context():
+    """Z + Z/3 with weights (3;2),(3;2),(2;1),(-4;2),(-4;2): 24 orbits, 146
+    classes, two of them with stabilizer order 3."""
+    group = FGGroup(1, (3,))
+    vecs = [[3, 2], [3, 2], [2, 1], [-4, 2], [-4, 2]]
+    return grading_context(validate(group, [group.from_vector(v) for v in vecs]))
+
+
+def normalize_by_torsion_shifts(ctx, rim):
+    """Canonical-form oracle, independent of the zero translates in
+    ``normalize``: move the minimum free part to 0, then take the smallest
+    serialization over every torsion shift of H."""
+    min_free = min(e.free for e in rim)
+    translates = (
+        rim.translate(ctx.element(-min_free, t)) for t in ctx.group.torsion_residues()
+    )
+    return min(translates, key=Rim.serialized)
+
+
+def stabilizer_order_by_translates(rim):
+    """Stabilizer oracle: count the translations taking the first rim element
+    to some rim element that map the whole rim onto itself."""
+    elems = set(rim.elements)
+    base = rim.elements[0]
+    return sum(1 for e in rim.elements if {x + e - base for x in rim.elements} == elems)
 
 
 def translation_classes_by_scan(ctx):
@@ -40,10 +71,10 @@ def translation_classes_by_scan(ctx):
     orbit's shift to the window where neither domination against zero is
     automatic (outside it, the difference's free part clears the conductor),
     with one unit of slack on each side.  The product is filtered by the full
-    pairwise rim condition, then normalized.  A class whose rim has
-    stabilizer S is hit once per rim element up to S, i.e. ``orbit_count /
-    |S|`` times, which gives the stabilizer order.  Returns ``{serialized
-    canonical rim: stabilizer order}``.
+    pairwise rim condition, then normalized by the torsion-shift oracle.  A
+    class whose rim has stabilizer S is hit once per rim element up to S,
+    i.e. ``orbit_count / |S|`` times, which gives the stabilizer order.
+    Returns ``{serialized canonical rim: stabilizer order}``.
     """
     p = ctx.p
     pf = p.free
@@ -59,8 +90,8 @@ def translation_classes_by_scan(ctx):
     for combo in product(*windows):
         elems = (anchor,) + combo
         if not any(ctx.member(x - y - p) for x in elems for y in elems):
-            canon = normalize(ctx, Rim(tuple(sorted(elems, key=lambda e: e.key())), True))
-            hits[canon.serialized()] += 1
+            rim = Rim(tuple(sorted(elems, key=lambda e: e.key())), True)
+            hits[normalize_by_torsion_shifts(ctx, rim).serialized()] += 1
     assert all(ctx.orbit_count % h == 0 for h in hits.values())
     return {key: ctx.orbit_count // h for key, h in hits.items()}
 
@@ -263,10 +294,38 @@ class TestTranslationClasses:
                 rep + n * ctx.p for rep, n in zip(others, shifts)
             ]
             if rim_status(ctx, elems).status is RimStatus.COMPLETE:
-                canon = normalize(ctx, Rim(tuple(sorted(elems, key=lambda e: e.key())), True))
-                found.add(canon.serialized())
+                rim = Rim(tuple(sorted(elems, key=lambda e: e.key())), True)
+                found.add(normalize_by_torsion_shifts(ctx, rim).serialized())
         expected = {cls.rim.serialized() for cls in translation_classes(ctx)}
         assert found == expected
+
+
+def assert_normalize_matches_oracle(ctx, rng):
+    """``normalize`` of a random translate equals the torsion-shift oracle, on
+    every class rim and every rim one mutation away from it."""
+    residues = list(ctx.group.torsion_residues())
+    nonzero = residues[1:] or residues  # residues[0] is the zero residue
+    rims = []
+    for cls in translation_classes(ctx):
+        rims.append(cls.rim)
+        rims.extend(mutate(ctx, cls.rim, m) for m in minimal_elements(ctx, cls.rim))
+    for rim in rims:
+        expected = normalize_by_torsion_shifts(ctx, rim).elements
+        for _ in range(3):
+            t = ctx.element(rng.randint(-9, 9), rng.choice(nonzero))
+            assert normalize(ctx, rim.translate(t)).elements == expected
+
+
+class TestCanonicalForm:
+    def test_fixtures(self, system_key, ctx):
+        assert_normalize_matches_oracle(ctx, random.Random(f"canonical-{system_key}"))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=4))
+    def test_random_systems(self, ws):
+        ctx = grading_context(ws)
+        assume(ctx.orbit_count <= 12)
+        assert_normalize_matches_oracle(ctx, random.Random(str(ws.weights)))
 
 
 class TestScanOracle:
@@ -296,7 +355,7 @@ class TestRandomSystems:
 
 class TestLadder:
     """Systems too large for the scan oracle in a unit test: w3535's count is
-    the scan's, the other two were found by mutation BFS."""
+    the scan's, the other counts agree with mutation BFS."""
 
     @pytest.mark.parametrize(
         "key,orbits,count", [("w3535", 8, 7), ("w4577", 11, 8), ("w40", 41, 1)]
@@ -305,6 +364,16 @@ class TestLadder:
         ctx = ladder_context(key)
         assert ctx.orbit_count == orbits
         assert len(translation_classes(ctx)) == count
+        assert_graph_is_mutation_closure(ctx)
+
+    def test_torsion_system_with_stabilizers(self):
+        ctx = torsion_ladder_context()
+        assert ctx.orbit_count == 24
+        classes = translation_classes(ctx)
+        assert len(classes) == 146
+        orders = [cls.stabilizer_order for cls in classes]
+        assert orders == [stabilizer_order_by_translates(cls.rim) for cls in classes]
+        assert Counter(orders) == {1: 144, 3: 2}
         assert_graph_is_mutation_closure(ctx)
 
 
