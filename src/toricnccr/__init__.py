@@ -79,7 +79,6 @@ from .quivers import (
     Quiver,
     emit_dot,
     endomorphism_quiver,
-    hom_monomial_count,
     mckay_quiver,
     monomial_label,
 )

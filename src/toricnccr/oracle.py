@@ -4,13 +4,16 @@ A degree fails to be maximal Cohen-Macaulay exactly when some integer vector
 ``a`` with ``sum a_i * x_i = g`` matches one of two sign patterns: nonnegative
 on the positive block and negative everywhere else, or nonnegative on the
 negative block and negative everywhere else.  The oracle searches for such
-witnesses inside a finite window and cross-checks the order criterion.
+witnesses inside a finite window and cross-checks the order criterion: one
+table per sign pattern holds every windowed sum, as a raw ``(free, t...)``
+tuple, up to the largest free part checked, so each degree is one lookup.
 
 The topological side: each sign vector ``a`` selects a subcomplex of the face
 complex of the weight polytope, whose homotopy type is one of empty, a point,
 or a sphere of dimension ``positives - 2`` or ``negatives - 2``.  A small
 exact simplicial homology engine (boundary-matrix ranks over the rationals)
-verifies the classification numerically.
+verifies the classification numerically, and the windowed local cohomology
+counts windowed sign vectors by meeting two half-tables in the middle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import OracleMismatch, UnclassifiableSignPattern
+from .errors import MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
 from .groups import GroupElement
 from .poset import GradedContext
 from .weights import WeightSystem
@@ -30,52 +33,62 @@ from .weights import WeightSystem
 # Sign-pattern witnesses
 
 
+def _degree_key(ws: WeightSystem, g: GroupElement) -> tuple[int, ...]:
+    """``g`` as a raw ``(free, t_1, ...)`` tuple, torsion reduced; it must lie in ``ws``'s group."""
+    if g.group != ws.group:
+        raise MismatchedGroup(f"degree {g!r} does not lie in {ws.group}")
+    return g.key()
+
+
+def _plus(u, v, k: int, dims) -> tuple[int, ...]:
+    """Raw ``u + k*v``; ``dims`` is 0 for the free coordinate, else the invariant factor."""
+    return tuple((a + k * b) % d if d else a + k * b for a, b, d in zip(u, v, dims))
+
+
 # Each cache holds one job's working set and is bounded so that it cannot grow
-# for the life of the process: a crosscheck reads four block-sum tables, a
+# for the life of the process: a crosscheck reads two witness tables, a
 # system has one face list, and the sign vectors of a system with n weights
 # select at most 2^n distinct complexes (64 for six weights).
 @lru_cache(maxsize=4)
-def _block_sums(ws: WeightSystem, indices: tuple[int, ...], lo: int, hi: int):
-    """All values of ``sum c_i * x_i`` with ``c_i`` in [lo, hi], with one witness."""
-    table = {ws.group.zero(): ()}
-    for idx in indices:
-        x = ws.weights[idx]
+def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
+    """Every value ``sum a_i x_i`` with ``|free| <= cap`` whose ``a`` matches the
+    sign pattern, ``a_i`` in [0, window] on its nonneg block and [-window, -1]
+    elsewhere, as a raw tuple mapped to one such ``a``.
+
+    Partial sums past the cap are dropped, and that loses no value within it:
+    in pattern 6 every term ``a_i x_i`` has free part >= 0 (``a_i >= 0`` on
+    positive weights, ``a_i < 0`` on negative ones, torsion weights add 0), and
+    in pattern 7 every term has free part <= 0.  So the free parts of the
+    partial sums are monotone from 0, every prefix of a sum with ``|free| <=
+    cap`` stays within the cap, and a partial sum past it never comes back.
+    For the same reason an entry, witness included, does not depend on the cap.
+    """
+    dims = (0,) + ws.group.torsion
+    zero = (0,) * len(dims)
+    l, lp = ws.positives, ws.negatives
+    nonneg = range(l) if pattern == 6 else range(l, l + lp)
+    table = {zero: ()}
+    for i, x in enumerate(w.key() for w in ws.weights):
+        # a torsion weight's steps repeat; only the first coefficient of each can win
+        steps: dict = {}
+        for c in range(window + 1) if i in nonneg else range(-window, 0):
+            steps.setdefault(_plus(zero, x, c, dims), c)
         new = {}
-        for value, coeffs in table.items():
-            for c in range(lo, hi + 1):
-                key = value + c * x
-                if key not in new:
-                    new[key] = coeffs + (c,)
+        for value, a in table.items():
+            for step, c in steps.items():
+                if abs(value[0] + step[0]) <= cap:
+                    key = _plus(value, step, 1, dims)
+                    if key not in new:
+                        new[key] = a + (c,)
         table = new
     return table
 
 
-def _pattern_blocks(ws: WeightSystem, pattern: int):
-    n = len(ws.weights)
-    l, lp = ws.positives, ws.negatives
-    if pattern == 6:
-        nonneg = tuple(range(l))
-        negative = tuple(range(l, n))
-    else:
-        nonneg = tuple(range(l, l + lp))
-        negative = tuple(range(l)) + tuple(range(l + lp, n))
-    return nonneg, negative
-
-
-def _pattern_witness(ws: WeightSystem, g: GroupElement, window: int, pattern: int):
-    nonneg, negative = _pattern_blocks(ws, pattern)
-    pos_table = _block_sums(ws, nonneg, 0, window)
-    neg_table = _block_sums(ws, negative, -window, -1)
-    for value, pos_coeffs in pos_table.items():
-        neg_coeffs = neg_table.get(g - value)
-        if neg_coeffs is None:
-            continue
-        a = [0] * len(ws.weights)
-        for j, i in enumerate(nonneg):
-            a[i] = pos_coeffs[j]
-        for j, i in enumerate(negative):
-            a[i] = neg_coeffs[j]
-        return tuple(a)
+def _witness(ws: WeightSystem, key, window: int, cap: int):
+    for pattern in (6, 7):
+        a = _witness_table(ws, pattern, window, cap).get(key)
+        if a is not None:
+            return a
     return None
 
 
@@ -84,7 +97,8 @@ def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     one of the two non-Cohen-Macaulay sign patterns, or ``None``."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    return _pattern_witness(ws, g, window, 6) or _pattern_witness(ws, g, window, 7)
+    # any cap >= |free(g)| is exact; a power of two lets calls share tables
+    return _witness(ws, _degree_key(ws, g), window, 1 << abs(g.free).bit_length())
 
 
 def sufficient_window(ctx: GradedContext, degrees) -> int:
@@ -124,14 +138,17 @@ def crosscheck_mcm(
     from .nccr import is_mcm
 
     degrees = list(degrees)
+    keys = [_degree_key(ctx.weights, g) for g in degrees]
     need = sufficient_window(ctx, degrees)
     if window < need:
         raise ValueError(f"window {window} below the sufficiency bound {need}")
+    # one cap for all degrees, so both witness tables are built once
+    cap = max((abs(key[0]) for key in keys), default=0)
     mismatches = []
     agreements = 0
-    for g in degrees:
+    for g, key in zip(degrees, keys):
         mcm = is_mcm(ctx, g)
-        witness = sign_pattern_witness(ctx.weights, g, window)
+        witness = _witness(ctx.weights, key, window, cap)
         if mcm == (witness is None):
             agreements += 1
         else:
@@ -336,25 +353,45 @@ def betti_numbers(complex_: SimplicialComplex) -> dict[int, int]:
 # Windowed local cohomology
 
 
+def _half_counts(ws: WeightSystem, indices, window: int, dims) -> dict:
+    """``(raw sum, nonneg mask) -> count`` over coefficients in [-window, window] on ``indices``."""
+    counts = {((0,) * len(dims), 0): 1}
+    for i in indices:
+        x = ws.weights[i].key()
+        new: dict = {}
+        for (value, mask), cnt in counts.items():
+            for c in range(-window, window + 1):
+                key = (_plus(value, x, c, dims), (mask | 1 << i) if c >= 0 else mask)
+                new[key] = new.get(key, 0) + cnt
+        counts = new
+    return counts
+
+
 def local_cohomology_window(ws: WeightSystem, g: GroupElement, window: int) -> dict[int, int]:
     """Per cohomological degree, the number of windowed sign vectors whose
-    support complex contributes there; a lower bound for the true dimensions."""
+    support complex contributes there; a lower bound for the true dimensions.
+
+    Meet in the middle: each half of the weights is tabulated by raw sum and
+    nonneg mask, the halves are joined on ``g - sum``, and each mask is
+    classified once (the classification reads only signs).
+    """
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    target = _degree_key(ws, g)
+    dims = (0,) + ws.group.torsion
     n = len(ws.weights)
+    right: dict = {}
+    for (value, mask), cnt in _half_counts(ws, range(n // 2, n), window, dims).items():
+        right.setdefault(value, {})[mask] = cnt
+    by_mask: dict[int, int] = {}
+    for (value, left_mask), left_cnt in _half_counts(ws, range(n // 2), window, dims).items():
+        for right_mask, right_cnt in right.get(_plus(target, value, -1, dims), {}).items():
+            mask = left_mask | right_mask
+            by_mask[mask] = by_mask.get(mask, 0) + left_cnt * right_cnt
     d = ws.ring_dimension - 1
     totals: dict[int, int] = {}
-    vec = [0] * n
-
-    def explore(i, partial):
-        if i == n:
-            if partial == g:
-                for deg, cnt in classify_sign_vector(ws, vec).betti_profile().items():
-                    r = d - deg
-                    totals[r] = totals.get(r, 0) + cnt
-            return
-        for c in range(-window, window + 1):
-            vec[i] = c
-            explore(i + 1, partial + c * ws.weights[i])
-        vec[i] = 0
-
-    explore(0, ws.group.zero())
+    for mask, cnt in sorted(by_mask.items()):
+        a = [0 if mask >> i & 1 else -1 for i in range(n)]
+        for deg, k in classify_sign_vector(ws, a).betti_profile().items():
+            totals[d - deg] = totals.get(d - deg, 0) + k * cnt
     return totals

@@ -57,27 +57,6 @@ def monomial_label(exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def hom_monomial_count(ws: WeightSystem, g: GroupElement, h: GroupElement, bound: int) -> int:
-    """Number of monomials of total degree <= bound mapping degree g to h."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    target = h - g
-    n = len(ws.weights)
-
-    def count(i, budget, partial):
-        if i == n:
-            return int(partial == target)
-        total = 0
-        cur = partial
-        for c in range(budget + 1):
-            if c:
-                cur = cur + ws.weights[i]
-            total += count(i + 1, budget - c, cur)
-        return total
-
-    return count(0, bound, ws.group.zero())
-
-
 def default_search_bound(ctx: GradedContext) -> int:
     """The conductor-derived heuristic bound the arrow search once used.
 

@@ -70,10 +70,11 @@ def build_class_quiver(key, class_index, bound=None):
 
 
 @st.composite
-def rank_one_systems(draw, max_free=5):
+def rank_one_systems(draw, max_free=5, torsions=((), (2,), (3,))):
     """Valid rank-one systems: 4-6 weights, free parts in -max_free..max_free,
-    torsion none, Z/2 or Z/3; the last weight completes the zero sum."""
-    torsion = draw(st.sampled_from([(), (2,), (3,)]))
+    torsion drawn from ``torsions`` (default none, Z/2 or Z/3); the last weight
+    completes the zero sum."""
+    torsion = draw(st.sampled_from(list(torsions)))
     n = draw(st.integers(4, 6))
     weight = st.tuples(st.integers(-max_free, max_free), *(st.integers(0, d - 1) for d in torsion))
     vecs = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))

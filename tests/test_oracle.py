@@ -1,27 +1,33 @@
 """Sign-pattern witnesses, the face complex, exact homology, crosschecks."""
 
 import random
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 import toricnccr.nccr
 from toricnccr import (
     CONTRACTIBLE,
     EMPTY,
+    MismatchedGroup,
     OracleMismatch,
     SimplicialComplex,
     betti_numbers,
     classify_sign_vector,
     crosscheck_mcm,
     face_test,
+    grading_context,
+    is_mcm,
     local_cohomology_window,
     sign_pattern_witness,
     sphere,
     sufficient_window,
     support_complex,
 )
-from conftest import build_context, build_system
+from toricnccr.oracle import _witness_table
+from conftest import build_context, build_system, ladder_context, rank_one_systems
 
 
 def weighted_sum(ws, a):
@@ -29,6 +35,120 @@ def weighted_sum(ws, a):
     for c, x in zip(a, ws.weights):
         total = total + c * x
     return total
+
+
+# ---------------------------------------------------------------------------
+# Test oracles: the uncapped two-table witness search and the exhaustive
+# local-cohomology walk, on group elements, as the package once computed them
+
+
+def pattern_blocks(ws, pattern):
+    """``(nonneg, negative)`` weight positions of sign pattern 6 or 7."""
+    n, l, lp = len(ws.weights), ws.positives, ws.negatives
+    if pattern == 6:
+        return tuple(range(l)), tuple(range(l, n))
+    return tuple(range(l, l + lp)), tuple(range(l)) + tuple(range(l + lp, n))
+
+
+@lru_cache(maxsize=16)
+def block_sums(ws, indices, lo, hi):
+    """All values of ``sum c_i * x_i`` with ``c_i`` in [lo, hi], with one witness."""
+    table = {ws.group.zero(): ()}
+    for idx in indices:
+        x = ws.weights[idx]
+        new = {}
+        for value, coeffs in table.items():
+            for c in range(lo, hi + 1):
+                key = value + c * x
+                if key not in new:
+                    new[key] = coeffs + (c,)
+        table = new
+    return table
+
+
+def pattern_witness_by_blocks(ws, g, window, pattern):
+    nonneg, negative = pattern_blocks(ws, pattern)
+    pos_table = block_sums(ws, nonneg, 0, window)
+    neg_table = block_sums(ws, negative, -window, -1)
+    for value, pos_coeffs in pos_table.items():
+        neg_coeffs = neg_table.get(g - value)
+        if neg_coeffs is None:
+            continue
+        a = [0] * len(ws.weights)
+        for j, i in enumerate(nonneg):
+            a[i] = pos_coeffs[j]
+        for j, i in enumerate(negative):
+            a[i] = neg_coeffs[j]
+        return tuple(a)
+    return None
+
+
+def sign_pattern_witness_by_blocks(ws, g, window):
+    return pattern_witness_by_blocks(ws, g, window, 6) or pattern_witness_by_blocks(
+        ws, g, window, 7
+    )
+
+
+def local_cohomology_by_dfs(ws, g, window):
+    """Every vector in [-window, window]^n summing to g, classified one by one."""
+    n = len(ws.weights)
+    d = ws.ring_dimension - 1
+    totals = {}
+    vec = [0] * n
+
+    def explore(i, partial):
+        if i == n:
+            if partial == g:
+                for deg, cnt in classify_sign_vector(ws, vec).betti_profile().items():
+                    totals[d - deg] = totals.get(d - deg, 0) + cnt
+            return
+        for c in range(-window, window + 1):
+            vec[i] = c
+            explore(i + 1, partial + c * ws.weights[i])
+        vec[i] = 0
+
+    explore(0, ws.group.zero())
+    return totals
+
+
+def assert_is_witness(ws, g, a, window, pattern):
+    """``a`` sums to g, matches the sign pattern and stays in the window."""
+    nonneg, _ = pattern_blocks(ws, pattern)
+    assert weighted_sum(ws, a) == g
+    assert {i for i, c in enumerate(a) if c >= 0} == set(nonneg)
+    assert all(abs(c) <= window for c in a)
+
+
+def assert_witnesses_match_blocks(ws, free_range, window):
+    """Witness existence agrees with the block oracle per degree and pattern,
+    both in a crosscheck's table (one cap for all degrees) and in the public
+    call (cap |free(g)|), and every witness returned is one."""
+    G = ws.group
+    degrees = [G.element(f, t) for f in free_range for t in G.torsion_residues()]
+    cap = max(abs(f) for f in free_range)
+    for g in degrees:
+        found = []
+        for pattern in (6, 7):
+            expected = pattern_witness_by_blocks(ws, g, window, pattern)
+            a = _witness_table(ws, pattern, window, cap).get(g.key())
+            assert (a is None) == (expected is None), (g, pattern)
+            if a is not None:
+                assert_is_witness(ws, g, a, window, pattern)
+                found.append(pattern)
+        a = sign_pattern_witness(ws, g, window)
+        assert (a is None) == (sign_pattern_witness_by_blocks(ws, g, window) is None), g
+        if a is not None:
+            assert_is_witness(ws, g, a, window, found[0])
+
+
+def assert_cohomology_matches_dfs(ws, free_range, window):
+    G = ws.group
+    for f in free_range:
+        for t in G.torsion_residues():
+            g = G.element(f, t)
+            assert local_cohomology_window(ws, g, window) == local_cohomology_by_dfs(
+                ws, g, window
+            ), (g, window)
 
 
 class TestSignPatternWitness:
@@ -63,6 +183,60 @@ class TestSignPatternWitness:
             assert pattern6 or pattern7
             assert all(abs(c) <= 16 for c in a)
 
+    def test_foreign_degree_raises(self, z2, z3, a1):
+        for g in (z3.weights.group.element(0, (1,)), a1.weights.group.element(2)):
+            with pytest.raises(MismatchedGroup):
+                sign_pattern_witness(z2.weights, g, 4)
+
+
+class TestWitnessTable:
+    def test_keys_are_the_capped_pattern_sums(self, ctx):
+        ws = ctx.weights
+        window, cap = 3, 4
+        for pattern in (6, 7):
+            nonneg, _ = pattern_blocks(ws, pattern)
+            ranges = [
+                range(window + 1) if i in nonneg else range(-window, 0)
+                for i in range(len(ws.weights))
+            ]
+            sums = {weighted_sum(ws, a).key() for a in product(*ranges)}
+            table = _witness_table(ws, pattern, window, cap)
+            assert set(table) == {key for key in sums if abs(key[0]) <= cap}
+            for key, a in table.items():
+                assert_is_witness(ws, ws.group.element(key[0], key[1:]), a, window, pattern)
+            wider = _witness_table(ws, pattern, window, 2 * cap + 1)
+            assert table == {key: a for key, a in wider.items() if abs(key[0]) <= cap}
+
+
+class TestBlockAndDfsOracles:
+    """The capped tables against the uncapped block search, and the
+    meet-in-the-middle count against the exhaustive walk."""
+
+    def test_witnesses_fixtures(self, ctx):
+        for window in (2, 12):
+            assert_witnesses_match_blocks(ctx.weights, range(-8, 9), window)
+
+    @pytest.mark.parametrize("key", ["w6", "w3535"])
+    def test_witnesses_ladder(self, key):
+        for window in (2, 12):
+            assert_witnesses_match_blocks(ladder_context(key).weights, range(-8, 9), window)
+
+    def test_cohomology_fixtures(self, ctx):
+        for window in (0, 1, 2):
+            assert_cohomology_matches_dfs(ctx.weights, range(-3, 4), window)
+        assert_cohomology_matches_dfs(ctx.weights, range(1, 3), 3)
+
+    @pytest.mark.parametrize("key,window", [("w6", 1), ("w6", 2), ("w3535", 2), ("w3535", 3)])
+    def test_cohomology_ladder(self, key, window):
+        free_range = range(-3, 4) if window == 1 else range(0, 3)
+        assert_cohomology_matches_dfs(ladder_context(key).weights, free_range, window)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((), (2,), (3,), (4,))))
+    def test_random_systems(self, ws):
+        assert_witnesses_match_blocks(ws, range(-5, 6), 4)
+        assert_cohomology_matches_dfs(ws, range(-2, 3), 1)
+
 
 class TestCrosscheck:
     def test_a1_small_window(self, a1):
@@ -92,12 +266,38 @@ class TestCrosscheck:
         assert (report.checked, report.agreements, report.mismatches) == (0, 0, ())
         assert report.summary() == "agree: 0/0, mismatches: 0"
 
+    def test_cap_reached_in_last_step(self, a1):
+        # (2)'s only witness is (0, 0, -1, -1), whose free part reaches the
+        # cap 2 (the largest |free| checked) in its last term
+        G = a1.weights.group
+        degrees = [G.element(f) for f in (0, 1, 2)]
+        assert not is_mcm(a1, degrees[-1])
+        report = crosscheck_mcm(a1, degrees, 12)
+        assert (report.checked, report.agreements) == (3, 3)
+        assert _witness_table(a1.weights, 6, 12, 2)[(2,)] == (0, 0, -1, -1)
+
+    def test_foreign_degree_raises(self, z2, z3):
+        degrees = [z2.weights.group.element(0, (1,)), z3.weights.group.element(0, (1,))]
+        with pytest.raises(MismatchedGroup):
+            crosscheck_mcm(z2, degrees, 12)
+
     def test_mismatch_raises(self, a1, monkeypatch):
         monkeypatch.setattr(toricnccr.nccr, "is_mcm", lambda ctx, g: True)
         degrees = [a1.weights.group.element(f) for f in range(-6, 7)]
         with pytest.raises(OracleMismatch) as err:
             crosscheck_mcm(a1, degrees, 12)
         assert err.value.report.mismatches
+
+
+class TestRandomCrosscheck:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
+    def test_order_criterion_matches_witnesses(self, ws):
+        ctx = grading_context(ws)
+        G = ws.group
+        degrees = [G.element(f, t) for f in range(-10, 11) for t in G.torsion_residues()]
+        report = crosscheck_mcm(ctx, degrees, sufficient_window(ctx, degrees), strict=True)
+        assert report.agreements == report.checked == len(degrees)
 
 
 class TestFaceTest:
@@ -196,8 +396,6 @@ class TestLocalCohomologyWindow:
             assert all(table.get(r, 0) == 0 for r in range(3))
 
     def test_vanishing_matches_mcm_in_window(self, z2):
-        from toricnccr import is_mcm
-
         G = z2.weights.group
         for f in range(-3, 4):
             for t in G.torsion_residues():
@@ -207,3 +405,12 @@ class TestLocalCohomologyWindow:
                 vanishes = all(table.get(r, 0) == 0 for r in range(d + 1))
                 if not vanishes:
                     assert not is_mcm(z2, g)
+
+    def test_foreign_degree_raises(self, z2, z3, a1):
+        for g in (z3.weights.group.element(0, (1,)), a1.weights.group.element(2)):
+            with pytest.raises(MismatchedGroup):
+                local_cohomology_window(z2.weights, g, 4)
+
+    def test_negative_window_raises(self, a1):
+        with pytest.raises(ValueError):
+            local_cohomology_window(a1.weights, a1.weights.group.element(2), -1)

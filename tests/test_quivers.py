@@ -14,7 +14,6 @@ from toricnccr import (
     emit_dot,
     endomorphism_quiver,
     grading_context,
-    hom_monomial_count,
     mckay_quiver,
     monomial_label,
     nccr_classes,
@@ -30,18 +29,6 @@ def quiver_of_class(key, k, bound=None):
 
 def loop_labels(q):
     return sorted((str(q.vertices[a.source]), monomial_label(a.exponents)) for a in q.loops())
-
-
-class TestHomMonomialCount:
-    def test_degree_zero_monomials(self, a1):
-        ws = a1.weights
-        zero = ws.group.zero()
-        assert hom_monomial_count(ws, zero, zero, 2) == 5  # 1, xz, xw, yz, yw
-        assert hom_monomial_count(ws, zero, zero, 0) == 1
-
-    def test_degree_one_monomials(self, a1):
-        ws = a1.weights
-        assert hom_monomial_count(ws, ws.group.zero(), ws.group.element(1), 1) == 2
 
 
 class TestGoldenQuivers:
