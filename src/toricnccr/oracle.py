@@ -272,21 +272,23 @@ def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
-    """The complex of faces whose vertices all have nonnegative sign."""
+    """The complex of faces whose vertices all have nonnegative sign.
+
+    Its facets are the maximal member faces.  Walking the members largest
+    first, a member is kept unless it lies in a facet already kept; that is
+    exact although the faces are not closed downward, since a member inside
+    a larger member lies inside some maximal one, which is larger still.
+    """
     a = tuple(a)
     nonneg_mask = 0
     for i, v in enumerate(a):
         if v >= 0:
             nonneg_mask |= 1 << i
-    members = [
-        (mask, subset) for mask, subset in _face_masks(ws) if mask & ~nonneg_mask == 0
-    ]
-    facets = [
-        subset
-        for mask, subset in members
-        if not any(other != mask and mask & other == mask for other, _ in members)
-    ]
-    return SimplicialComplex(len(a), tuple(sorted(facets)))
+    kept = []
+    for mask, subset in reversed(_face_masks(ws)):  # decreasing size
+        if mask & ~nonneg_mask == 0 and all(mask & other != mask for other, _ in kept):
+            kept.append((mask, subset))
+    return SimplicialComplex(len(a), tuple(sorted(subset for _, subset in kept)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ vectors (componentwise order) whose degree shifts ``u`` back into the set.
 
 Irreducible monomials have bounded total degree: :func:`degree_bound` proves
 ``(span + 2M)·|T|`` from the vertex free parts, the weights and the torsion
-order, so one depth-first search to that bound finds every arrow.  A caller
-may cap the search lower; a :class:`BoundTooSmall` warning then says that
-arrows may be missing.
+order, so one depth-first search to that bound finds every arrow.  Two exact
+prunes keep it small (see :func:`_minimal_hits`): a branch stops once a
+sub-vector of it lands on a vertex, so every hit is minimal as found, and
+once its free part can no longer reach the vertex free parts within the
+remaining degree.  A caller may cap the search lower; a
+:class:`BoundTooSmall` warning then says that arrows may be missing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency
+from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency, MismatchedGroup
 from .groups import GroupElement
 from .poset import GradedContext
 from .weights import WeightSystem
@@ -67,52 +70,92 @@ def default_search_bound(ctx: GradedContext) -> int:
     return (ws.positives + ws.negatives) * (1 + ctx.max_conductor + ctx.p.free)
 
 
-def _minimal_hits(weights_raw, dims, vertex_index, source_raw, bound: int):
+def _minimal_hits(steps, order, vertex_codes, source: int, bound: int):
     """Minimal nonzero exponent vectors whose degree lands ``source`` in the set.
 
-    Depth-first over exponent vectors with total degree <= bound; once a
-    partial vector hits the vertex set, every extension or higher exponent is
-    dominated and the branch is cut.  A final componentwise filter removes
-    non-minimal leftovers (the search only prunes prefix domination).
-    Coordinates are raw ``(free, t_1, ...)`` tuples for speed.
+    Degrees are integer codes ``free·|T| + r``, with ``0 <= r < |T|`` the
+    index of the torsion part and ``order`` = ``|T|``, so ``q // order`` is
+    the free part of code ``q`` and adding weight ``i`` adds
+    ``steps[i][q % order]``.  The search raises the coordinates in turn,
+    depth first, to total degree ``bound``, and maps each hit to its target.
+
+    Sub-vector prune.  Alongside the degree of the current prefix vector the
+    search carries the set of degrees of its proper sub-vectors (the zero
+    vector among them once some coordinate is positive).  Raising coordinate
+    ``i`` to ``c`` creates exactly the new sub-vectors that use exponent
+    ``c`` at ``i``: the full vector, and the proper ones ``{q + c·w_i}`` over
+    that set.  If any of them lands on a vertex, coordinate ``i`` stops rising
+    and the branch is cut: every extension contains that vector, so none is
+    minimal.  By induction no proper nonzero sub-vector of a vector reached
+    lands on a vertex, so each hit is minimal when it is recorded.
+
+    Free-range prune.  Let ``hi[i]``, ``lo[i]`` be the largest and smallest
+    free part among weights ``i..n-1``, clamped through 0.  With free part
+    ``f`` and ``r`` degrees of budget left, every extension that raises only
+    coordinates ``>= i`` has free part in ``[f + r·lo[i], f + r·hi[i]]``; if
+    that misses the vertex free parts, no hit lies below.  The test runs on
+    entering a coordinate and after each raise of it; the next raise's range
+    ``f + f_i + (r-1)·[lo[i], hi[i]]`` lies inside this one, so a cut there
+    ends the coordinate.  Neither prune depends on the order of the weights.
     """
-    n = len(weights_raw)
-    hits = []
+    n = len(steps)
+    hi = [0] * (n + 1)
+    lo = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        free = steps[i][0] // order  # the step from residue 0 is the weight's own code
+        hi[i] = max(hi[i + 1], free)
+        lo[i] = min(lo[i + 1], free)
+    vmin = min(vertex_codes) // order
+    vmax = max(vertex_codes) // order
+    hits = {}
     vec = [0] * n
 
-    def explore(i, used, acc):
-        if i == n:
+    def in_reach(i, q, r):
+        f = q // order
+        return f + r * lo[i] <= vmax and f + r * hi[i] >= vmin
+
+    def explore(i, used, acc, proper):
+        if i == n or not in_reach(i, acc, bound - used):
             return
-        explore(i + 1, used, acc)
-        w = weights_raw[i]
-        c = 0
+        explore(i + 1, used, acc, proper)
+        step = steps[i]
         cur = acc
-        while used + c + 1 <= bound:
-            c += 1
-            cur = tuple((a + b) % d if d else a + b for a, b, d in zip(cur, w, dims))
+        shifted = proper
+        below = set(proper)  # degrees of the proper sub-vectors once i is raised
+        for c in range(1, bound - used + 1):
+            below.add(cur)
+            cur += step[cur % order]
+            shifted = {q + step[q % order] for q in shifted}
             vec[i] = c
-            if cur in vertex_index:
-                hits.append((tuple(vec), cur))
+            if not shifted.isdisjoint(vertex_codes):
+                break  # a proper sub-vector lands
+            if cur in vertex_codes:
+                hits[tuple(vec)] = cur
                 break
-            explore(i + 1, used + c, cur)
+            if not in_reach(i, cur, bound - used - c):
+                break
+            below |= shifted
+            explore(i + 1, used + c, cur, below)
         vec[i] = 0
 
-    explore(0, 0, source_raw)
-
-    minimal = {}
-    for a, target in hits:
-        if not any(b != a and all(x <= y for x, y in zip(b, a)) for b, _ in hits):
-            minimal[a] = target
-    return minimal
+    explore(0, 0, source, set())
+    return hits
 
 
 def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
-    dims = (0,) + ws.group.torsion  # free coordinate has no modulus
-    weights_raw = [w.key() for w in ws.weights]
-    vertex_index = {v.key(): i for i, v in enumerate(vertices)}
+    group = ws.group
+    order = group.torsion_order()
+    residues = [group.element(0, t) for t in group.torsion_residues()]
+    index = {g.tors: r for r, g in enumerate(residues)}
+
+    def code(g):
+        return g.free * order + index[g.tors]
+
+    steps = [[code(g + w) - r for r, g in enumerate(residues)] for w in ws.weights]
+    vertex_index = {code(v): s for s, v in enumerate(vertices)}
     arrows = []
     for s, src in enumerate(vertices):
-        found = _minimal_hits(weights_raw, dims, vertex_index, src.key(), bound)
+        found = _minimal_hits(steps, order, vertex_index, code(src), bound)
         for exps, target in found.items():
             arrows.append(Arrow(s, vertex_index[target], exps))
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
@@ -158,9 +201,13 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     Works for any degree set; meaningful when the set is modifying.  The
     arrow search runs once, to :func:`degree_bound`.  ``search_bound`` caps
     it: a cap at or above the proven bound changes nothing, and a cap below
-    it emits :class:`BoundTooSmall`, since arrows may then be missing.
+    it emits :class:`BoundTooSmall`, since arrows may then be missing.  A
+    degree outside the grading group raises :class:`MismatchedGroup`.
     """
     vertices = tuple(sorted(set(summands), key=GroupElement.key))
+    for v in vertices:
+        if v.group != ctx.weights.group:
+            raise MismatchedGroup(f"degree {v!r} does not lie in {ctx.weights.group}")
     if search_bound is not None and search_bound < 1:
         raise ValueError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)

@@ -27,7 +27,7 @@ from toricnccr import (
     support_complex,
 )
 from toricnccr.oracle import _witness_table
-from conftest import build_context, build_system, ladder_context, rank_one_systems
+from conftest import SYSTEM_SPECS, build_context, build_system, ladder_context, rank_one_systems
 
 
 def weighted_sum(ws, a):
@@ -109,6 +109,19 @@ def local_cohomology_by_dfs(ws, g, window):
 
     explore(0, ws.group.zero())
     return totals
+
+
+def facets_by_pairs(ws, a):
+    """The support complex's facets by the rule the package once used: every
+    member face compared with every other, members found by ``face_test``."""
+    nonneg = [i for i, v in enumerate(a) if v >= 0]
+    members = [
+        set(subset)
+        for size in range(1, len(nonneg) + 1)
+        for subset in combinations(nonneg, size)
+        if face_test(ws, subset)
+    ]
+    return tuple(sorted(tuple(sorted(m)) for m in members if not any(m < o for o in members)))
 
 
 def assert_is_witness(ws, g, a, window, pattern):
@@ -352,6 +365,12 @@ class TestSupportComplex:
     def test_a1_full_simplex(self, a1):
         c = support_complex(a1.weights, (0, 0, 0, 0))
         assert c.facets == ((0, 1, 2, 3),)
+
+    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    def test_facets_match_pairwise_rule(self, key):
+        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        for a in product((-1, 0), repeat=len(ws.weights)):
+            assert support_complex(ws, a).facets == facets_by_pairs(ws, a), a
 
 
 class TestReducedHomology:

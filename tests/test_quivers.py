@@ -1,15 +1,19 @@
 """Quiver extraction: golden quivers, irreducibility, McKay, DOT output."""
 
+import dataclasses
 import random
+import time
 import warnings
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricnccr import (
     BoundTooSmall,
     FGGroup,
     InfiniteGroup,
+    MismatchedGroup,
     SummandSet,
     emit_dot,
     endomorphism_quiver,
@@ -19,7 +23,8 @@ from toricnccr import (
     nccr_classes,
     validate,
 )
-from toricnccr.quivers import _arrow_set, degree_bound
+from toricnccr.groups import GroupElement
+from toricnccr.quivers import Arrow, _arrow_set, degree_bound
 from conftest import build_class_quiver, ladder_context, rank_one_systems
 
 
@@ -190,13 +195,53 @@ def _path_factorable(ws, quiver, bound):
     return per_start
 
 
+def arrow_set_by_filter(ws, vertices, bound):
+    """The arrow search without prunes, kept as a test oracle: depth first over
+    exponent vectors of total degree <= bound, cutting a branch only when the
+    whole vector lands on a vertex, then dropping every hit that dominates
+    another hit componentwise."""
+    dims = (0,) + ws.group.torsion  # free coordinate has no modulus
+    weights_raw = [w.key() for w in ws.weights]
+    vertex_index = {v.key(): i for i, v in enumerate(vertices)}
+    n = len(weights_raw)
+    arrows = []
+    for s, src in enumerate(vertices):
+        hits = []
+        vec = [0] * n
+
+        def explore(i, used, acc):
+            if i == n:
+                return
+            explore(i + 1, used, acc)
+            w = weights_raw[i]
+            c = 0
+            cur = acc
+            while used + c + 1 <= bound:
+                c += 1
+                cur = tuple((a + b) % d if d else a + b for a, b, d in zip(cur, w, dims))
+                vec[i] = c
+                if cur in vertex_index:
+                    hits.append((tuple(vec), cur))
+                    break
+                explore(i + 1, used + c, cur)
+            vec[i] = 0
+
+        explore(0, 0, src.key())
+        for a, target in hits:
+            if not any(b != a and all(x <= y for x, y in zip(b, a)) for b, _ in hits):
+                arrows.append(Arrow(s, vertex_index[target], a))
+    return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
+
+
 def assert_matches_doubled_bound(ctx, summands):
-    """The test oracle for the proven bound: searching to twice it finds no
+    """The test oracles for the pruned search and the proven bound: the arrows
+    equal the unpruned search's at that bound, searching to twice it finds no
     further arrow, no arrow exceeds it, and no arrow has a proper nonzero
     sub-vector that lands on a vertex."""
     ws = ctx.weights
     q = endomorphism_quiver(ctx, summands)
     bound = degree_bound(ws, q.vertices)
+    assert q.arrows == arrow_set_by_filter(ws, q.vertices, bound)
     assert q.arrows == _arrow_set(ws, q.vertices, 2 * bound)
     vertex_set = set(q.vertices)
     for a in q.arrows:
@@ -228,12 +273,55 @@ class TestDegreeBound:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rank_one_systems(max_free=2))
     def test_doubled_bound_oracle_random(self, ws):
-        # the oracle's search grows steeply with the bound (about 0.4 s at 9,
-        # 20 s at 18 for six weights), so only cheap systems are kept
+        # the unpruned oracle grows steeply with the bound (about 1.6 s for a
+        # six-weight Z/3 system at 24), so the cap keeps the test near 9 s
         ctx = grading_context(ws)
         V = nccr_classes(ctx)[0]
-        assume(degree_bound(ws, V) <= 9)
+        assume(degree_bound(ws, V) <= 24)
         assert_matches_doubled_bound(ctx, V)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((), (2,), (3,), (4,))), st.data())
+    def test_prunes_match_unpruned_search_random(self, ws, data):
+        # both searches return exactly the minimal hits of total degree <= the
+        # bound given, so they are compared at most at 12, where the unpruned
+        # one stays cheap (Z/4 draws have proven bounds far above it); a proper
+        # subset of a class moves the vertex free-part interval the free-range
+        # cut aims at
+        ctx = grading_context(ws)
+        V = sorted(data.draw(st.sampled_from(nccr_classes(ctx))), key=GroupElement.key)
+        subset = data.draw(st.lists(st.sampled_from(V), min_size=1, unique=True))
+        order = data.draw(st.permutations(ws.weights))  # the prunes assume no order
+        ws = dataclasses.replace(ws, weights=tuple(order))
+        for vertices in (V, sorted(subset, key=GroupElement.key)):
+            bound = min(degree_bound(ws, vertices), 12)
+            assert _arrow_set(ws, vertices, bound) == arrow_set_by_filter(ws, vertices, bound)
+
+    def test_weight_order_positive_before_negatives(self):
+        # validate sorts positives first; in the order below x5 is the last
+        # positive weight, so the free-range cut after raising it must use
+        # the reach of x5 itself (hi = 1), not that of the weights after it
+        # (hi = 0), or x1*x5^4 from (1) to (0) is lost
+        G = FGGroup(1, ())
+        ws = validate(G, [G.element(w) for w in (3, 1, 1, 1, -5, -1)])
+        ws = dataclasses.replace(ws, weights=tuple(G.element(w) for w in (-5, 3, 1, 1, 1, -1)))
+        V = [G.element(0), G.element(1)]
+        for bound in range(1, degree_bound(ws, V) + 1):
+            assert _arrow_set(ws, V, bound) == arrow_set_by_filter(ws, V, bound)
+        assert Arrow(1, 0, (1, 0, 0, 0, 4, 0)) in _arrow_set(ws, V, degree_bound(ws, V))
+
+    def test_torsion_six_weights_at_bound_33(self):
+        # Z + Z/3, class 0: every arrow has total degree 1, yet the proven
+        # bound is 33; the unpruned search took about 10 s here
+        G = FGGroup(1, (3,))
+        vecs = ([3, 0], [1, 0], [2, 2], [-3, 2], [-3, 2], [0, 0])
+        ctx = grading_context(validate(G, [G.from_vector(v) for v in vecs]))
+        start = time.perf_counter()
+        q = endomorphism_quiver(ctx, nccr_classes(ctx)[0])
+        assert time.perf_counter() - start < 2
+        assert degree_bound(ctx.weights, q.vertices) == 33
+        assert (len(q.vertices), len(q.arrows)) == (18, 72)
+        assert {sum(a.exponents) for a in q.arrows} == {1}
 
     def test_single_vertex_has_loops_only(self, ca4):
         q = assert_matches_doubled_bound(ca4, [ca4.weights.group.element(0)])
@@ -259,6 +347,13 @@ class TestDegreeBound:
             "x2*x3",
             "x2^4*x4^4",
         ]
+
+
+class TestForeignDegrees:
+    def test_degree_of_another_group_raises(self, ca4, z2):
+        # raw keys of different lengths would zip short and match nothing
+        with pytest.raises(MismatchedGroup):
+            endomorphism_quiver(ca4, nccr_classes(z2)[0])
 
 
 class TestStabilization:
