@@ -65,7 +65,7 @@ class MutationCertificate:
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:
     """Is the divisorial module of degree ``g`` maximal Cohen-Macaulay?"""
     h = ctx.q(g)
-    return not ctx.member(h - ctx.p) and not ctx.member(-ctx.p - h)
+    return not ctx.member(h - ctx.p) and not ctx.member(ctx.minus_p - h)
 
 
 def is_modifying(ctx: GradedContext, summands) -> bool:

@@ -4,24 +4,27 @@ A degree fails to be maximal Cohen-Macaulay exactly when some integer vector
 ``a`` with ``sum a_i * x_i = g`` matches one of two sign patterns: nonnegative
 on the positive block and negative everywhere else, or nonnegative on the
 negative block and negative everywhere else.  The oracle searches for such
-witnesses inside a finite window and cross-checks the order criterion: one
-table per sign pattern holds every windowed sum, as a raw ``(free, t...)``
-tuple, up to the largest free part checked, so each degree is one lookup.
+witnesses inside a finite window and cross-checks the order criterion: per
+sign pattern and weight position, one int per torsion residue has bit
+``|free|`` set for each sum of the remaining weights up to the largest free
+part checked.  A degree's witness test is one bit; the lexicographically first
+witness is rebuilt front to back only when asked for.
 
 The topological side: each sign vector ``a`` selects a subcomplex of the face
 complex of the weight polytope, whose homotopy type is one of empty, a point,
 or a sphere of dimension ``positives - 2`` or ``negatives - 2``.  A small
-exact simplicial homology engine (boundary-matrix ranks over the rationals)
-verifies the classification numerically, and the windowed local cohomology
-counts windowed sign vectors by meeting two half-tables in the middle.
+exact simplicial homology engine (boundary-matrix ranks by fraction-free
+integer elimination) verifies the classification numerically, and the
+windowed local cohomology counts windowed sign vectors by meeting two
+half-tables in the middle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .errors import MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
 from .groups import GroupElement
@@ -46,55 +49,95 @@ def _plus(u, v, k: int, dims) -> tuple[int, ...]:
 
 
 # Each cache holds one job's working set and is bounded so that it cannot grow
-# for the life of the process: a crosscheck reads two witness tables, a
-# system has one face list, and the sign vectors of a system with n weights
-# select at most 2^n distinct complexes (64 for six weights).
+# for the life of the process: a crosscheck reads the suffix tables of two
+# sign patterns at one cap, a system has one face list, and the sign vectors
+# of a system with n weights select at most 2^n distinct complexes (64 for six).
 @lru_cache(maxsize=4)
 def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
-    """Every value ``sum a_i x_i`` with ``|free| <= cap`` whose ``a`` matches the
-    sign pattern, ``a_i`` in [0, window] on its nonneg block and [-window, -1]
-    elsewhere, as a raw tuple mapped to one such ``a``.
+    """Suffix reachability tables of one sign pattern, as ``(index, steps, suffix)``.
 
-    Partial sums past the cap are dropped, and that loses no value within it:
-    in pattern 6 every term ``a_i x_i`` has free part >= 0 (``a_i >= 0`` on
-    positive weights, ``a_i < 0`` on negative ones, torsion weights add 0), and
-    in pattern 7 every term has free part <= 0.  So the free parts of the
-    partial sums are monotone from 0, every prefix of a sum with ``|free| <=
-    cap`` stays within the cap, and a partial sum past it never comes back.
-    For the same reason an entry, witness included, does not depend on the cap.
+    A vector matches the pattern when ``a_i`` is in [0, window] on its nonneg
+    block and in [-window, -1] elsewhere.  In pattern 6 every term ``a_i x_i``
+    has free part >= 0 (``a_i >= 0`` on positive weights, ``a_i < 0`` on
+    negative ones, torsion weights add 0), in pattern 7 <= 0.  So partial sums
+    from either end are monotone in free part, and within the cap if the sum is.
+
+    ``suffix[i][r]`` has bit ``|f|`` set iff ``(f, residue r)`` is a sum of
+    weights ``i..n-1`` in the pattern's ranges with ``|f| <= cap``: by
+    monotonicity, ``suffix[i + 1]`` shifted by each step of weight ``i``, ORed
+    and masked to the cap.  ``steps[i]`` holds weight ``i``'s coefficients in
+    increasing order with shift ``|c * free|`` and residue map ``r -> r - c *
+    tors``; only those with ``|c * free| <= cap``, and one period of a torsion
+    weight, whose steps repeat.
     """
-    dims = (0,) + ws.group.torsion
-    zero = (0,) * len(dims)
+    dims = ws.group.torsion
+    residues = list(ws.group.torsion_residues())
+    index = {t: r for r, t in enumerate(residues)}
     l, lp = ws.positives, ws.negatives
     nonneg = range(l) if pattern == 6 else range(l, l + lp)
-    table = {zero: ()}
-    for i, x in enumerate(w.key() for w in ws.weights):
-        # a torsion weight's steps repeat; only the first coefficient of each can win
-        steps: dict = {}
-        for c in range(window + 1) if i in nonneg else range(-window, 0):
-            steps.setdefault(_plus(zero, x, c, dims), c)
-        new = {}
-        for value, a in table.items():
-            for step, c in steps.items():
-                if abs(value[0] + step[0]) <= cap:
-                    key = _plus(value, step, 1, dims)
-                    if key not in new:
-                        new[key] = a + (c,)
-        table = new
-    return table
+    steps = []
+    for i, x in enumerate(ws.weights):
+        lo, hi = (0, window) if i in nonneg else (-window, -1)
+        if x.free:
+            k = cap // abs(x.free)
+            coefficients = range(max(lo, -k), min(hi, k) + 1)
+        else:
+            coefficients = range(lo, hi + 1)[: x.order()]
+        steps.append(tuple(
+            (c, abs(c * x.free), tuple(index[_plus(t, x.tors, -c, dims)] for t in residues))
+            for c in coefficients
+        ))
+    mask = (1 << cap + 1) - 1
+    suffix = [[1] + [0] * (len(residues) - 1)]  # the empty sum: only 0
+    for options in reversed(steps):
+        table = [0] * len(residues)
+        for _, shift, back in options:
+            for r, s in enumerate(back):
+                table[r] |= suffix[-1][s] << shift
+        suffix.append([bits & mask for bits in table])
+    return index, tuple(steps), tuple(reversed(suffix))
+
+
+def _locate(ws: WeightSystem, key, window: int, cap: int):
+    """``(tables, |free|, residue)`` of ``key``, or ``None`` if no witness sums to it.
+
+    The sign of ``free`` picks the pattern: a sum of free part 0 has all terms
+    0, impossible in a rank-one system, and without free weights the two
+    patterns coincide."""
+    index, _, suffix = tables = _witness_table(ws, 6 if key[0] >= 0 else 7, window, cap)
+    u, r = abs(key[0]), index[key[1:]]
+    return (tables, u, r) if suffix[0][r] >> u & 1 else None
 
 
 def _witness(ws: WeightSystem, key, window: int, cap: int):
-    for pattern in (6, 7):
-        a = _witness_table(ws, pattern, window, cap).get(key)
-        if a is not None:
-            return a
-    return None
+    """The lexicographically first witness summing to ``key``, or ``None``:
+    front to back, each coordinate takes the first coefficient whose remainder
+    lies in the next suffix table, that is, has a completion."""
+    found = _locate(ws, key, window, cap)
+    if found is None:
+        return None
+    (_, steps, suffix), u, r = found
+    a = []
+    for options, after in zip(steps, suffix[1:]):
+        for c, shift, back in options:
+            if shift <= u and after[back[r]] >> u - shift & 1:
+                break
+        a.append(c)
+        u, r = u - shift, back[r]
+    return tuple(a)
 
 
 def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     """A vector ``a`` with ``|a_i| <= window`` and ``sum a_i x_i = g`` matching
-    one of the two non-Cohen-Macaulay sign patterns, or ``None``."""
+    one of the two non-Cohen-Macaulay sign patterns, or ``None``; the
+    lexicographically first one.
+
+    >>> from toricnccr import FGGroup, validate
+    >>> Z = FGGroup(1, ())
+    >>> a1 = validate(Z, [Z.element(w) for w in (1, 1, -1, -1)])
+    >>> sign_pattern_witness(a1, Z.element(2), 12)
+    (0, 0, -1, -1)
+    """
     if window < 1:
         raise ValueError("window must be at least 1")
     # any cap >= |free(g)| is exact; a power of two lets calls share tables
@@ -142,17 +185,16 @@ def crosscheck_mcm(
     need = sufficient_window(ctx, degrees)
     if window < need:
         raise ValueError(f"window {window} below the sufficiency bound {need}")
-    # one cap for all degrees, so both witness tables are built once
+    # one cap for all degrees, so both patterns' tables are built once
     cap = max((abs(key[0]) for key in keys), default=0)
     mismatches = []
     agreements = 0
     for g, key in zip(degrees, keys):
         mcm = is_mcm(ctx, g)
-        witness = _witness(ctx.weights, key, window, cap)
-        if mcm == (witness is None):
+        if mcm == (_locate(ctx.weights, key, window, cap) is None):
             agreements += 1
         else:
-            mismatches.append((g, mcm, witness))
+            mismatches.append((g, mcm, _witness(ctx.weights, key, window, cap)))
     report = CrosscheckReport(len(degrees), agreements, tuple(mismatches), window)
     if mismatches and strict:
         raise OracleMismatch(report)
@@ -280,6 +322,8 @@ def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
     a larger member lies inside some maximal one, which is larger still.
     """
     a = tuple(a)
+    if len(a) != len(ws.weights):
+        raise ValueError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
     nonneg_mask = 0
     for i, v in enumerate(a):
         if v >= 0:
@@ -296,8 +340,9 @@ def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
 
 
 def _matrix_rank(rows) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows if any(row)]
+    """Rank over the rationals by fraction-free elimination: a row below the
+    pivot becomes ``pv*row - row[col]*pivot_row`` over the gcd of its entries."""
+    m = [list(row) for row in rows if any(row)]
     rank = 0
     cols = len(m[0]) if m else 0
     col = 0
@@ -309,9 +354,10 @@ def _matrix_rank(rows) -> int:
         m[rank], m[pivot] = m[pivot], m[rank]
         pv = m[rank][col]
         for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / pv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+            if factor := m[r][col]:
+                row = [pv * a - factor * b for a, b in zip(m[r], m[rank])]
+                d = gcd(*row) or 1
+                m[r] = [a // d for a in row]
         rank += 1
         col += 1
     return rank

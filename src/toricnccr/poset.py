@@ -53,6 +53,7 @@ class GradedContext:
                 f"period mismatch: {p_from_pos} vs {p_from_neg}"
             )
         self.p = p_from_pos
+        self.minus_p = -self.p
         self.generators = tuple(pos_gens + neg_gens)
         for g in self.generators:
             if g.free_part() <= 0:

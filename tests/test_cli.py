@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,19 @@ class TestOracle:
         assert code == 2
         assert report["error"]["type"] == "InputError"
         assert "sufficiency bound" in report["error"]["detail"]
+
+    def test_huge_window_is_bounded_by_cap(self, capsys):
+        # only coefficients that fit under the cap are tried, whatever the window
+        start = time.perf_counter()
+        code, huge = run(
+            capsys, "oracle", INPUTS / "a1.json", "--range", "-2..2", "--window", "1000000"
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 2
+        code, small = run(capsys, "oracle", INPUTS / "a1.json", "--range", "-2..2", "--window", "12")
+        assert code == 0
+        assert '"window": 1000000,' in huge
+        assert huge.replace('"window": 1000000,', '"window": 12,') == small
 
     def test_internal_mismatch_exit_3(self, capsys, monkeypatch):
         import toricnccr.nccr

@@ -1,6 +1,7 @@
 """Sign-pattern witnesses, the face complex, exact homology, crosschecks."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -26,7 +27,8 @@ from toricnccr import (
     sufficient_window,
     support_complex,
 )
-from toricnccr.oracle import _witness_table
+import toricnccr.oracle
+from toricnccr.oracle import _locate, _matrix_rank, _witness, reduced_homology
 from conftest import SYSTEM_SPECS, build_context, build_system, ladder_context, rank_one_systems
 
 
@@ -38,8 +40,68 @@ def weighted_sum(ws, a):
 
 
 # ---------------------------------------------------------------------------
-# Test oracles: the uncapped two-table witness search and the exhaustive
-# local-cohomology walk, on group elements, as the package once computed them
+# Test oracles: the capped dict witness table, the uncapped two-table witness
+# search, the exhaustive local-cohomology walk and the rank over Fraction, as
+# the package once computed them
+
+
+def plus(u, v, k, dims):
+    """Raw ``u + k*v``; ``dims`` is 0 for the free coordinate, else the invariant factor."""
+    return tuple((a + k * b) % d if d else a + k * b for a, b, d in zip(u, v, dims))
+
+
+@lru_cache(maxsize=8)
+def witness_table_by_dict(ws, pattern, window, cap):
+    """Every raw sum ``(free, t...)`` with ``|free| <= cap`` of a vector matching
+    the sign pattern, mapped to the first such vector built, stage by stage:
+    each entry, in insertion order, times each coefficient in range order,
+    keeping the first coefficient of each distinct step and the first vector
+    to reach each key."""
+    dims = (0,) + ws.group.torsion
+    zero = (0,) * len(dims)
+    nonneg, _ = pattern_blocks(ws, pattern)
+    table = {zero: ()}
+    for i, x in enumerate(w.key() for w in ws.weights):
+        steps = {}
+        for c in range(window + 1) if i in nonneg else range(-window, 0):
+            steps.setdefault(plus(zero, x, c, dims), c)
+        new = {}
+        for value, a in table.items():
+            for step, c in steps.items():
+                if abs(value[0] + step[0]) <= cap:
+                    new.setdefault(plus(value, step, 1, dims), a + (c,))
+        table = new
+    return table
+
+
+def dict_witness(ws, key, window, cap):
+    for pattern in (6, 7):
+        a = witness_table_by_dict(ws, pattern, window, cap).get(key)
+        if a is not None:
+            return a
+    return None
+
+
+def matrix_rank_by_fractions(rows):
+    """Rank over the rationals by Gaussian elimination on ``Fraction`` entries."""
+    m = [[Fraction(v) for v in row] for row in rows if any(row)]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    col = 0
+    while rank < len(m) and col < cols:
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] / pv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def pattern_blocks(ws, pattern):
@@ -124,6 +186,12 @@ def facets_by_pairs(ws, a):
     return tuple(sorted(tuple(sorted(m)) for m in members if not any(m < o for o in members)))
 
 
+def pattern_ranges(ws, pattern, window):
+    """Each weight's coefficient range in the sign pattern, in increasing order."""
+    nonneg, _ = pattern_blocks(ws, pattern)
+    return [range(window + 1) if i in nonneg else range(-window, 0) for i in range(len(ws.weights))]
+
+
 def assert_is_witness(ws, g, a, window, pattern):
     """``a`` sums to g, matches the sign pattern and stays in the window."""
     nonneg, _ = pattern_blocks(ws, pattern)
@@ -134,24 +202,24 @@ def assert_is_witness(ws, g, a, window, pattern):
 
 def assert_witnesses_match_blocks(ws, free_range, window):
     """Witness existence agrees with the block oracle per degree and pattern,
-    both in a crosscheck's table (one cap for all degrees) and in the public
-    call (cap |free(g)|), and every witness returned is one."""
+    both in a crosscheck's tables (one cap for all degrees) and in the public
+    call (cap a power of two above |free(g)|); every witness returned is the
+    dict table's, and is one."""
     G = ws.group
     degrees = [G.element(f, t) for f in free_range for t in G.torsion_residues()]
     cap = max(abs(f) for f in free_range)
     for g in degrees:
-        found = []
+        key = g.key()
         for pattern in (6, 7):
             expected = pattern_witness_by_blocks(ws, g, window, pattern)
-            a = _witness_table(ws, pattern, window, cap).get(g.key())
+            a = witness_table_by_dict(ws, pattern, window, cap).get(key)
             assert (a is None) == (expected is None), (g, pattern)
             if a is not None:
                 assert_is_witness(ws, g, a, window, pattern)
-                found.append(pattern)
-        a = sign_pattern_witness(ws, g, window)
-        assert (a is None) == (sign_pattern_witness_by_blocks(ws, g, window) is None), g
-        if a is not None:
-            assert_is_witness(ws, g, a, window, found[0])
+        a = dict_witness(ws, key, window, cap)
+        assert (_locate(ws, key, window, cap) is None) == (a is None), g
+        assert _witness(ws, key, window, cap) == a, g
+        assert sign_pattern_witness(ws, g, window) == a, g
 
 
 def assert_cohomology_matches_dfs(ws, free_range, window):
@@ -207,18 +275,35 @@ class TestWitnessTable:
         ws = ctx.weights
         window, cap = 3, 4
         for pattern in (6, 7):
-            nonneg, _ = pattern_blocks(ws, pattern)
-            ranges = [
-                range(window + 1) if i in nonneg else range(-window, 0)
-                for i in range(len(ws.weights))
-            ]
-            sums = {weighted_sum(ws, a).key() for a in product(*ranges)}
-            table = _witness_table(ws, pattern, window, cap)
+            sums = {weighted_sum(ws, a).key() for a in product(*pattern_ranges(ws, pattern, window))}
+            table = witness_table_by_dict(ws, pattern, window, cap)
             assert set(table) == {key for key in sums if abs(key[0]) <= cap}
             for key, a in table.items():
                 assert_is_witness(ws, ws.group.element(key[0], key[1:]), a, window, pattern)
-            wider = _witness_table(ws, pattern, window, 2 * cap + 1)
+            wider = witness_table_by_dict(ws, pattern, window, 2 * cap + 1)
             assert table == {key: a for key, a in wider.items() if abs(key[0]) <= cap}
+
+    def test_suffix_tables_match_dict_tables(self, ctx):
+        # every key out to past the cap, so a bit lost or kept at the cap shows
+        ws = ctx.weights
+        for window, cap in ((3, 4), (12, 12), (12, 30)):
+            for f in range(-cap - 2, cap + 3):
+                for t in ws.group.torsion_residues():
+                    key = (f,) + t
+                    a = dict_witness(ws, key, window, cap)
+                    assert (_locate(ws, key, window, cap) is None) == (a is None), key
+                    assert _witness(ws, key, window, cap) == a, key
+
+    def test_lexicographically_first_witness(self, ctx):
+        ws = ctx.weights
+        window, cap = 3, 4
+        for pattern in (6, 7):
+            first = {}
+            for a in product(*pattern_ranges(ws, pattern, window)):
+                first.setdefault(weighted_sum(ws, a).key(), a)
+            for key, a in first.items():
+                if abs(key[0]) <= cap:
+                    assert _witness(ws, key, window, cap) == a, key
 
 
 class TestBlockAndDfsOracles:
@@ -287,7 +372,8 @@ class TestCrosscheck:
         assert not is_mcm(a1, degrees[-1])
         report = crosscheck_mcm(a1, degrees, 12)
         assert (report.checked, report.agreements) == (3, 3)
-        assert _witness_table(a1.weights, 6, 12, 2)[(2,)] == (0, 0, -1, -1)
+        assert witness_table_by_dict(a1.weights, 6, 12, 2)[(2,)] == (0, 0, -1, -1)
+        assert _witness(a1.weights, (2,), 12, 2) == (0, 0, -1, -1)
 
     def test_foreign_degree_raises(self, z2, z3):
         degrees = [z2.weights.group.element(0, (1,)), z3.weights.group.element(0, (1,))]
@@ -366,6 +452,15 @@ class TestSupportComplex:
         c = support_complex(a1.weights, (0, 0, 0, 0))
         assert c.facets == ((0, 1, 2, 3),)
 
+    def test_wrong_length_raises(self, ctx):
+        ws = ctx.weights
+        n = len(ws.weights)
+        for length in (n - 1, n + 1):
+            message = f"sign vector length {length}, expected {n}"
+            for check in (support_complex, classify_sign_vector):
+                with pytest.raises(ValueError, match=message):
+                    check(ws, (0,) * length)
+
     @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
     def test_facets_match_pairwise_rule(self, key):
         ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
@@ -399,6 +494,37 @@ class TestReducedHomology:
             expected = classify_sign_vector(ctx.weights, a).betti_profile()
             betti = betti_numbers(support_complex(ctx.weights, a))
             assert {k: v for k, v in betti.items() if v} == expected
+
+
+class TestMatrixRank:
+    """The fraction-free elimination against elimination over ``Fraction``."""
+
+    def test_random_matrices(self):
+        rng = random.Random("matrix-rank")
+        for _ in range(1000):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for r in range(1, rows):  # some rows dependent, so ranks vary
+                if rng.random() < 0.3:
+                    i, j, k = rng.randrange(r), rng.randrange(r), rng.randint(-2, 2)
+                    m[r] = [a + k * b for a, b in zip(m[i], m[j])]
+            assert _matrix_rank(m) == matrix_rank_by_fractions(m), m
+
+    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6"])
+    def test_boundary_matrices(self, key, monkeypatch):
+        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        seen = []
+
+        def spy(rows):
+            seen.append(rows)
+            return _matrix_rank(rows)
+
+        monkeypatch.setattr(toricnccr.oracle, "_matrix_rank", spy)
+        for c in {support_complex(ws, a) for a in product((-1, 0), repeat=len(ws.weights))}:
+            reduced_homology.__wrapped__(c)
+        assert seen
+        for rows in seen:
+            assert _matrix_rank(rows) == matrix_rank_by_fractions(rows), rows
 
 
 class TestLocalCohomologyWindow:
