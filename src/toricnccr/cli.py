@@ -15,7 +15,9 @@ was violated, i.e. a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import warnings as warnings_module
 
@@ -97,7 +99,17 @@ def _report(command, payload, warnings_=()):
 
 
 def _emit(report):
-    print(json.dumps(report, indent=2))
+    _write(json.dumps(report, indent=2) + "\n")
+
+
+def _write(text):
+    # once the reader has gone, the rest goes to the null device, and the
+    # command still ends with its own exit code
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _class_payload(ctx, index, rim, summands):
@@ -182,7 +194,7 @@ def cmd_quiver(args):
         warnings_module.simplefilter("always")
         quiver = endomorphism_quiver(ctx, summands, args.bound)
     if args.format == "dot":
-        sys.stdout.write(emit_dot(quiver))
+        _write(emit_dot(quiver))
         return 0
     payload = {
         "validation": _validation_summary(ws, ctx),
@@ -235,7 +247,7 @@ def cmd_exchange_graph(args):
         for a, b, m in graph.edges:
             lines.append(f'  "class{a}" -> "class{b}" [label="{m}"];')
         lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n")
         return 0
     payload = {
         "validation": _validation_summary(ws, ctx),
@@ -286,7 +298,7 @@ def cmd_mckay(args):
     ws = validate(group, raw)
     quiver = mckay_quiver(ws)
     if args.format == "dot":
-        sys.stdout.write(emit_dot(quiver))
+        _write(emit_dot(quiver))
         return 0
     payload = {
         "group": str(ws.group),
@@ -310,7 +322,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="toricnccr",
         description="classify toric NCCRs of rank-one Gorenstein toric singularities",

@@ -64,8 +64,10 @@ class MutationCertificate:
 
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:
     """Is the divisorial module of degree ``g`` maximal Cohen-Macaulay?"""
-    h = ctx.q(g)
-    return not ctx.member(h - ctx.p) and not ctx.member(ctx.minus_p - h)
+    h, sub = ctx.image_code(g), ctx.codes.sub
+    h_minus_p = sub(h, ctx.p_code)
+    minus_p_minus_h = sub(0, h + ctx.plus_p[h % ctx.codes.order])
+    return not ctx.member_code(h_minus_p) and not ctx.member_code(minus_p_minus_h)
 
 
 def is_modifying(ctx: GradedContext, summands) -> bool:

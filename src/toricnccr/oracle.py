@@ -22,7 +22,7 @@ half-tables in the middle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -51,7 +51,8 @@ def _plus(u, v, k: int, dims) -> tuple[int, ...]:
 # Each cache holds one job's working set and is bounded so that it cannot grow
 # for the life of the process: a crosscheck reads the suffix tables of two
 # sign patterns at one cap, a system has one face list, and the sign vectors
-# of a system with n weights select at most 2^n distinct complexes (64 for six).
+# of a system with n weights select at most 2^n nonneg masks and distinct
+# complexes (64 for six).
 @lru_cache(maxsize=4)
 def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
     """Suffix reachability tables of one sign pattern, as ``(index, steps, suffix)``.
@@ -282,6 +283,13 @@ class SimplicialComplex:
     vertex_count: int
     facets: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertex_count, self.facets))
+
+    def __hash__(self):  # hashed once, not on every lookup in the homology cache
+        return self._hash
+
     def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         seen = set()
         for facet in self.facets:
@@ -314,25 +322,26 @@ def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
-    """The complex of faces whose vertices all have nonnegative sign.
+    """The complex of faces whose vertices all have nonnegative sign."""
+    a = tuple(a)
+    if len(a) != len(ws.weights):
+        raise ValueError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
+    return _support_complex(ws, sum(1 << i for i, v in enumerate(a) if v >= 0))
+
+
+@lru_cache(maxsize=64)
+def _support_complex(ws: WeightSystem, nonneg_mask: int) -> SimplicialComplex:
+    """:func:`support_complex` by its mask of nonnegative positions.
 
     Its facets are the maximal member faces.  Walking the members largest
     first, a member is kept unless it lies in a facet already kept; that is
     exact although the faces are not closed downward, since a member inside
-    a larger member lies inside some maximal one, which is larger still.
-    """
-    a = tuple(a)
-    if len(a) != len(ws.weights):
-        raise ValueError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
-    nonneg_mask = 0
-    for i, v in enumerate(a):
-        if v >= 0:
-            nonneg_mask |= 1 << i
+    a larger member lies inside some maximal one, which is larger still."""
     kept = []
     for mask, subset in reversed(_face_masks(ws)):  # decreasing size
         if mask & ~nonneg_mask == 0 and all(mask & other != mask for other, _ in kept):
             kept.append((mask, subset))
-    return SimplicialComplex(len(a), tuple(sorted(subset for _, subset in kept)))
+    return SimplicialComplex(len(ws.weights), tuple(sorted(subset for _, subset in kept)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,19 @@ orbits, and every search downstream is made finite by the conductor: for each
 torsion coset of H, the free-part threshold above which membership in the
 monoid is automatic.  Below it, the reachability table that proves the
 conductor holds the exact answer, so membership is a table lookup.
+
+The hot paths work on the integer codes of H (:class:`IntegerCodes`),
+where the orbit representatives are the codes ``0 .. orbit_count - 1``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
-from .errors import AxiomViolation, InternalInconsistency, RankZeroGroup
+from .errors import AxiomViolation, InternalInconsistency, MismatchedGroup, RankZeroGroup
 from .groups import GroupElement
 from .weights import WeightSystem
 
@@ -25,8 +30,42 @@ from .weights import WeightSystem
 _CONDUCTOR_CAP = 100_000
 
 
-def _tadd(a, b, dims):
-    return tuple((x + y) % d for x, y, d in zip(a, b, dims))
+class IntegerCodes:
+    """Elements of a rank-one group as the integers ``free·|T| + r``, with
+    ``r`` the index of the torsion part in ``torsion_residues`` order: codes
+    sort as :meth:`GroupElement.key` does, ``c // order`` is the free part,
+    and translation by ``x`` is ``c + steps(x)[c % order]``.
+
+    >>> from toricnccr import FGGroup
+    >>> codes = IntegerCodes(FGGroup(1, (3,)))
+    >>> codes.code(codes.group.element(2, (1,))), str(codes.element(codes.sub(7, 9)))
+    (7, '(-1;1)')
+    """
+
+    def __init__(self, group: FGGroup):
+        self.group = group
+        self.residues = tuple(group.torsion_residues())
+        self.order = len(self.residues)
+        self.index = {t: r for r, t in enumerate(self.residues)}
+
+    def code(self, g: GroupElement) -> int:
+        return g.free * self.order + self.index[g.tors]
+
+    def element(self, c: int) -> GroupElement:
+        free, r = divmod(c, self.order)
+        return GroupElement(self.group, free, self.residues[r])
+
+    def steps(self, x: GroupElement) -> list[int]:
+        return [self.code(self.element(r) + x) - r for r in range(self.order)]
+
+    @cached_property
+    def _minus(self) -> list[list[int]]:  # |T|^2 entries, built on the first sub
+        return [self.steps(-self.element(s)) for s in range(self.order)]
+
+    def sub(self, c1: int, c2: int) -> int:
+        """The code of the difference of the elements coded ``c1`` and ``c2``."""
+        free, s = divmod(c2, self.order)
+        return c1 - free * self.order + self._minus[s][c1 % self.order]
 
 
 class GradedContext:
@@ -53,106 +92,108 @@ class GradedContext:
                 f"period mismatch: {p_from_pos} vs {p_from_neg}"
             )
         self.p = p_from_pos
-        self.minus_p = -self.p
         self.generators = tuple(pos_gens + neg_gens)
         for g in self.generators:
             if g.free_part() <= 0:
                 raise InternalInconsistency(f"generator {g} has nonpositive free part")
 
-        self._dims = self.group.torsion
-        self._gen_raw = [(g.free, g.tors) for g in self.generators]
-        self._reach: list[set] = [{(0,) * len(self._dims)}]
-        self.conductor = self._compute_conductor()
+        self.codes = IntegerCodes(self.group)
+        self.p_code = self.codes.code(self.p)
+        self.plus_p = self.codes.steps(self.p)  # translation by p on codes
+        self._reach = []  # bit r of level f: residue r is reached at free part f
+        self._conductor = self._compute_conductor()
+        self.conductor = dict(zip(self.codes.residues, self._conductor))
 
     # -- basic data ------------------------------------------------------
 
     @property
     def orbit_count(self) -> int:
-        return self.p.free * self.group.torsion_order()
+        return self.p.free * self.codes.order
 
     @property
     def max_conductor(self) -> int:
-        return max(self.conductor.values())
+        return max(self._conductor)
 
     def element(self, free, tors=()) -> GroupElement:
         return self.group.element(free, tors)
 
+    def image_code(self, g: GroupElement) -> int:
+        """The code of ``q(g)``: ``q`` keeps the free part, and each torsion
+        coordinate of ``q(g)`` is a row of the projection matrix applied to
+        ``g``'s coordinates."""
+        if g.group != self.q.source:
+            raise MismatchedGroup(f"{g.group} is not the source {self.q.source}")
+        x = (g.free, *g.tors)
+        rows = zip(self.q.matrix[1:], self.group.torsion)
+        t = tuple(sum(map(mul, row, x)) % d for row, d in rows)
+        return g.free * self.codes.order + self.codes.index[t]
+
     # -- monoid membership (reachability table) ---------------------------
 
     def member(self, h: GroupElement) -> bool:
-        """Is ``h`` a nonnegative integer combination of the generators?
+        """Is ``h`` a nonnegative integer combination of the generators?"""
+        return self.member_code(self.codes.code(h))
+
+    def member_code(self, c: int) -> bool:
+        """:meth:`member` on a code.
 
         At or above its coset's conductor the answer is yes; below it, the
         reachability table grown for the conductor already holds the answer.
         """
-        if h.free >= self.conductor[h.tors]:
-            return True
-        return h.free >= 0 and h.tors in self._reach[h.free]
+        free, r = divmod(c, self.codes.order)
+        return free >= self._conductor[r] or (free >= 0 and self._reach[free] >> r & 1 == 1)
 
     def leq(self, h1: GroupElement, h2: GroupElement) -> bool:
         """The poset order: ``h1 <= h2`` iff ``h2 - h1`` is in the monoid."""
         return self.member(h2 - h1)
 
-    def reachable_residues(self, free: int) -> set:
-        """Torsion cosets hit by the monoid at the given free part.
+    def _compute_conductor(self) -> list[int]:
+        """Per torsion residue, the least c with everything at free part >= c reachable.
 
-        Grown bottom-up one free-part level at a time by dynamic programming;
-        the engine behind the conductor and behind :meth:`member`.
-        """
-        if free < 0:
-            return set()
-        while len(self._reach) <= free:
-            f = len(self._reach)
-            level = set()
-            for gf, gt in self._gen_raw:
-                if gf <= f:
-                    for t in self._reach[f - gf]:
-                        level.add(_tadd(t, gt, self._dims))
-            self._reach.append(level)
-        return self._reach[free]
-
-    def _compute_conductor(self) -> dict:
-        """Per torsion coset, the least c with everything at free part >= c reachable.
-
-        A coset is saturated once a run of ``e * free(g*)`` consecutive free
-        parts is fully reachable, where ``g*`` is a generator of minimal free
-        part and ``e`` the order of its torsion component: adding ``e * g*``
-        then pushes reachability upward forever.
+        The reachability levels grow bottom-up by dynamic programming, as
+        bitmasks of residues.  A coset is saturated once a run of ``e *
+        free(g*)`` consecutive free parts is fully reachable, where ``g*`` is a
+        generator of minimal free part and ``e`` the order of its torsion
+        component: adding ``e * g*`` then pushes reachability upward forever.
+        So once such a run holds for every coset at once, no coset misses a
+        free part any more, and the levels kept answer :meth:`member_code`.
         """
         gstar = min(self.generators, key=lambda g: g.free)
         run_needed = self.element(0, gstar.tors).order() * gstar.free
-
-        cosets = list(self.group.torsion_residues())
-        runs = {t: 0 for t in cosets}
-        saturated_at = {}
-        last_missing = {t: -1 for t in cosets}
-        f = 0
-        while len(saturated_at) < len(cosets):
+        order = self.codes.order
+        full = (1 << order) - 1
+        # per generator: its free part and where it sends each residue
+        moves = [
+            (g.free, [(r + s) % order for r, s in enumerate(self.codes.steps(g))])
+            for g in self.generators
+        ]
+        last_missing = [-1] * order
+        run = 0
+        while run < run_needed:
+            f = len(self._reach)
             if f > _CONDUCTOR_CAP:
                 raise InternalInconsistency("conductor did not stabilize")
-            level = self.reachable_residues(f)
-            for t in cosets:
-                if t in saturated_at:
-                    continue
-                if t in level:
-                    runs[t] += 1
-                    if runs[t] >= run_needed:
-                        saturated_at[t] = f
-                else:
-                    runs[t] = 0
-                    last_missing[t] = f
-            f += 1
-        return {t: last_missing[t] + 1 for t in cosets}
+            level = int(f == 0)  # the empty sum
+            for gf, moved in moves:
+                below = self._reach[f - gf] if gf <= f else 0
+                while below:
+                    low = below & -below
+                    level |= 1 << moved[low.bit_length() - 1]
+                    below ^= low
+            self._reach.append(level)
+            run = run + 1 if level == full else 0
+            for r in range(order):
+                if not level >> r & 1:
+                    last_missing[r] = f
+        return [m + 1 for m in last_missing]
 
     # -- Z-action orbits ---------------------------------------------------
 
     def orbit_reps(self) -> tuple[GroupElement, ...]:
-        """One representative per orbit of ``h -> h + p``: free part in [0, free(p))."""
-        reps = []
-        for f in range(self.p.free):
-            for t in self.group.torsion_residues():
-                reps.append(self.element(f, t))
-        return tuple(reps)
+        """One representative per orbit of ``h -> h + p``: free part in [0, free(p)).
+
+        They are the elements of codes ``0 .. orbit_count - 1``, in that order."""
+        return tuple(self.codes.element(c) for c in range(self.orbit_count))
 
     def orbit_of(self, h: GroupElement) -> tuple[GroupElement, int]:
         """The unique ``(rep, n)`` with ``h = rep + n*p``."""
@@ -167,7 +208,7 @@ class GradedContext:
         out = []
         for _ in range(count):
             f = rng.randint(-span, span)
-            t = tuple(rng.randrange(d) for d in self._dims)
+            t = tuple(rng.randrange(d) for d in self.group.torsion)
             out.append(self.element(f, t))
         return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency, MismatchedGroup
 from .groups import GroupElement
-from .poset import GradedContext
+from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
 
@@ -73,11 +73,12 @@ def default_search_bound(ctx: GradedContext) -> int:
 def _minimal_hits(steps, order, vertex_codes, source: int, bound: int):
     """Minimal nonzero exponent vectors whose degree lands ``source`` in the set.
 
-    Degrees are integer codes ``free·|T| + r``, with ``0 <= r < |T|`` the
-    index of the torsion part and ``order`` = ``|T|``, so ``q // order`` is
-    the free part of code ``q`` and adding weight ``i`` adds
-    ``steps[i][q % order]``.  The search raises the coordinates in turn,
-    depth first, to total degree ``bound``, and maps each hit to its target.
+    Degrees are integer codes ``free·|T| + r`` (:class:`~.poset.IntegerCodes`),
+    with ``0 <= r < |T|`` the index of the torsion part and ``order`` =
+    ``|T|``, so ``q // order`` is the free part of code ``q`` and adding
+    weight ``i`` adds ``steps[i][q % order]``.  The search raises the
+    coordinates in turn, depth first, to total degree ``bound``, and maps
+    each hit to its target.
 
     Sub-vector prune.  Alongside the degree of the current prefix vector the
     search carries the set of degrees of its proper sub-vectors (the zero
@@ -143,19 +144,12 @@ def _minimal_hits(steps, order, vertex_codes, source: int, bound: int):
 
 
 def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
-    group = ws.group
-    order = group.torsion_order()
-    residues = [group.element(0, t) for t in group.torsion_residues()]
-    index = {g.tors: r for r, g in enumerate(residues)}
-
-    def code(g):
-        return g.free * order + index[g.tors]
-
-    steps = [[code(g + w) - r for r, g in enumerate(residues)] for w in ws.weights]
-    vertex_index = {code(v): s for s, v in enumerate(vertices)}
+    codes = IntegerCodes(ws.group)
+    steps = [codes.steps(w) for w in ws.weights]
+    vertex_index = {codes.code(v): s for s, v in enumerate(vertices)}
     arrows = []
     for s, src in enumerate(vertices):
-        found = _minimal_hits(steps, order, vertex_index, code(src), bound)
+        found = _minimal_hits(steps, codes.order, vertex_index, codes.code(src), bound)
         for exps, target in found.items():
             arrows.append(Arrow(s, vertex_index[target], exps))
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))

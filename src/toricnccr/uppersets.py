@@ -11,7 +11,7 @@ set of elements above some rim member.  Mutation removes a minimal element
 A complete rim is an integer vector ``n``, one entry per orbit: its element
 in orbit ``a`` is ``r_a + n_a*p``.  The rim condition becomes the difference
 constraints ``n_a - n_b <= tau(a, b)`` of a per-orbit-pair threshold table,
-which :func:`translation_classes` solves exactly (the proof is there).
+which :func:`translation_classes` solves in closed form (the proof is there).
 
 Translation classes quotient by translating rims by arbitrary elements of H.
 A rim's *zero translates* are the translates ``rim - x`` by its elements
@@ -19,6 +19,9 @@ A rim's *zero translates* are the translates ``rim - x`` by its elements
 smallest serialized form.  The enumerator reaches exactly the rims that are
 their own zero translate and keeps the canonical ones, so each class is
 found once, and the zero translates equal to it count its stabilizer.
+
+All of this runs on the integer codes of H (see :mod:`.poset`): rims are
+sorted code tuples, which compare as their serializations.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ def _sorted_unique(elements):
 def rim_status(ctx: GradedContext, elements) -> RimCheck:
     """Classify a finite set as invalid / valid-but-partial / complete rim."""
     elems = _sorted_unique(elements)
-    for x in elems:
-        for y in elems:
-            if ctx.leq(y + ctx.p, x):
+    codes, sub = [ctx.codes.code(e) for e in elems], ctx.codes.sub
+    for x, cx in zip(elems, codes):
+        for y, cy in zip(elems, codes):
+            if ctx.member_code(sub(sub(cx, cy), ctx.p_code)):  # x >= y + p
                 return RimCheck(RimStatus.INVALID, (x, y))
     if len(elems) == ctx.orbit_count:
         return RimCheck(RimStatus.COMPLETE)
@@ -98,23 +102,24 @@ def in_upper_set(ctx: GradedContext, rim: Rim, h: GroupElement) -> bool:
     return any(ctx.leq(y, h) for y in rim)
 
 
-def _least_shift(ctx: GradedContext, delta: GroupElement) -> int:
-    """The least ``m`` with ``delta + m*p`` in the monoid.
-
-    Membership is monotone in ``m`` because ``p`` is in the monoid; it fails
-    while the free part is negative and holds once it reaches the conductor.
-    """
-    m = -(delta.free // ctx.p.free)  # first m with free part >= 0
-    h = delta + m * ctx.p
-    while h.free < ctx.max_conductor and not ctx.member(h):
-        h += ctx.p
+def _least_shift(ctx: GradedContext, c: int) -> int:
+    """``phi(c)``: the least ``m`` with ``c + m*p`` in the monoid, for the code
+    ``c`` of an orbit representative (free part in ``[0, free(p))``, so no
+    ``m < 0`` qualifies).  Membership is monotone in ``m`` because ``p`` is in
+    the monoid, and holds once the free part reaches the conductor."""
+    order, plus_p = ctx.codes.order, ctx.plus_p
+    top = ctx.max_conductor * order
+    m = 0
+    while c < top and not ctx.member_code(c):
+        c += plus_p[c % order]
         m += 1
     return m
 
 
 def entry_index(ctx: GradedContext, rim: Rim, x: GroupElement) -> int:
     """The unique ``n0`` such that ``x + n*p`` is in the upper set iff ``n >= n0``."""
-    return min(_least_shift(ctx, x - y) for y in rim)
+    shifts = (ctx.orbit_of(x - y) for y in rim)  # rep + n*p needs phi(rep) - n more p
+    return min(_least_shift(ctx, ctx.codes.code(rep)) - n for rep, n in shifts)
 
 
 def rim_of_upper_closure(ctx: GradedContext, generators) -> Rim:
@@ -132,11 +137,10 @@ def rim_of_upper_closure(ctx: GradedContext, generators) -> Rim:
 
 def minimal_elements(ctx: GradedContext, rim: Rim) -> tuple[GroupElement, ...]:
     """Minimal elements of the upper set; they all lie on the rim."""
-    out = []
-    for m in rim:
-        if not any(j != m and ctx.leq(j, m) for j in rim):
-            out.append(m)
-    return tuple(out)
+    codes, sub, member = [ctx.codes.code(e) for e in rim], ctx.codes.sub, ctx.member_code
+    return tuple(
+        m for m, c in zip(rim, codes) if not any(d != c and member(sub(c, d)) for d in codes)
+    )
 
 
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
@@ -172,10 +176,12 @@ class TranslationClass:
         return str(self.rim)
 
 
-def _zero_translates(rim: Rim) -> list[Rim]:
-    """The translates ``rim - x`` by the rim elements ``x`` of least free part."""
-    low = min(e.free for e in rim)
-    return [rim.translate(-x) for x in rim if x.free == low]
+def _zero_translates(ctx: GradedContext, rim: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The translates ``rim - x`` by the elements ``x`` of least free part, on
+    a sorted code tuple; each comes out sorted."""
+    order, sub = ctx.codes.order, ctx.codes.sub
+    low = rim[0] // order
+    return [tuple(sorted(sub(y, x) for y in rim)) for x in rim if x // order == low]
 
 
 def normalize(ctx: GradedContext, rim: Rim) -> Rim:
@@ -184,9 +190,50 @@ def normalize(ctx: GradedContext, rim: Rim) -> Rim:
 
     The least first key such a translate can have is the zero element's,
     and the translates that start with it are exactly the zero translates,
-    so the winner is one of them.  ``ctx`` is unused and kept for callers.
+    so the winner is one of them.
     """
-    return min(_zero_translates(rim), key=Rim.serialized)
+    best = min(_zero_translates(ctx, tuple(sorted(ctx.codes.code(e) for e in rim))))
+    return Rim(tuple(ctx.codes.element(c) for c in best), rim.complete)
+
+
+def _classes(ctx: GradedContext):
+    """``(tau, classes)`` for :func:`translation_classes`, on codes: each
+    class is ``(canonical rim, stabilizer order, offsets n, rim codes by
+    orbit)``, sorted by the rim, a sorted code tuple."""
+    k, order, sub, plus_p = ctx.orbit_count, ctx.codes.order, ctx.codes.sub, ctx.plus_p
+    phi = [_least_shift(ctx, c) for c in range(k)]
+    # r_a - r_b is r_c (code c >= 0) or r_c - p (c < 0): tau is phi(c) or phi(c) + 1
+    diffs = [[sub(a, b) for b in range(k)] for a in range(k)]
+    tau = [[phi[c] if c >= 0 else phi[c + plus_p[c % order]] + 1 for c in row] for row in diffs]
+    d = [[min(t, row[0]) for t in row] for row in tau]  # step 3
+    ladders = [[a] for a in range(k)]  # ladders[a][m]: code of r_a + m*p, 0 <= m <= d(a, 0)
+    for a, ladder in enumerate(ladders):
+        while len(ladder) <= d[a][0]:
+            ladder.append(ladder[-1] + plus_p[ladder[-1] % order])
+
+    classes = []
+    stack = [(0,)]  # offset vectors n, assigned in orbit order
+    while stack:
+        n = stack.pop()
+        c = len(n)
+        if c == k:
+            xs = tuple(ladder[m] for ladder, m in zip(ladders, n))
+            rim = tuple(sorted(xs))
+            translates = _zero_translates(ctx, rim)
+            if min(translates) == rim:
+                classes.append((rim, translates.count(rim), n, xs))
+            continue
+        lo = max(n[b] - d[b][c] for b in range(c))
+        hi = min(n[b] + d[c][b] for b in range(c))
+        stack.extend(n + (m,) for m in range(lo, hi + 1))
+    return tau, sorted(classes)
+
+
+def _class_nodes(ctx: GradedContext, classes) -> tuple[TranslationClass, ...]:
+    element = ctx.codes.element
+    return tuple(
+        TranslationClass(Rim(tuple(map(element, rim)), True), stab) for rim, stab, *_ in classes
+    )
 
 
 def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
@@ -203,53 +250,30 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
        monoid, holds iff ``n_a - n_b > tau(a, b)``: the complete rims are
        exactly the integer vectors with ``n_a - n_b <= tau(a, b)`` for all
        ``a, b``.
-    3. Floyd-Warshall tightens the table to shortest-path bounds ``d``.  A
-       negative diagonal entry would mean no rim at all, which the theorem
-       rules out.  After the closure, an assignment meeting the bounds among
-       its variables extends by any further variable ``c``: the interval
-       ``max_b (n_b - d(b, c)) .. min_b (n_b + d(c, b))`` is nonempty since
-       ``n_b - n_b' <= d(b, b') <= d(b, c) + d(c, b')``.
+    3. ``tau >= 0`` (``r_a - r_b - p`` has negative free part) and ``tau`` obeys
+       the triangle inequality (the monoid is closed under addition), so the
+       shortest-path bounds under step 4's extra ``n_0 - n_a <= 0`` are
+       ``d(a, b) = min(tau(a, b), tau(a, 0))``.  By ``d``'s own triangle
+       inequality, an assignment meeting the bounds among its variables
+       extends to any further ``c``: ``max_b (n_b - d(b, c)) <= min_b (n_b +
+       d(c, b))``.
     4. Pin ``n = 0`` at the orbit of zero and add the constraints
-       ``n_0 - n_a <= 0`` before the closure.  As ``0 <= free(r_a) <
-       free(p)``, ``n >= 0`` says exactly that every free part is ``>= 0``,
-       so backtracking over plain integers reaches, once each and with no
-       dead ends, the rims through zero with minimum free part 0.  Each
-       class has exactly one canonical leaf: its canonical rim contains 0
-       and has minimum free part 0, and every other leaf of the class has
-       the canonical rim among its zero translates.  A leaf is kept iff it
-       is the smallest of its zero translates.
+       ``n_0 - n_a <= 0``.  As ``0 <= free(r_a) < free(p)``, ``n >= 0`` says
+       exactly that every free part is ``>= 0``, so backtracking over plain
+       integers reaches, once each and with no dead ends, the rims through
+       zero with minimum free part 0.  Each class has exactly one canonical
+       leaf: its canonical rim contains 0 and has minimum free part 0, and
+       every other leaf of the class has the canonical rim among its zero
+       translates.  A leaf is kept iff it is the smallest of its zero
+       translates.
     5. Since ``0`` is in a kept rim ``R`` and translations keep the minimum
        free part, ``Stab(R) = {-x : x in R, free(x) = 0, R - x = R}``: the
        stabilizer order is the number of zero translates equal to ``R``.
-    """
-    reps = ctx.orbit_reps()  # reps[0] is zero
-    k = len(reps)
-    d = [[_least_shift(ctx, ra - rb) for rb in reps] for ra in reps]
-    d[0] = [min(x, 0) for x in d[0]]  # n_a >= n_0 = 0 (step 4)
-    for c in range(k):
-        row_c = d[c]
-        for a in range(k):
-            via = d[a][c]
-            d[a] = [min(x, via + y) for x, y in zip(d[a], row_c)]
-    if any(d[a][a] < 0 for a in range(k)):
-        raise InternalInconsistency("the rim constraints admit no complete rim")
 
-    classes = []
-    stack = [(0,)]  # offset vectors n, assigned in orbit order
-    while stack:
-        n = stack.pop()
-        c = len(n)
-        if c == k:
-            rim = Rim(_sorted_unique(r + m * ctx.p for r, m in zip(reps, n)), complete=True)
-            key = rim.serialized()
-            keys = [t.serialized() for t in _zero_translates(rim)]
-            if min(keys) == key:
-                classes.append(TranslationClass(rim, keys.count(key)))
-            continue
-        lo = max(n[b] - d[b][c] for b in range(c))
-        hi = min(n[b] + d[c][b] for b in range(c))
-        stack.extend(n + (m,) for m in range(lo, hi + 1))
-    return tuple(sorted(classes, key=lambda cls: cls.rim.serialized()))
+    The work runs on integer codes, where rims sort as their serializations;
+    elements are built only for the classes returned.
+    """
+    return _class_nodes(ctx, _classes(ctx)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +307,29 @@ class ExchangeGraph:
 
 
 def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
-    """Classes with one edge per (class, minimal element); self-loops kept."""
-    nodes = translation_classes(ctx)
-    index = {node.rim.serialized(): i for i, node in enumerate(nodes)}
+    """Classes with one edge per (class, minimal element); self-loops kept.
+
+    On a class with offsets ``n``, ``x_a`` is minimal iff ``n_a - n_b <
+    tau(a, b)`` for every other orbit ``b``, and mutating it raises ``n_a`` by
+    one; the result is looked up by its canonical zero translate.
+    """
+    tau, classes = _classes(ctx)
+    order, plus_p, element = ctx.codes.order, ctx.plus_p, ctx.codes.element
+    index = {rim: i for i, (rim, *_) in enumerate(classes)}
+    nodes = _class_nodes(ctx, classes)
     edges = []
-    for i, node in enumerate(nodes):
-        for m in minimal_elements(ctx, node.rim):
-            target = normalize(ctx, mutate(ctx, node.rim, m))
-            j = index.get(target.serialized())
+    for i, (rim, _, n, xs) in enumerate(classes):
+        # x_a lies above x_b iff n_a - n_b >= tau(a, b); minimal: above itself only
+        minimal = [
+            a for a, row in enumerate(tau) if sum(n[a] - nb >= t for nb, t in zip(n, row)) == 1
+        ]
+        for c in sorted(xs[a] for a in minimal):
+            mutated = tuple(sorted(y if y != c else c + plus_p[c % order] for y in rim))
+            j = index.get(min(_zero_translates(ctx, mutated)))
             if j is None:
-                raise InternalInconsistency(f"mutation left the class list: {target}")
-            edges.append((i, j, m))
+                rim_text = ", ".join(str(element(y)) for y in mutated)
+                raise InternalInconsistency(f"mutation left the class list: {{{rim_text}}}")
+            edges.append((i, j, element(c)))
     graph = ExchangeGraph(nodes, tuple(edges))
     if not graph.connected:
         raise DisconnectedGraph(f"{len(nodes)} classes fell apart: {graph.edges}")

@@ -14,6 +14,7 @@ are just that the weights sum to zero and generate ``G``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotGorenstein, GenerationFailure, SignCountFailure
 from .groups import FGGroup, GroupElement, subgroup_is_whole
@@ -34,6 +35,13 @@ class WeightSystem:
     positives: int
     negatives: int
     permutation: tuple[int, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.weights, self.positives, self.negatives, self.permutation))
+
+    def __hash__(self):  # hashed once, not on every lookup in the oracle's caches
+        return self._hash
 
     @property
     def ring_dimension(self) -> int:

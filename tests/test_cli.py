@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -16,6 +19,7 @@ from toricnccr.cli import main
 from conftest import build_context
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -370,3 +374,65 @@ class TestMcKay:
     def test_classify_on_finite_group_exit_2(self, capsys):
         code, report = run_json(capsys, "classify", INPUTS / "mckay_z2.json")
         assert code == 2
+
+
+def run_in_subprocess(argv, code="import sys; from toricnccr.cli import main; sys.exit(main(sys.argv[1:]))", **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+class TestOneParserPerProcess:
+    CALLS = [
+        ["quiver", INPUTS / "z3.json", "--class", "2", "--format", "dot"],
+        ["quiver", INPUTS / "z3.json", "--class", "1"],
+        ["quiver", INPUTS / "ca4.json", "--degrees", "(0) (1) (2)", "--bound", "3"],
+        ["quiver", INPUTS / "ca4.json", "--class", "0"],
+        ["exchange-graph", INPUTS / "a1.json", "--format", "dot"],
+        ["exchange-graph", INPUTS / "ca4.json"],
+        ["mutate", INPUTS / "ca4.json", "--class", "0", "--at", "(3)"],
+        ["oracle", INPUTS / "z2.json", "--range", "-4..4", "--window", "6"],
+        ["classify", INPUTS / "mckay_z2.json"],
+        ["validate", INPUTS / "z4.json"],
+    ]
+
+    def test_sequence_matches_separate_processes(self, capsys):
+        in_process = [run(capsys, *argv) for argv in self.CALLS]
+        for argv, (code, out) in zip(self.CALLS, in_process):
+            alone = run_in_subprocess([str(a) for a in argv], capture_output=True, text=True)
+            assert (code, out) == (alone.returncode, alone.stdout), argv
+        assert {code for code, _ in in_process} == {0, 2}
+
+
+class TestClosedStdout:
+    """A reader that is gone before the report is written costs the report,
+    not the exit code; no traceback."""
+
+    ORACLE = ["oracle", str(INPUTS / "z4.json"), "--range", "-60..60", "--window", "60"]
+
+    def run_with_closed_stdout(self, argv, **kwargs):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            return run_in_subprocess(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, **kwargs)
+        finally:
+            os.close(write_end)
+
+    def test_success_exits_0(self):
+        done = self.run_with_closed_stdout(self.ORACLE)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr
+
+    def test_dot_output_exits_0(self):
+        done = self.run_with_closed_stdout(["quiver", str(INPUTS / "z3.json"), "--class", "0", "--format", "dot"])
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr
+
+    def test_failed_check_exits_3(self):
+        done = self.run_with_closed_stdout(
+            self.ORACLE,
+            code="import sys, toricnccr.nccr; toricnccr.nccr.is_mcm = lambda ctx, g: True; "
+            "from toricnccr.cli import main; sys.exit(main(sys.argv[1:]))",
+        )
+        assert done.returncode == 3
+        assert "internal check failed" in done.stderr
+        assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr

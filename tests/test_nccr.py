@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from toricnccr import (
+    MismatchedGroup,
     NotMinimal,
     NotNCCR,
     SummandSet,
@@ -16,9 +18,10 @@ from toricnccr import (
     nccr_classes,
     preimage_summands,
     rim_of,
+    grading_context,
     translation_classes,
 )
-from conftest import EXPECTED_CLASS_COUNTS, EXPECTED_VERTEX_COUNTS, build_context
+from conftest import EXPECTED_CLASS_COUNTS, EXPECTED_VERTEX_COUNTS, build_context, rank_one_systems
 
 
 def degrees(ctx, *free_parts):
@@ -39,6 +42,24 @@ class TestMCM:
         G = ca4.weights.group
         mcm = {g for g in range(-10, 11) if is_mcm(ca4, G.element(g))}
         assert mcm == {-6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6}
+
+    def test_foreign_degree_raises(self, z2, z3):
+        with pytest.raises(MismatchedGroup):
+            is_mcm(z2, z3.weights.group.element(0, (1,)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,), (2, 2))))
+    def test_codes_match_element_arithmetic(self, ws):
+        """``image_code`` is the code of ``q(g)``, and ``is_mcm`` on codes is
+        ``not q(g) >= p and not q(g) <= -p`` in element arithmetic."""
+        ctx = grading_context(ws)
+        span = ctx.max_conductor + 2 * ctx.p.free + 2
+        for f in range(-span, span + 1):
+            for t in ws.group.torsion_residues():
+                g = ws.group.element(f, t)
+                h = ctx.q(g)
+                assert ctx.image_code(g) == ctx.codes.code(h)
+                assert is_mcm(ctx, g) == (not ctx.leq(ctx.p, h) and not ctx.leq(h, -ctx.p))
 
 
 class TestModifying:

@@ -461,6 +461,15 @@ class TestSupportComplex:
                 with pytest.raises(ValueError, match=message):
                     check(ws, (0,) * length)
 
+    def test_built_once_per_nonneg_mask(self, z4):
+        ws = z4.weights
+        assert support_complex(ws, (0, 3, -1, -2, 1)) is support_complex(ws, (5, 0, -4, -1, 0))
+        assert support_complex(ws, (0, 3, -1, -2, 1)) is not support_complex(ws, (0, 3, 0, -2, 1))
+
+    def test_caches_are_bounded(self):
+        for name in ("_witness_table", "_face_masks", "_support_complex", "reduced_homology"):
+            assert getattr(toricnccr.oracle, name).cache_info().maxsize is not None, name
+
     @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
     def test_facets_match_pairwise_rule(self, key):
         ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights

@@ -1,9 +1,10 @@
-"""Order, monoid membership, conductor, axioms and orbit decomposition."""
+"""Integer codes, order, monoid membership, conductor, axioms and orbit decomposition."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricnccr import (
     AxiomViolation,
@@ -12,6 +13,7 @@ from toricnccr import (
     grading_context,
     validate,
 )
+from toricnccr.poset import IntegerCodes
 from conftest import build_context, rank_one_systems
 
 
@@ -58,6 +60,38 @@ def assert_conductor_sound_and_minimal(ctx):
         assert all(member_by_search(ctx, ctx.element(f, t)) for f in range(c, c + run))
         if c > 0:
             assert not member_by_search(ctx, ctx.element(c - 1, t))
+
+
+@st.composite
+def code_cases(draw):
+    """A rank-one group (up to two invariant factors) with two of its elements."""
+    torsion = draw(st.sampled_from([(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 6)]))
+    group = FGGroup(1, torsion)
+
+    def element():
+        return group.element(
+            draw(st.integers(-20, 20)), [draw(st.integers(0, d - 1)) for d in torsion]
+        )
+
+    return IntegerCodes(group), element(), element()
+
+
+class TestIntegerCodes:
+    @settings(max_examples=300, derandomize=True)
+    @given(code_cases())
+    def test_encoding(self, case):
+        codes, h, x = case
+        c = codes.code(h)
+        assert codes.element(c) == h
+        assert c // codes.order == h.free
+        assert (c < codes.code(x)) == (h.key() < x.key())
+        assert codes.code(h + x) == c + codes.steps(x)[c % codes.order]
+        assert codes.code(h - x) == codes.sub(c, codes.code(x))
+
+    def test_codes_follow_residue_order(self):
+        codes = IntegerCodes(FGGroup(1, (2, 4)))
+        keys = [codes.element(c).key() for c in range(-8, 16)]
+        assert keys == sorted((f, *t) for f in (-1, 0, 1) for t in codes.residues)
 
 
 class TestMembership:

@@ -8,6 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 
+import toricnccr.uppersets
+
 from toricnccr import (
     FGGroup,
     NotMinimal,
@@ -94,6 +96,80 @@ def translation_classes_by_scan(ctx):
             hits[normalize_by_torsion_shifts(ctx, rim).serialized()] += 1
     assert all(ctx.orbit_count % h == 0 for h in hits.values())
     return {key: ctx.orbit_count // h for key, h in hits.items()}
+
+
+def least_shift_by_elements(ctx, delta):
+    """The least ``m`` with ``delta + m*p`` in the monoid, by element arithmetic."""
+    m = -(delta.free // ctx.p.free)  # first m with free part >= 0
+    h = delta + m * ctx.p
+    while h.free < ctx.max_conductor and not ctx.member(h):
+        h += ctx.p
+        m += 1
+    return m
+
+
+def translation_classes_by_closure(ctx):
+    """Class oracle: the element-based solver the package once used.
+
+    Tabulates ``tau(a, b)`` with one least shift per pair of orbit
+    representatives, adds ``n_0 - n_a <= 0``, closes the table by
+    Floyd-Warshall and backtracks over the offset vectors, keeping each rim
+    that is the smallest of its zero translates.  Returns ``(rim,
+    stabilizer order)`` pairs in canonical order.
+    """
+    reps = ctx.orbit_reps()
+    k = len(reps)
+    d = [[least_shift_by_elements(ctx, ra - rb) for rb in reps] for ra in reps]
+    d[0] = [min(x, 0) for x in d[0]]
+    for c in range(k):
+        for a in range(k):
+            d[a] = [min(x, d[a][c] + y) for x, y in zip(d[a], d[c])]
+    assert all(d[a][a] >= 0 for a in range(k)), "no complete rim"
+    classes = []
+    stack = [(0,)]
+    while stack:
+        n = stack.pop()
+        c = len(n)
+        if c == k:
+            rim = Rim(tuple(sorted((r + m * ctx.p for r, m in zip(reps, n)), key=lambda e: e.key())), True)
+            low = min(e.free for e in rim)
+            keys = [rim.translate(-x).serialized() for x in rim if x.free == low]
+            if min(keys) == rim.serialized():
+                classes.append((rim, keys.count(rim.serialized())))
+            continue
+        lo = max(n[b] - d[b][c] for b in range(c))
+        hi = min(n[b] + d[c][b] for b in range(c))
+        stack.extend(n + (m,) for m in range(lo, hi + 1))
+    return sorted(classes, key=lambda cls: cls[0].serialized())
+
+
+def minimal_elements_by_leq(ctx, rim):
+    """Minimal-element oracle: every pair of rim elements compared by ``leq``."""
+    return tuple(m for m in rim if not any(j != m and ctx.leq(j, m) for j in rim))
+
+
+def assert_matches_closure(ctx, edge_limit=None):
+    """Classes, rims, stabilizer orders, exchange-graph edges and minimal
+    elements agree with the element-based oracles; the edges and minimal
+    elements (about 15 ms a class on 24 orbits) only up to ``edge_limit``
+    classes."""
+    expected = translation_classes_by_closure(ctx)
+    classes = translation_classes(ctx)
+    assert [(c.rim.elements, c.stabilizer_order) for c in classes] == [
+        (rim.elements, order) for rim, order in expected
+    ]
+    if edge_limit is not None and len(expected) > edge_limit:
+        return
+    index = {rim.serialized(): i for i, (rim, _) in enumerate(expected)}
+    edges = []
+    for i, (rim, _) in enumerate(expected):
+        minimal = minimal_elements_by_leq(ctx, rim)
+        assert minimal_elements(ctx, rim) == minimal
+        for m in minimal:
+            mutated = mutate(ctx, rim, m)
+            assert minimal_elements(ctx, mutated) == minimal_elements_by_leq(ctx, mutated)
+            edges.append((i, index[normalize_by_torsion_shifts(ctx, mutated).serialized()], m))
+    assert exchange_graph(ctx).edges == tuple(edges)
 
 
 def assert_classes_match_scan(ctx):
@@ -375,6 +451,38 @@ class TestLadder:
         assert orders == [stabilizer_order_by_translates(cls.rim) for cls in classes]
         assert Counter(orders) == {1: 144, 3: 2}
         assert_graph_is_mutation_closure(ctx)
+
+
+class TestClosureOracle:
+    """The code-based solver against the element-based Floyd-Warshall one."""
+
+    def test_fixtures(self, ctx):
+        assert_matches_closure(ctx)
+
+    @pytest.mark.parametrize("key", ["w2357", "w2525", "w3535", "w4577", "w40", "w6"])
+    def test_ladder(self, key):
+        assert_matches_closure(ladder_context(key))
+
+    def test_torsion_system_with_stabilizers(self):
+        assert_matches_closure(torsion_ladder_context())
+
+    @pytest.mark.parametrize("key", ["w40", "torsion"])
+    def test_one_least_shift_per_orbit(self, key, monkeypatch):
+        ctx = torsion_ladder_context() if key == "torsion" else ladder_context(key)
+        calls = []
+        least_shift = toricnccr.uppersets._least_shift
+        monkeypatch.setattr(
+            toricnccr.uppersets, "_least_shift", lambda ctx, c: calls.append(c) or least_shift(ctx, c)
+        )
+        translation_classes(ctx)
+        assert sorted(calls) == list(range(ctx.orbit_count))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
+    def test_random_systems(self, ws):
+        ctx = grading_context(ws)
+        assume(ctx.orbit_count <= 24)
+        assert_matches_closure(ctx, edge_limit=200)
 
 
 class TestExchangeGraph:
