@@ -112,7 +112,7 @@ def _write(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _class_payload(ctx, index, rim, summands):
+def _class_payload(index, rim, summands):
     return {
         "index": index,
         "rim": [str(h) for h in rim],
@@ -169,7 +169,7 @@ def cmd_classify(args):
         "validation": _validation_summary(ws, ctx),
         "count": len(classes),
         "classes": [
-            _class_payload(ctx, i, c.rim, preimage_summands(ctx, c.rim))
+            _class_payload(i, c.rim, preimage_summands(ctx, c.rim))
             for i, c in enumerate(classes)
         ],
     }
@@ -186,10 +186,10 @@ def cmd_quiver(args):
     if args.klass is not None:
         summands = preimage_summands(ctx, _pick_class(translation_classes(ctx), args.klass).rim)
     else:
-        degrees = [parse_element(ws.group, t) for t in args.degrees.split()]
-        summands = degrees
-        if not is_modifying(ctx, degrees):
-            raise InputError("the degree set is not modifying; no quiver")
+        summands = [parse_element(ws.group, t) for t in args.degrees.split()]
+    modifying = is_modifying(ctx, summands)
+    if args.klass is None and not modifying:
+        raise InputError("the degree set is not modifying; no quiver")
     with warnings_module.catch_warnings(record=True) as caught:
         warnings_module.simplefilter("always")
         quiver = endomorphism_quiver(ctx, summands, args.bound)
@@ -198,7 +198,7 @@ def cmd_quiver(args):
         return 0
     payload = {
         "validation": _validation_summary(ws, ctx),
-        "is_modifying": bool(is_modifying(ctx, summands)),
+        "is_modifying": modifying,
         "is_nccr": bool(is_nccr(ctx, summands)),
         "quiver": _quiver_payload(quiver),
     }

@@ -7,8 +7,8 @@ The element ``p`` (sum of the positive block, equivalently of the negated
 negative block) generates a Z-action ``h -> h + n*p`` with finitely many
 orbits, and every search downstream is made finite by the conductor: for each
 torsion coset of H, the free-part threshold above which membership in the
-monoid is automatic.  Below it, the reachability table that proves the
-conductor holds the exact answer, so membership is a table lookup.
+monoid is automatic.  Membership is one comparison against a table of least
+codes, and the conductor is read off that table (see :class:`GradedContext`).
 
 The hot paths work on the integer codes of H (:class:`IntegerCodes`),
 where the orbit representatives are the codes ``0 .. orbit_count - 1``.
@@ -19,15 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import mul
 
 from .errors import AxiomViolation, InternalInconsistency, MismatchedGroup, RankZeroGroup
 from .groups import GroupElement
 from .weights import WeightSystem
-
-# free-part cap for the conductor computation; far beyond any sane input,
-# only here to turn a logic error into a loud failure
-_CONDUCTOR_CAP = 100_000
 
 
 class IntegerCodes:
@@ -69,11 +66,15 @@ class IntegerCodes:
 
 
 class GradedContext:
-    """Immutable bundle of H, the projection q, p, and the conductor table.
+    """Immutable bundle of H, the projection q, p, and the monoid's least codes.
 
     Built from a validated rank-one :class:`WeightSystem`; all methods are
-    pure.  The reachability table grown for the conductor also answers every
-    membership query.
+    pure.  Let ``g = (f; t)`` be the generator of least ``E = f·ord(t)``.
+    Then ``ord(t)·g = (E; 0)`` lies in the monoid, and adding it to a code
+    adds exactly ``N = E·|T|``.  So the monoid meets the class of codes
+    ``k`` mod ``N`` in the ray ``least[k] + N·j`` (``j >= 0``), ``least[k]``
+    being its least member; the weights generate H, so no class misses it.
+    ``least`` is a shortest-path table (Nijenhuis, *Amer. Math. Monthly* 86, 1979).
     """
 
     def __init__(self, ws: WeightSystem):
@@ -88,9 +89,7 @@ class GradedContext:
         p_from_pos = sum(pos_gens, self.group.zero())
         p_from_neg = sum(neg_gens, self.group.zero())
         if p_from_pos != p_from_neg:
-            raise InternalInconsistency(
-                f"period mismatch: {p_from_pos} vs {p_from_neg}"
-            )
+            raise InternalInconsistency(f"period mismatch: {p_from_pos} vs {p_from_neg}")
         self.p = p_from_pos
         self.generators = tuple(pos_gens + neg_gens)
         for g in self.generators:
@@ -100,19 +99,19 @@ class GradedContext:
         self.codes = IntegerCodes(self.group)
         self.p_code = self.codes.code(self.p)
         self.plus_p = self.codes.steps(self.p)  # translation by p on codes
-        self._reach = []  # bit r of level f: residue r is reached at free part f
-        self._conductor = self._compute_conductor()
-        self.conductor = dict(zip(self.codes.residues, self._conductor))
+        order = self.codes.order
+        e = min(g.free * self.element(0, g.tors).order() for g in self.generators)
+        self.least = self._least_codes(e * order)
+        # a residue's last gap sits one step of N below its largest least code
+        conductor = [max(self.least[r::order]) // order - e + 1 for r in range(order)]
+        self.conductor = dict(zip(self.codes.residues, conductor))
+        self.max_conductor = max(conductor)
 
     # -- basic data ------------------------------------------------------
 
     @property
     def orbit_count(self) -> int:
         return self.p.free * self.codes.order
-
-    @property
-    def max_conductor(self) -> int:
-        return max(self._conductor)
 
     def element(self, free, tors=()) -> GroupElement:
         return self.group.element(free, tors)
@@ -128,64 +127,43 @@ class GradedContext:
         t = tuple(sum(map(mul, row, x)) % d for row, d in rows)
         return g.free * self.codes.order + self.codes.index[t]
 
-    # -- monoid membership (reachability table) ---------------------------
+    # -- monoid membership (least-code table) -----------------------------
 
     def member(self, h: GroupElement) -> bool:
         """Is ``h`` a nonnegative integer combination of the generators?"""
+        if h.group != self.group:
+            raise MismatchedGroup(f"{h.group} is not {self.group}")
         return self.member_code(self.codes.code(h))
 
     def member_code(self, c: int) -> bool:
-        """:meth:`member` on a code.
+        """:meth:`member` on a code: is ``c`` on its class's ray?
 
-        At or above its coset's conductor the answer is yes; below it, the
-        reachability table grown for the conductor already holds the answer.
+        >>> from toricnccr import FGGroup, validate
+        >>> z = FGGroup(1, ())
+        >>> ca4 = grading_context(validate(z, [z.element(w) for w in (2, 3, -2, -3)]))
+        >>> [c for c in range(-1, 6) if ca4.member_code(c)]
+        [0, 2, 3, 4, 5]
         """
-        free, r = divmod(c, self.codes.order)
-        return free >= self._conductor[r] or (free >= 0 and self._reach[free] >> r & 1 == 1)
+        return c >= self.least[c % len(self.least)]
 
     def leq(self, h1: GroupElement, h2: GroupElement) -> bool:
         """The poset order: ``h1 <= h2`` iff ``h2 - h1`` is in the monoid."""
         return self.member(h2 - h1)
 
-    def _compute_conductor(self) -> list[int]:
-        """Per torsion residue, the least c with everything at free part >= c reachable.
-
-        The reachability levels grow bottom-up by dynamic programming, as
-        bitmasks of residues.  A coset is saturated once a run of ``e *
-        free(g*)`` consecutive free parts is fully reachable, where ``g*`` is a
-        generator of minimal free part and ``e`` the order of its torsion
-        component: adding ``e * g*`` then pushes reachability upward forever.
-        So once such a run holds for every coset at once, no coset misses a
-        free part any more, and the levels kept answer :meth:`member_code`.
-        """
-        gstar = min(self.generators, key=lambda g: g.free)
-        run_needed = self.element(0, gstar.tors).order() * gstar.free
+    def _least_codes(self, n: int) -> list[int]:
+        """Per class mod ``n``, the least code in the monoid: Dijkstra from code
+        0, where a generator's step is positive and depends only on the class."""
         order = self.codes.order
-        full = (1 << order) - 1
-        # per generator: its free part and where it sends each residue
-        moves = [
-            (g.free, [(r + s) % order for r, s in enumerate(self.codes.steps(g))])
-            for g in self.generators
-        ]
-        last_missing = [-1] * order
-        run = 0
-        while run < run_needed:
-            f = len(self._reach)
-            if f > _CONDUCTOR_CAP:
-                raise InternalInconsistency("conductor did not stabilize")
-            level = int(f == 0)  # the empty sum
-            for gf, moved in moves:
-                below = self._reach[f - gf] if gf <= f else 0
-                while below:
-                    low = below & -below
-                    level |= 1 << moved[low.bit_length() - 1]
-                    below ^= low
-            self._reach.append(level)
-            run = run + 1 if level == full else 0
-            for r in range(order):
-                if not level >> r & 1:
-                    last_missing[r] = f
-        return [m + 1 for m in last_missing]
+        steps = [self.codes.steps(g) for g in set(self.generators)]
+        least = [-1] * n
+        heap = [0]
+        while heap:
+            c = heappop(heap)
+            if least[c % n] < 0:
+                least[c % n] = c
+                for s in steps:
+                    heappush(heap, c + s[c % order])
+        return least
 
     # -- Z-action orbits ---------------------------------------------------
 

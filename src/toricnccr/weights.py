@@ -86,16 +86,12 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     if not total.is_zero():
         raise NotGorenstein(f"weights sum to {total}, not zero")
 
+    # the weights sum to zero, so dropping any one leaves a family whose span
+    # still holds it: every proper subfamily generates G iff all weights do
+    if not subgroup_is_whole(group, raw):
+        raise GenerationFailure(None if group.free_rank == 0 else 0)
     if group.free_rank == 0:
-        if not subgroup_is_whole(group, raw):
-            raise GenerationFailure(None)
-        perm = tuple(range(len(raw)))
-        return WeightSystem(group, tuple(raw), 0, 0, perm)
-
-    for i0 in range(len(raw)):
-        rest = [w for i, w in enumerate(raw) if i != i0]
-        if not subgroup_is_whole(group, rest):
-            raise GenerationFailure(i0)
+        return WeightSystem(group, tuple(raw), 0, 0, tuple(range(len(raw))))
 
     tors = [i for i, w in enumerate(raw) if w.free_part() == 0]
     perm = tuple(pos + neg + tors)

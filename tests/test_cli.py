@@ -57,6 +57,15 @@ class TestValidate:
         assert code == 2
         assert report["error"]["type"] == "NotGorenstein"
 
+    def test_huge_torsion_exit_0(self, capsys, tmp_path):
+        doc = {
+            "group": {"free_rank": 1, "torsion": [1009]},
+            "weights": [[1, 0], [1, 1], [-1, 0], [-1, -1]],
+        }
+        code, report = run_json(capsys, "validate", write_doc(tmp_path, doc))
+        assert code == 0
+        assert report["validation"]["H"] == "Z x Z/1009"
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,6 +1,7 @@
 """Integer codes, order, monoid membership, conductor, axioms and orbit decomposition."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from toricnccr import (
     AxiomViolation,
     FGGroup,
+    MismatchedGroup,
     check_axioms,
     grading_context,
     validate,
@@ -22,7 +24,7 @@ def member_by_search(ctx, h):
 
     The generators' free parts are positive, so the free part of ``h`` bounds
     the total budget and the search is finite.  Independent of the
-    reachability table that ``ctx.member`` reads.
+    least-code table that ``ctx.member`` reads.
     """
     if h.free < 0:
         return False
@@ -107,8 +109,14 @@ class TestMembership:
         assert not z2.member(z2.element(0, (1,)))
 
     def test_agrees_with_reachability_table(self, ctx):
-        # member reads the reachability table; the coefficient search is the oracle
+        # member reads the least-code table; the coefficient search is the oracle
         assert_member_matches_search(ctx)
+
+    @pytest.mark.parametrize("key", ["z2", "ca4"])
+    def test_element_of_another_group_raises(self, key):
+        other = FGGroup(1, (3,)).element(0, (1,))
+        with pytest.raises(MismatchedGroup):
+            build_context(key).member(other)
 
     def test_antisymmetry_on_samples(self, ctx):
         rng = random.Random(3)
@@ -151,6 +159,30 @@ class TestConductor:
     def test_known_tables(self, key, expected):
         assert build_context(key).conductor == expected
 
+    def test_least_generator_with_torsion(self):
+        # generators (1;1) and (3;0): E = 1·ord(1) = 2 < 3, so N = 4, not 1·|T|
+        g = FGGroup(1, (2,))
+        ws = validate(g, [g.from_vector(v) for v in [(1, 1), (3, 0), (-1, 1), (-3, 0)]])
+        ctx = grading_context(ws)
+        assert len(ctx.least) == 4
+        assert ctx.conductor == {(0,): 2, (1,): 3}
+        assert_member_matches_search(ctx)
+        assert_conductor_sound_and_minimal(ctx)
+
+    @pytest.mark.parametrize("d", [1009, 10007])
+    def test_huge_torsion(self, d):
+        # the monoid of (1;0), (1;1) is {(f; t) : 0 <= t <= f}; only membership
+        # is asked, since IntegerCodes.sub would build a |T|^2 table
+        g = FGGroup(1, (d,))
+        ws = validate(g, [g.from_vector(v) for v in [(1, 0), (1, 1), (-1, 0), (-1, -1)]])
+        start = time.perf_counter()
+        ctx = grading_context(ws)
+        assert time.perf_counter() - start < 1
+        assert all(ctx.conductor[(t,)] == t for t in range(d))
+        for f in (-1, 0, 1, 2, d // 2, d - 1, d, 3 * d):
+            for t in {0, 1, f - 1, f, f + 1, d - 1} & set(range(d)):
+                assert ctx.member_code(f * d + t) == (0 <= t <= f), (f, t)
+
     def test_full_monoid_single_generator(self):
         g = FGGroup(1, ())
         ws = validate(g, [g.element(1), g.element(1), g.element(-1), g.element(-1)])
@@ -177,6 +209,13 @@ class TestRandomSystems:
     @given(rank_one_systems())
     def test_conductor_sound_and_minimal(self, ws):
         assert_conductor_sound_and_minimal(grading_context(ws))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((4,), (2, 2), (2, 4))))
+    def test_member_and_conductor_on_wider_torsion(self, ws):
+        ctx = grading_context(ws)
+        assert_member_matches_search(ctx)
+        assert_conductor_sound_and_minimal(ctx)
 
 
 class TestOrbits:

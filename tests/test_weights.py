@@ -1,5 +1,7 @@
 """Weight-system validation: sign partition, error cases, derived context."""
 
+import random
+
 import pytest
 
 from toricnccr import (
@@ -11,7 +13,17 @@ from toricnccr import (
     grading_context,
     validate,
 )
+from toricnccr.groups import subgroup_is_whole
 from conftest import SYSTEM_SPECS, build_context, build_system
+
+
+def first_leave_one_out_failure(group, raw):
+    """Generation oracle: the first weight whose removal leaves a proper
+    subgroup, found by one Smith normal form per subfamily, or None."""
+    for i0 in range(len(raw)):
+        if not subgroup_is_whole(group, raw[:i0] + raw[i0 + 1 :]):
+            return i0
+    return None
 
 
 class TestValidate:
@@ -74,6 +86,31 @@ class TestValidate:
         ws = validate(g, [g.element(0, (1,)), g.element(0, (1,))])
         assert ws.is_finite
         assert ws.ring_dimension == 2
+
+    def test_generation_matches_leave_one_out_oracle(self):
+        # zero-sum lists drawn directly, so that generating and non-generating
+        # families both occur
+        rng = random.Random(10)
+        outcomes = set()
+        for _ in range(300):
+            group = FGGroup(1, rng.choice([(), (2,), (4,), (2, 2), (2, 4), (3, 6)]))
+            vecs = [
+                [rng.randint(-4, 4)] + [rng.randrange(d) for d in group.torsion]
+                for _ in range(rng.randint(3, 5))
+            ]
+            vecs.append([-sum(col) for col in zip(*vecs)])
+            raw = [group.from_vector(v) for v in vecs]
+            expected = first_leave_one_out_failure(group, raw)
+            try:
+                validate(group, raw)
+                index = None
+            except SignCountFailure:
+                continue
+            except GenerationFailure as err:
+                index = err.index
+            assert index == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     def test_rank_zero_rejects_bad_sum_or_span(self):
         g = FGGroup(0, (4,))
