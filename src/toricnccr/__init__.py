@@ -25,6 +25,7 @@ from .errors import (
     OracleMismatch,
     ParseError,
     RankZeroGroup,
+    SearchBudgetExceeded,
     SignCountFailure,
 )
 from .groups import (
@@ -39,15 +40,10 @@ from .poset import AxiomReport, GradedContext, check_axioms, grading_context
 from .uppersets import (
     Rim,
     RimStatus,
-    entry_index,
     exchange_graph,
-    in_upper_set,
-    is_mutation_step,
-    make_rim,
     minimal_elements,
     mutate,
     normalize,
-    rim_of_upper_closure,
     rim_status,
     translation_classes,
 )

@@ -186,7 +186,10 @@ def cmd_quiver(args):
     if args.klass is not None:
         summands = preimage_summands(ctx, _pick_class(translation_classes(ctx), args.klass).rim)
     else:
-        summands = [parse_element(ws.group, t) for t in args.degrees.split()]
+        labels = args.degrees.split()
+        if not labels:
+            raise ParseError("--degrees lists no degree labels")
+        summands = [parse_element(ws.group, t) for t in labels]
     modifying = is_modifying(ctx, summands)
     if args.klass is None and not modifying:
         raise InputError("the degree set is not modifying; no quiver")

@@ -70,6 +70,10 @@ class UnknownClass(InputError):
     """A class index is out of range."""
 
 
+class SearchBudgetExceeded(InputError):
+    """A table or search is larger than its fixed cap; the message gives both sizes."""
+
+
 class InternalCheckError(Exception):
     """A statement that is a theorem for valid inputs failed: a bug."""
 

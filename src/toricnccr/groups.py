@@ -6,8 +6,8 @@ group, store the free coordinate as a plain integer and torsion coordinates
 as reduced residues, and support ``+``, ``-`` and integer scaling.
 
 Quotients by finite subgroups are computed through the Smith normal form of
-the relation matrix, which also yields the projection and a section as
-explicit integer matrices.
+the relation matrix, which also yields the projection as an explicit integer
+matrix.
 
 >>> G = FGGroup(1, (4,))
 >>> str(G.element(3, (5,)))
@@ -333,15 +333,15 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
 class QuotientMap:
     """A surjection ``source -> target`` given by an integer matrix on lifts.
 
-    ``matrix`` maps raw source coordinates to raw target coordinates;
-    ``section_matrix`` goes the other way and satisfies ``q(section(h)) = h``.
-    ``kernel`` lists the finitely many elements with image zero.
+    ``matrix`` maps raw source coordinates to raw target coordinates, and
+    ``kernel`` lists the finitely many elements with image zero.  Images and
+    preimages in bulk are read off codes
+    (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
     """
 
     source: FGGroup
     target: FGGroup
     matrix: tuple[tuple[int, ...], ...]
-    section_matrix: tuple[tuple[int, ...], ...]
     kernel: tuple[GroupElement, ...] = field(compare=False)
 
     def __call__(self, g: GroupElement) -> GroupElement:
@@ -349,18 +349,6 @@ class QuotientMap:
             raise MismatchedGroup(f"{g.group} is not the source {self.source}")
         y = _matvec(self.matrix, self._lift(g, self.source))
         return self._assemble(self.target, y)
-
-    def section(self, h: GroupElement) -> GroupElement:
-        """A preimage of ``h`` (one fixed choice)."""
-        if h.group != self.target:
-            raise MismatchedGroup(f"{h.group} is not the target {self.target}")
-        x = _matvec(self.section_matrix, self._lift(h, self.target))
-        return self._assemble(self.source, x)
-
-    def fiber(self, h: GroupElement) -> tuple[GroupElement, ...]:
-        """The full preimage of ``h``, sorted."""
-        base = self.section(h)
-        return tuple(sorted((base + k for k in self.kernel), key=GroupElement.key))
 
     @staticmethod
     def _lift(g: GroupElement, group: FGGroup) -> tuple[int, ...]:
@@ -376,7 +364,7 @@ class QuotientMap:
 def _identity_quotient(g: FGGroup) -> QuotientMap:
     n = g.coordinate_count
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return QuotientMap(g, g, ident, ident, (g.zero(),))
+    return QuotientMap(g, g, ident, (g.zero(),))
 
 
 def _group_relations(g: FGGroup) -> list[list[int]]:
@@ -425,7 +413,7 @@ def quotient_by_subgroup(
     rels = _group_relations(g)
     for x in gens:
         rels.append(list(QuotientMap._lift(x, g)))
-    diag, basis, basis_inv = smith_normal_form(rels, n)
+    diag, basis, _ = smith_normal_form(rels, n)
 
     free_idx = [i for i, d in enumerate(diag) if d == 0]
     tors_idx = [i for i, d in enumerate(diag) if d >= 2]
@@ -435,7 +423,6 @@ def quotient_by_subgroup(
 
     order = free_idx + tors_idx
     fwd = [list(basis[i]) for i in order]
-    sec = [[basis_inv[i][j] for j in order] for i in range(n)]
 
     if g.free_rank == 1:
         # the composite Z -> G -> H -> Z is multiplication by +-1; fix it to +1
@@ -444,16 +431,8 @@ def quotient_by_subgroup(
             raise NonTorsionGenerator("quotient does not preserve the free line")
         if lam == -1:
             fwd[0] = [-v for v in fwd[0]]
-            for row in sec:
-                row[0] = -row[0]
 
-    q = QuotientMap(
-        g,
-        target,
-        tuple(tuple(r) for r in fwd),
-        tuple(tuple(r) for r in sec),
-        _span_closure(gens, g),
-    )
+    q = QuotientMap(g, target, tuple(tuple(r) for r in fwd), _span_closure(gens, g))
     return target, q
 
 

@@ -7,6 +7,11 @@ fragment, and it gives a toric NCCR iff the image is a complete rim and the
 set is saturated under the projection's kernel.  The Iyama-Wemyss mutation of
 an NCCR at a minimal orbit ``m`` is, on the combinatorial side, exactly the
 rim mutation; the module-side iteration counts are recorded in a certificate.
+
+Every test runs on codes: degrees become codes of G, their images codes of H
+(:meth:`~.poset.GradedContext.image_code`), and preimages come back as codes
+of G (:meth:`~.poset.GradedContext.preimage_codes`).  Elements are built only
+for the summand sets and rims returned.
 """
 
 from __future__ import annotations
@@ -16,14 +21,7 @@ from dataclasses import dataclass
 from .errors import NotMinimal, NotNCCR
 from .groups import GroupElement
 from .poset import GradedContext
-from .uppersets import (
-    Rim,
-    RimStatus,
-    minimal_elements,
-    mutate,
-    rim_status,
-    translation_classes,
-)
+from .uppersets import Rim, _minimal_codes, _rim_witness, translation_classes
 
 
 @dataclass(frozen=True)
@@ -64,17 +62,36 @@ class MutationCertificate:
 
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:
     """Is the divisorial module of degree ``g`` maximal Cohen-Macaulay?"""
-    h, sub = ctx.image_code(g), ctx.codes.sub
+    h, sub = ctx.image_code(ctx.source_codes.code(g)), ctx.codes.sub
     h_minus_p = sub(h, ctx.p_code)
     minus_p_minus_h = sub(0, h + ctx.plus_p[h % ctx.codes.order])
     return not ctx.member_code(h_minus_p) and not ctx.member_code(minus_p_minus_h)
 
 
+def _images(ctx: GradedContext, summands) -> tuple[dict[int, int], list[int]]:
+    """The code of each degree's image in H, by the degree's source code, and
+    the sorted image."""
+    images = {c: ctx.image_code(c) for c in map(ctx.source_codes.code, summands)}
+    return images, sorted(set(images.values()))
+
+
+def _is_nccr(ctx: GradedContext, images: dict[int, int], image: list[int]) -> bool:
+    """The image is a complete rim, and the degrees fill its preimage: as the
+    degrees lie over the image, that is ``|degrees| = |image|·|kernel|``."""
+    return (
+        len(image) == ctx.orbit_count
+        and len(images) == len(image) * len(ctx.q.kernel)
+        and _rim_witness(ctx, image) is None
+    )
+
+
+def _summand_set(ctx: GradedContext, codes) -> SummandSet:
+    return SummandSet(tuple(map(ctx.source_codes.element, sorted(codes))))
+
+
 def is_modifying(ctx: GradedContext, summands) -> bool:
     """Is the direct sum over the degree set a modifying module?"""
-    degrees = list(summands)
-    image = {ctx.q(g) for g in degrees}
-    return rim_status(ctx, image).status is not RimStatus.INVALID
+    return _rim_witness(ctx, _images(ctx, summands)[1]) is None
 
 
 def is_nccr(ctx: GradedContext, summands) -> bool:
@@ -83,30 +100,27 @@ def is_nccr(ctx: GradedContext, summands) -> bool:
     Requires the image in H to be a complete rim and the set to be the full
     preimage of its image.
     """
-    degrees = set(summands)
-    image = {ctx.q(g) for g in degrees}
-    if rim_status(ctx, image).status is not RimStatus.COMPLETE:
-        return False
-    full = set()
-    for h in image:
-        full.update(ctx.q.fiber(h))
-    return degrees == full
+    return _is_nccr(ctx, *_images(ctx, summands))
+
+
+def _nccr_images(ctx: GradedContext, summands) -> tuple[dict[int, int], list[int]]:
+    """:func:`_images` of an NCCR summand set; raise :class:`NotNCCR` otherwise."""
+    images, image = _images(ctx, summands)
+    if not _is_nccr(ctx, images, image):
+        raise NotNCCR(f"{SummandSet.of(summands)} does not give a toric NCCR")
+    return images, image
 
 
 def rim_of(ctx: GradedContext, summands) -> Rim:
     """The image rim of an NCCR summand set."""
-    if not is_nccr(ctx, summands):
-        raise NotNCCR(f"{SummandSet.of(summands)} does not give a toric NCCR")
-    image = {ctx.q(g) for g in summands}
-    return Rim(tuple(sorted(image, key=GroupElement.key)), complete=True)
+    return Rim(tuple(map(ctx.codes.element, _nccr_images(ctx, summands)[1])), complete=True)
 
 
 def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
     """Full preimage of a complete rim: the NCCR's summand degrees."""
-    degrees = []
-    for h in rim:
-        degrees.extend(ctx.q.fiber(h))
-    return SummandSet.of(degrees)
+    if len(ctx.q.kernel) == 1:  # no torsion weights: q is the identity of G = H
+        return SummandSet.of(rim)
+    return _summand_set(ctx, ctx.preimage_codes(map(ctx.codes.code, rim)))
 
 
 def nccr_classes(ctx: GradedContext) -> tuple[SummandSet, ...]:
@@ -117,18 +131,18 @@ def nccr_classes(ctx: GradedContext) -> tuple[SummandSet, ...]:
 def mutate_nccr(
     ctx: GradedContext, summands, m: GroupElement
 ) -> tuple[SummandSet, MutationCertificate]:
-    """Iyama-Wemyss mutation of an NCCR at the minimal orbit element ``m``."""
-    rim = rim_of(ctx, summands)
-    if m not in minimal_elements(ctx, rim):
-        raise NotMinimal(f"{m} is not minimal in the upper set of {rim}")
-    mutated = mutate(ctx, rim, m)
-    fixed = SummandSet.of(
-        g for g in summands if ctx.q(g) != m
-    )
+    """Iyama-Wemyss mutation of an NCCR at the minimal orbit element ``m``:
+    on the image rim, ``m`` is swapped for ``m + p``."""
+    images, rim = _nccr_images(ctx, summands)
+    mc = ctx.codes.code(m)
+    if mc not in _minimal_codes(ctx, rim):
+        rim_text = Rim(tuple(map(ctx.codes.element, rim)), complete=True)
+        raise NotMinimal(f"{m} is not minimal in the upper set of {rim_text}")
+    mutated = [h for h in rim if h != mc] + [mc + ctx.plus_p[mc % ctx.codes.order]]
     cert = MutationCertificate(
-        fixed_part=fixed,
+        fixed_part=_summand_set(ctx, [c for c, h in images.items() if h != mc]),
         removed_orbit=m,
         plus_steps=ctx.weights.negatives - 1,
         minus_steps=ctx.weights.positives - 1,
     )
-    return preimage_summands(ctx, mutated), cert
+    return _summand_set(ctx, ctx.preimage_codes(mutated)), cert

@@ -12,26 +12,48 @@ codes, and the conductor is read off that table (see :class:`GradedContext`).
 
 The hot paths work on the integer codes of H (:class:`IntegerCodes`),
 where the orbit representatives are the codes ``0 .. orbit_count - 1``.
+Code arithmetic is digit-wise over the invariant factors and builds no
+element; the projection ``q: G -> H`` runs on codes as well
+(:meth:`GradedContext.image_code`, :meth:`GradedContext.preimage_codes`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+import math
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import mul
 
-from .errors import AxiomViolation, InternalInconsistency, MismatchedGroup, RankZeroGroup
+from .errors import (
+    AxiomViolation,
+    InternalInconsistency,
+    MismatchedGroup,
+    RankZeroGroup,
+    SearchBudgetExceeded,
+)
 from .groups import GroupElement
 from .weights import WeightSystem
 
 
+# The least-code table has N = E·|T| entries, quadratic in |T| when every
+# generator of least E has torsion of full order (Z/10007 then needs about
+# 10^8); the context is refused before the build above this fixed cap.
+LEAST_CODES_CAP = 1 << 24
+
+
 class IntegerCodes:
-    """Elements of a rank-one group as the integers ``free·|T| + r``, with
-    ``r`` the index of the torsion part in ``torsion_residues`` order: codes
-    sort as :meth:`GroupElement.key` does, ``c // order`` is the free part,
-    and translation by ``x`` is ``c + steps(x)[c % order]``.
+    """Elements of a rank-one group as the integers ``free·|T| + r``.
+
+    The torsion part ``(t_1, ..., t_k)`` is the mixed-radix number ``r =
+    sum t_j·stride_j`` over the invariant factors ``d_j`` (``stride_j`` the
+    product of the later factors), which is its index in ``torsion_residues``
+    order: codes sort as :meth:`GroupElement.key` does, and ``c // |T|`` is
+    the free part.  Sums and differences run digit by digit on the codes
+    themselves: a digit difference below 0 borrows ``d_j·stride_j`` from the
+    free part, and translation by ``x`` is ``c + steps(x)[c % |T|]``, where a
+    digit sum that reaches ``d_j`` carries it back.  No element is built.
 
     >>> from toricnccr import FGGroup
     >>> codes = IntegerCodes(FGGroup(1, (3,)))
@@ -41,28 +63,48 @@ class IntegerCodes:
 
     def __init__(self, group: FGGroup):
         self.group = group
-        self.residues = tuple(group.torsion_residues())
-        self.order = len(self.residues)
-        self.index = {t: r for r, t in enumerate(self.residues)}
+        self.order = group.torsion_order()
+        strides = [math.prod(group.torsion[j + 1:]) for j in range(len(group.torsion))]
+        self.strides = tuple(strides)
+        # (d_j, stride_j, d_j·stride_j) per digit, most significant first
+        self.radix = tuple((d, s, d * s) for d, s in zip(group.torsion, strides))
+
+    def encode(self, free: int, tors) -> int:
+        """The code of ``(free; tors)``, each torsion coordinate taken mod its factor."""
+        return free * self.order + sum((t % d) * s for t, (d, s, _) in zip(tors, self.radix))
 
     def code(self, g: GroupElement) -> int:
-        return g.free * self.order + self.index[g.tors]
+        if g.group is not self.group and g.group != self.group:
+            raise MismatchedGroup(f"{g.group} is not {self.group}")
+        return g.free * self.order + sum(map(mul, g.tors, self.strides))
 
     def element(self, c: int) -> GroupElement:
         free, r = divmod(c, self.order)
-        return GroupElement(self.group, free, self.residues[r])
-
-    def steps(self, x: GroupElement) -> list[int]:
-        return [self.code(self.element(r) + x) - r for r in range(self.order)]
+        return GroupElement(self.group, free, self._residues[r])
 
     @cached_property
-    def _minus(self) -> list[list[int]]:  # |T|^2 entries, built on the first sub
-        return [self.steps(-self.element(s)) for s in range(self.order)]
+    def _residues(self) -> tuple[tuple[int, ...], ...]:  # for element(), on its first call
+        return tuple(self.group.torsion_residues())
 
     def sub(self, c1: int, c2: int) -> int:
         """The code of the difference of the elements coded ``c1`` and ``c2``."""
-        free, s = divmod(c2, self.order)
-        return c1 - free * self.order + self._minus[s][c1 % self.order]
+        diff = c1 - c2
+        for d, s, borrow in self.radix:
+            if c1 // s % d < c2 // s % d:
+                diff += borrow
+        return diff
+
+    def steps(self, x: GroupElement) -> list[int]:
+        """``steps(x)[r]``: the code of ``(0; t_r) + x`` minus ``r``, built digit
+        by digit: digit ``j`` adds ``x_j·stride_j``, less the carry for the
+        ``x_j`` largest digit values."""
+        c = self.code(x)
+        steps = [c // self.order * self.order]
+        for d, s, carry in self.radix:
+            x_j = c // s % d
+            column = [x_j * s] * (d - x_j) + [x_j * s - carry] * x_j
+            steps = [a + b for a in steps for b in column]
+        return steps
 
 
 class GradedContext:
@@ -96,15 +138,25 @@ class GradedContext:
             if g.free_part() <= 0:
                 raise InternalInconsistency(f"generator {g} has nonpositive free part")
 
+        # the relations have no free coordinate, so q(1; 0) = (1; 0) and q acts
+        # on codes residue by residue (see image_code)
+        if any(row[0] % d for row, d in zip(self.q.matrix[1:], self.group.torsion)):
+            raise InternalInconsistency(f"q does not map (1; 0) to (1; 0): {self.q.matrix}")
         self.codes = IntegerCodes(self.group)
+        self.source_codes = IntegerCodes(ws.group)
         self.p_code = self.codes.code(self.p)
         self.plus_p = self.codes.steps(self.p)  # translation by p on codes
         order = self.codes.order
         e = min(g.free * self.element(0, g.tors).order() for g in self.generators)
+        if e * order > LEAST_CODES_CAP:
+            raise SearchBudgetExceeded(
+                f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} "
+                f"entries, over the cap of {LEAST_CODES_CAP}"
+            )
         self.least = self._least_codes(e * order)
         # a residue's last gap sits one step of N below its largest least code
         conductor = [max(self.least[r::order]) // order - e + 1 for r in range(order)]
-        self.conductor = dict(zip(self.codes.residues, conductor))
+        self.conductor = dict(zip(self.group.torsion_residues(), conductor))
         self.max_conductor = max(conductor)
 
     # -- basic data ------------------------------------------------------
@@ -116,23 +168,43 @@ class GradedContext:
     def element(self, free, tors=()) -> GroupElement:
         return self.group.element(free, tors)
 
-    def image_code(self, g: GroupElement) -> int:
-        """The code of ``q(g)``: ``q`` keeps the free part, and each torsion
-        coordinate of ``q(g)`` is a row of the projection matrix applied to
-        ``g``'s coordinates."""
-        if g.group != self.q.source:
-            raise MismatchedGroup(f"{g.group} is not the source {self.q.source}")
-        x = (g.free, *g.tors)
-        rows = zip(self.q.matrix[1:], self.group.torsion)
-        t = tuple(sum(map(mul, row, x)) % d for row, d in rows)
-        return g.free * self.codes.order + self.codes.index[t]
+    # -- the quotient q: G -> H on codes ----------------------------------
+
+    def image_code(self, c: int) -> int:
+        """The code of ``q(g)`` for the source code ``c`` of ``g = (f; t)``:
+        ``q(f; t) = (f; 0) + q(0; t)``."""
+        free, r = divmod(c, self.source_codes.order)
+        return free * self.codes.order + self._torsion_image[r]
+
+    def preimage_codes(self, hs) -> list[int]:
+        """The source codes of the full preimage of the codes ``hs``, ascending:
+        over ``(f; s)`` lie ``(f; 0)`` plus the torsion elements over ``(0; s)``,
+        and adding ``(f; 0)`` adds ``f·|T_G|`` to a source code."""
+        order, source_order, fibers = self.codes.order, self.source_codes.order, self._fibers
+        pairs = (divmod(h, order) for h in set(hs))
+        return sorted(free * source_order + r for free, s in pairs for r in fibers[s])
+
+    @cached_property
+    def _torsion_image(self) -> list[int]:
+        """Per torsion residue ``t`` of G, in code order, the code of ``q(0; t)``."""
+        rows = [row[1:] for row in self.q.matrix[1:]]
+        return [
+            self.codes.encode(0, [sum(map(mul, row, t)) for row in rows])
+            for t in self.weights.group.torsion_residues()
+        ]
+
+    @cached_property
+    def _fibers(self) -> list[list[int]]:
+        """Per torsion residue ``s`` of H, the torsion residues of G over it."""
+        fibers = [[] for _ in range(self.codes.order)]
+        for r, s in enumerate(self._torsion_image):
+            fibers[s].append(r)
+        return fibers
 
     # -- monoid membership (least-code table) -----------------------------
 
     def member(self, h: GroupElement) -> bool:
         """Is ``h`` a nonnegative integer combination of the generators?"""
-        if h.group != self.group:
-            raise MismatchedGroup(f"{h.group} is not {self.group}")
         return self.member_code(self.codes.code(h))
 
     def member_code(self, c: int) -> bool:
@@ -164,20 +236,6 @@ class GradedContext:
                 for s in steps:
                     heappush(heap, c + s[c % order])
         return least
-
-    # -- Z-action orbits ---------------------------------------------------
-
-    def orbit_reps(self) -> tuple[GroupElement, ...]:
-        """One representative per orbit of ``h -> h + p``: free part in [0, free(p)).
-
-        They are the elements of codes ``0 .. orbit_count - 1``, in that order."""
-        return tuple(self.codes.element(c) for c in range(self.orbit_count))
-
-    def orbit_of(self, h: GroupElement) -> tuple[GroupElement, int]:
-        """The unique ``(rep, n)`` with ``h = rep + n*p``."""
-        n = h.free // self.p.free
-        rep = h - n * self.p
-        return rep, n
 
     # -- sampling ----------------------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency, MismatchedGroup
 from .groups import GroupElement
@@ -238,12 +239,17 @@ def mckay_quiver(ws: WeightSystem) -> Quiver:
 
 
 def _check_degree_coherence(ws: WeightSystem, quiver: Quiver) -> None:
+    """Recompute each arrow's degree on raw ``(free, t…)`` coordinates, apart
+    from the codes and step tables the search ran on."""
+    columns = list(zip(*(w.key() for w in ws.weights)))
+    moduli = (0, *ws.group.torsion)  # the free coordinate is compared exactly
     for arrow in quiver.arrows:
-        total = sum((e * x for e, x in zip(arrow.exponents, ws.weights)), ws.group.zero())
-        expected = quiver.vertices[arrow.target] - quiver.vertices[arrow.source]
-        if total != expected:
+        total = [sum(map(mul, arrow.exponents, col)) for col in columns]
+        source, target = quiver.vertices[arrow.source].key(), quiver.vertices[arrow.target].key()
+        expected = [t - s for t, s in zip(target, source)]
+        if any((a - b) % d if d else a != b for a, b, d in zip(total, expected, moduli)):
             raise InternalInconsistency(
-                f"arrow {arrow} has degree {total}, expected {expected}"
+                f"arrow {arrow} has degree {tuple(total)}, expected {tuple(expected)}"
             )
 
 

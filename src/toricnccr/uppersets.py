@@ -65,41 +65,27 @@ class Rim:
     def __str__(self):
         return "{" + ", ".join(str(e) for e in self.elements) + "}"
 
-    def translate(self, t: GroupElement) -> "Rim":
-        return Rim(
-            tuple(sorted((e + t for e in self.elements), key=GroupElement.key)),
-            self.complete,
-        )
 
-
-def _sorted_unique(elements):
-    return tuple(sorted(set(elements), key=GroupElement.key))
+def _rim_witness(ctx: GradedContext, codes) -> tuple[int, int] | None:
+    """The first pair ``(x, y)`` of the sorted codes with ``x >= y + p``, or None."""
+    order, sub, member = ctx.codes.order, ctx.codes.sub, ctx.member_code
+    y_plus_p = [(y, y + ctx.plus_p[y % order]) for y in codes]
+    for x in codes:
+        for y, yp in y_plus_p:
+            if member(sub(x, yp)):
+                return x, y
+    return None
 
 
 def rim_status(ctx: GradedContext, elements) -> RimCheck:
     """Classify a finite set as invalid / valid-but-partial / complete rim."""
-    elems = _sorted_unique(elements)
-    codes, sub = [ctx.codes.code(e) for e in elems], ctx.codes.sub
-    for x, cx in zip(elems, codes):
-        for y, cy in zip(elems, codes):
-            if ctx.member_code(sub(sub(cx, cy), ctx.p_code)):  # x >= y + p
-                return RimCheck(RimStatus.INVALID, (x, y))
-    if len(elems) == ctx.orbit_count:
+    codes = sorted({ctx.codes.code(e) for e in elements})
+    witness = _rim_witness(ctx, codes)
+    if witness is not None:
+        return RimCheck(RimStatus.INVALID, tuple(map(ctx.codes.element, witness)))
+    if len(codes) == ctx.orbit_count:
         return RimCheck(RimStatus.COMPLETE)
     return RimCheck(RimStatus.PARTIAL)
-
-
-def make_rim(ctx: GradedContext, elements) -> Rim:
-    check = rim_status(ctx, elements)
-    if check.status is RimStatus.INVALID:
-        x, y = check.witness
-        raise ValueError(f"{x} >= {y} + p: not a rim")
-    return Rim(_sorted_unique(elements), check.status is RimStatus.COMPLETE)
-
-
-def in_upper_set(ctx: GradedContext, rim: Rim, h: GroupElement) -> bool:
-    """Does ``h`` belong to the upper set with the given rim?"""
-    return any(ctx.leq(y, h) for y in rim)
 
 
 def _least_shift(ctx: GradedContext, c: int) -> int:
@@ -116,31 +102,16 @@ def _least_shift(ctx: GradedContext, c: int) -> int:
     return m
 
 
-def entry_index(ctx: GradedContext, rim: Rim, x: GroupElement) -> int:
-    """The unique ``n0`` such that ``x + n*p`` is in the upper set iff ``n >= n0``."""
-    shifts = (ctx.orbit_of(x - y) for y in rim)  # rep + n*p needs phi(rep) - n more p
-    return min(_least_shift(ctx, ctx.codes.code(rep)) - n for rep, n in shifts)
-
-
-def rim_of_upper_closure(ctx: GradedContext, generators) -> Rim:
-    """The complete rim of the upper set generated by the given elements."""
-    gens = _sorted_unique(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    seed = Rim(gens, complete=False)
-    out = []
-    for rep in ctx.orbit_reps():
-        n0 = entry_index(ctx, seed, rep)
-        out.append(rep + n0 * ctx.p)
-    return Rim(_sorted_unique(out), complete=True)
+def _minimal_codes(ctx: GradedContext, codes) -> list[int]:
+    """The codes lying above no other code of the list."""
+    sub, member = ctx.codes.sub, ctx.member_code
+    return [c for c in codes if not any(d != c and member(sub(c, d)) for d in codes)]
 
 
 def minimal_elements(ctx: GradedContext, rim: Rim) -> tuple[GroupElement, ...]:
     """Minimal elements of the upper set; they all lie on the rim."""
-    codes, sub, member = [ctx.codes.code(e) for e in rim], ctx.codes.sub, ctx.member_code
-    return tuple(
-        m for m, c in zip(rim, codes) if not any(d != c and member(sub(c, d)) for d in codes)
-    )
+    codes = [ctx.codes.code(e) for e in rim]
+    return tuple(map(ctx.codes.element, _minimal_codes(ctx, codes)))
 
 
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
@@ -150,15 +121,7 @@ def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
     if m not in rim.elements or m not in minimal_elements(ctx, rim):
         raise NotMinimal(f"{m} is not a minimal element")
     swapped = [e for e in rim if e != m] + [m + ctx.p]
-    return Rim(_sorted_unique(swapped), complete=True)
-
-
-def is_mutation_step(ctx: GradedContext, rim_a: Rim, rim_b: Rim) -> bool:
-    """Is ``rim_b`` literally a mutation of ``rim_a`` (no translation allowed)?"""
-    return any(
-        mutate(ctx, rim_a, m).elements == rim_b.elements
-        for m in minimal_elements(ctx, rim_a)
-    )
+    return Rim(tuple(sorted(set(swapped), key=GroupElement.key)), complete=True)
 
 
 # ---------------------------------------------------------------------------

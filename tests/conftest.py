@@ -12,7 +12,20 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toricnccr import FGGroup, InputError, grading_context, validate
+from toricnccr import (
+    FGGroup,
+    InputError,
+    Rim,
+    RimStatus,
+    SummandSet,
+    grading_context,
+    minimal_elements,
+    mutate,
+    rim_status,
+    validate,
+)
+from toricnccr.groups import GroupElement
+from toricnccr.uppersets import _least_shift
 
 SYSTEM_SPECS = {
     "a1": (1, (), [[1], [1], [-1], [-1]]),
@@ -85,6 +98,115 @@ def rank_one_systems(draw, max_free=5, torsions=((), (2,), (3,))):
         return validate(group, [group.from_vector(v) for v in vecs + [last]])
     except InputError:
         assume(False)
+
+
+@st.composite
+def kernel_systems(draw, max_free=4):
+    """Valid rank-one systems with a nonzero torsion weight ``(0; t)``, so the
+    projection to H has a nontrivial kernel: 5-6 weights over Z/2, Z/3, Z/4,
+    Z/2+Z/2 or Z/2+Z/4."""
+    torsion = draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (2, 4)]))
+    n = draw(st.integers(5, 6))
+    weight = st.tuples(st.integers(-max_free, max_free), *(st.integers(0, d - 1) for d in torsion))
+    kernel_weight = draw(st.tuples(st.just(0), *(st.integers(0, d - 1) for d in torsion)))
+    assume(any(kernel_weight[1:]))
+    vecs = [kernel_weight] + draw(st.lists(weight, min_size=n - 2, max_size=n - 2))
+    last = [-sum(v[i] for v in vecs) for i in range(1 + len(torsion))]
+    assume(abs(last[0]) <= max_free)
+    group = FGGroup(1, torsion)
+    try:
+        return validate(group, [group.from_vector(v) for v in vecs + [last]])
+    except InputError:
+        assume(False)
+
+
+# -- element routes through the quotient, oracles for the code routes ------
+
+
+def fiber(q, h):
+    """The full preimage of ``h``, sorted: every source element of the same
+    free part (``q`` keeps it) whose image is ``h``."""
+    source = q.source
+    return tuple(g for t in source.torsion_residues() if q(g := source.element(h.free, t)) == h)
+
+
+def preimage_by_fibers(ctx, rim):
+    """``preimage_summands`` on elements: the union of the fibers of the rim."""
+    return SummandSet.of(g for h in rim for g in fiber(ctx.q, h))
+
+
+def rim_status_by_elements(ctx, elements):
+    """``rim_status`` on elements: INVALID at the first ``x >= y + p`` in
+    sorted order, COMPLETE with one element per orbit, else PARTIAL."""
+    elems = sorted(set(elements), key=GroupElement.key)
+    for x in elems:
+        for y in elems:
+            if ctx.leq(y + ctx.p, x):
+                return RimStatus.INVALID, (x, y)
+    if len(elems) == ctx.orbit_count:
+        return RimStatus.COMPLETE, None
+    return RimStatus.PARTIAL, None
+
+
+# -- rims and orbits on elements, for the tests only -----------------------
+
+
+def sorted_unique(elements):
+    return tuple(sorted(set(elements), key=GroupElement.key))
+
+
+def translate(rim, t):
+    """The rim translated by the element ``t``."""
+    return Rim(sorted_unique(e + t for e in rim), rim.complete)
+
+
+def orbit_reps(ctx):
+    """One representative per orbit of ``h -> h + p``: free part in [0, free(p)).
+
+    They are the elements of codes ``0 .. orbit_count - 1``, in that order."""
+    return tuple(ctx.codes.element(c) for c in range(ctx.orbit_count))
+
+
+def orbit_of(ctx, h):
+    """The unique ``(rep, n)`` with ``h = rep + n*p``."""
+    n = h.free // ctx.p.free
+    return h - n * ctx.p, n
+
+
+def make_rim(ctx, elements):
+    check = rim_status(ctx, elements)
+    if check.status is RimStatus.INVALID:
+        x, y = check.witness
+        raise ValueError(f"{x} >= {y} + p: not a rim")
+    return Rim(sorted_unique(elements), check.status is RimStatus.COMPLETE)
+
+
+def in_upper_set(ctx, rim, h):
+    """Does ``h`` belong to the upper set with the given rim?"""
+    return any(ctx.leq(y, h) for y in rim)
+
+
+def entry_index(ctx, rim, x):
+    """The unique ``n0`` such that ``x + n*p`` is in the upper set iff ``n >= n0``."""
+    shifts = (orbit_of(ctx, x - y) for y in rim)  # rep + n*p needs phi(rep) - n more p
+    return min(_least_shift(ctx, ctx.codes.code(rep)) - n for rep, n in shifts)
+
+
+def rim_of_upper_closure(ctx, generators):
+    """The complete rim of the upper set generated by the given elements."""
+    gens = sorted_unique(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    seed = Rim(gens, complete=False)
+    out = [rep + entry_index(ctx, seed, rep) * ctx.p for rep in orbit_reps(ctx)]
+    return Rim(sorted_unique(out), complete=True)
+
+
+def is_mutation_step(ctx, rim_a, rim_b):
+    """Is ``rim_b`` literally a mutation of ``rim_a`` (no translation allowed)?"""
+    return any(
+        mutate(ctx, rim_a, m).elements == rim_b.elements for m in minimal_elements(ctx, rim_a)
+    )
 
 
 @pytest.fixture(params=sorted(SYSTEM_SPECS))

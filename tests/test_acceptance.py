@@ -17,7 +17,6 @@ from toricnccr import (
     classify_sign_vector,
     crosscheck_mcm,
     exchange_graph,
-    in_upper_set,
     is_mcm,
     is_nccr,
     mckay_quiver,
@@ -25,13 +24,12 @@ from toricnccr import (
     monomial_label,
     mutate,
     nccr_classes,
-    rim_of_upper_closure,
     rim_status,
     support_complex,
     translation_classes,
     validate,
 )
-from conftest import build_class_quiver, build_context
+from conftest import build_class_quiver, build_context, fiber, in_upper_set, rim_of_upper_closure
 
 SYSTEMS = ("a1", "ca4", "z2", "z3", "z4")
 
@@ -132,7 +130,7 @@ def test_criterion_06_mutation_exchange_identity():
                 assert rim_status(ctx, mutated.elements).status is RimStatus.COMPLETE
                 summands = []
                 for h in mutated:
-                    summands.extend(ctx.q.fiber(h))
+                    summands.extend(fiber(ctx.q, h))
                 assert is_nccr(ctx, summands)
                 checked += 1
     assert checked > 0

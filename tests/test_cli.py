@@ -66,6 +66,30 @@ class TestValidate:
         assert code == 0
         assert report["validation"]["H"] == "Z x Z/1009"
 
+    def test_least_code_table_over_budget_exit_2(self, capsys, tmp_path):
+        # every generator of least E = 10007 has torsion of full order: N ~ 1.0e8
+        doc = {
+            "group": {"free_rank": 1, "torsion": [10007]},
+            "weights": [[1, 1], [1, 2], [-1, -1], [-1, -2]],
+        }
+        start = time.perf_counter()
+        code, report = run_json(capsys, "validate", write_doc(tmp_path, doc))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert report["error"]["type"] == "SearchBudgetExceeded"
+        assert "100140049" in report["error"]["detail"]
+        assert str(1 << 24) in report["error"]["detail"]
+
+    def test_least_code_table_under_budget_exit_0(self, capsys, tmp_path):
+        # same weights over Z/1009: N = 1009^2 = 1,018,081 entries still build
+        doc = {
+            "group": {"free_rank": 1, "torsion": [1009]},
+            "weights": [[1, 1], [1, 2], [-1, -1], [-1, -2]],
+        }
+        code, report = run_json(capsys, "validate", write_doc(tmp_path, doc))
+        assert code == 0
+        assert report["validation"]["H"] == "Z x Z/1009"
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -228,10 +252,14 @@ class TestQuiver:
         assert code == 2
         assert report["error"]["type"] == "InputError"
 
-    def test_empty_degree_set_gives_empty_quiver(self, capsys):
-        code, report = run_json(capsys, "quiver", INPUTS / "ca4.json", "--degrees", "")
-        assert code == 0
-        assert report["quiver"]["vertices"] == [] and report["quiver"]["arrow_count"] == 0
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("degrees", ["", "   "], ids=["empty", "blank"])
+    def test_empty_degree_set_exit_2(self, capsys, degrees, fmt):
+        code, out = run(
+            capsys, "quiver", INPUTS / "z3.json", "--degrees", degrees, "--format", fmt
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("bound", ["10", "11", "64"])
     def test_bound_at_or_above_proven_matches_default(self, capsys, bound):

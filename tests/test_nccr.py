@@ -18,10 +18,25 @@ from toricnccr import (
     nccr_classes,
     preimage_summands,
     rim_of,
+    endomorphism_quiver,
     grading_context,
     translation_classes,
 )
-from conftest import EXPECTED_CLASS_COUNTS, EXPECTED_VERTEX_COUNTS, build_context, rank_one_systems
+from toricnccr.groups import FGGroup, GroupElement
+from toricnccr.quivers import _arrow_set, _check_degree_coherence, degree_bound
+from toricnccr.uppersets import RimStatus
+from conftest import (
+    EXPECTED_CLASS_COUNTS,
+    EXPECTED_VERTEX_COUNTS,
+    LADDER,
+    build_context,
+    fiber,
+    kernel_systems,
+    ladder_context,
+    preimage_by_fibers,
+    rank_one_systems,
+    rim_status_by_elements,
+)
 
 
 def degrees(ctx, *free_parts):
@@ -58,7 +73,7 @@ class TestMCM:
             for t in ws.group.torsion_residues():
                 g = ws.group.element(f, t)
                 h = ctx.q(g)
-                assert ctx.image_code(g) == ctx.codes.code(h)
+                assert ctx.image_code(ctx.source_codes.code(g)) == ctx.codes.code(h)
                 assert is_mcm(ctx, g) == (not ctx.leq(ctx.p, h) and not ctx.leq(h, -ctx.p))
 
 
@@ -155,3 +170,102 @@ class TestIWMutation:
             for m in minimal_elements(ctx, rim):
                 out, _ = mutate_nccr(ctx, V, m)
                 assert is_nccr(ctx, out)
+
+
+def assert_quotient_matches_elements(ctx, subsets=20, seed=0):
+    """``preimage_summands``, ``is_nccr``, ``rim_of`` and ``mutate_nccr`` on
+    codes against the fibers and rims computed on elements, per class; and
+    ``is_modifying``/``is_nccr`` on random degree sets against element
+    ``rim_status`` and the union of fibers."""
+    q, p = ctx.q, ctx.p
+    classes = translation_classes(ctx)
+    for cls in classes:
+        V = preimage_summands(ctx, cls.rim)
+        assert V == preimage_by_fibers(ctx, cls.rim)
+        assert len(V) == len(cls.rim) * len(q.kernel)
+        assert is_nccr(ctx, V) and is_modifying(ctx, V)
+        assert rim_of(ctx, V) == cls.rim
+        for m in cls.rim:
+            minimal = not any(y != m and ctx.leq(y, m) for y in cls.rim)
+            if not minimal:
+                with pytest.raises(NotMinimal):
+                    mutate_nccr(ctx, V, m)
+                continue
+            out, cert = mutate_nccr(ctx, V, m)
+            swapped = [y for y in cls.rim if y != m] + [m + p]
+            assert out == preimage_by_fibers(ctx, swapped)
+            assert cert.fixed_part == SummandSet.of(g for g in V if q(g) != m)
+    rng = random.Random(seed)
+    pool = list(preimage_summands(ctx, classes[0].rim))
+    pool += [g + k for g in pool[:2] for k in q.kernel] + [fiber(q, p)[0]]
+    G = ctx.weights.group
+    pool += [G.element(rng.randint(-3, 3), [rng.randrange(d) for d in G.torsion]) for _ in range(4)]
+    for _ in range(subsets):
+        S = rng.sample(pool, rng.randint(1, len(pool)))
+        image = {q(g) for g in S}
+        status, _ = rim_status_by_elements(ctx, image)
+        full = {g for h in image for g in fiber(q, h)}
+        assert is_modifying(ctx, S) == (status is not RimStatus.INVALID)
+        assert is_nccr(ctx, S) == (status is RimStatus.COMPLETE and set(S) == full)
+
+
+class TestQuotientOnCodes:
+    def test_fixtures(self, ctx):
+        assert_quotient_matches_elements(ctx)
+
+    def test_z4_kernel_has_two_elements(self, z4):
+        assert len(z4.q.kernel) == 2
+        for cls in translation_classes(z4):
+            for h in cls.rim:
+                over = z4.preimage_codes([z4.codes.code(h)])
+                assert tuple(map(z4.source_codes.element, over)) == fiber(z4.q, h)
+
+    @pytest.mark.parametrize("key", sorted(LADDER))
+    def test_ladder(self, key):
+        assert_quotient_matches_elements(ladder_context(key), subsets=5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_random_kernels(self, ws):
+        ctx = grading_context(ws)
+        assert len(ctx.q.kernel) > 1
+        assert_quotient_matches_elements(ctx, subsets=10)
+        G = ws.group
+        for f in range(-2, ctx.p.free + 2):
+            for t in G.torsion_residues():
+                g = G.element(f, t)
+                h = ctx.image_code(ctx.source_codes.code(g))
+                assert h == ctx.codes.code(ctx.q(g))
+                over = ctx.preimage_codes([h])
+                assert tuple(map(ctx.source_codes.element, over)) == fiber(ctx.q, ctx.q(g))
+
+
+class TestNoElementsInLoops:
+    """The arrow search, its degree check, ``is_modifying`` and ``is_nccr``
+    run on integers: none of them constructs a group element."""
+
+    @pytest.mark.parametrize("key", ["z3", "z4"])
+    def test_no_element_is_built(self, key, monkeypatch):
+        ws = build_context(key).weights
+        V = nccr_classes(build_context(key))[0]
+        quiver = endomorphism_quiver(build_context(key), V)
+        bound = degree_bound(ws, quiver.vertices)
+        ctx = grading_context(ws)  # its quotient tables are built under the count
+        built = []
+        make, init = FGGroup.element, GroupElement.__init__
+
+        def counted_make(*args, **kwargs):
+            built.append("FGGroup.element")
+            return make(*args, **kwargs)
+
+        def counted_init(*args, **kwargs):
+            built.append("GroupElement")
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(FGGroup, "element", counted_make)
+        monkeypatch.setattr(GroupElement, "__init__", counted_init)
+        assert _arrow_set(ws, quiver.vertices, bound) == quiver.arrows
+        _check_degree_coherence(ws, quiver)
+        assert is_modifying(ctx, V) and is_nccr(ctx, V)
+        assert not is_nccr(ctx, list(V)[1:])
+        assert built == []

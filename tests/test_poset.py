@@ -13,10 +13,11 @@ from toricnccr import (
     MismatchedGroup,
     check_axioms,
     grading_context,
+    is_mcm,
     validate,
 )
 from toricnccr.poset import IntegerCodes
-from conftest import build_context, rank_one_systems
+from conftest import build_context, orbit_of, orbit_reps, rank_one_systems
 
 
 def member_by_search(ctx, h):
@@ -66,8 +67,10 @@ def assert_conductor_sound_and_minimal(ctx):
 
 @st.composite
 def code_cases(draw):
-    """A rank-one group (up to two invariant factors) with two of its elements."""
-    torsion = draw(st.sampled_from([(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 6)]))
+    """A rank-one group (up to three invariant factors) with two of its elements."""
+    torsion = draw(
+        st.sampled_from([(), (2,), (3,), (4,), (7,), (2, 2), (2, 4), (3, 3), (3, 6), (2, 2, 4)])
+    )
     group = FGGroup(1, torsion)
 
     def element():
@@ -90,10 +93,16 @@ class TestIntegerCodes:
         assert codes.code(h + x) == c + codes.steps(x)[c % codes.order]
         assert codes.code(h - x) == codes.sub(c, codes.code(x))
 
+    def test_foreign_element_raises(self):
+        codes = IntegerCodes(FGGroup(1, (2,)))
+        with pytest.raises(MismatchedGroup):
+            codes.code(FGGroup(1, (3,)).element(0, (1,)))
+
     def test_codes_follow_residue_order(self):
         codes = IntegerCodes(FGGroup(1, (2, 4)))
         keys = [codes.element(c).key() for c in range(-8, 16)]
-        assert keys == sorted((f, *t) for f in (-1, 0, 1) for t in codes.residues)
+        residues = list(codes.group.torsion_residues())
+        assert keys == sorted((f, *t) for f in (-1, 0, 1) for t in residues)
 
 
 class TestMembership:
@@ -169,19 +178,29 @@ class TestConductor:
         assert_member_matches_search(ctx)
         assert_conductor_sound_and_minimal(ctx)
 
-    @pytest.mark.parametrize("d", [1009, 10007])
+    @pytest.mark.parametrize("d", [1009, 10007, 100003])
     def test_huge_torsion(self, d):
-        # the monoid of (1;0), (1;1) is {(f; t) : 0 <= t <= f}; only membership
-        # is asked, since IntegerCodes.sub would build a |T|^2 table
+        # the monoid of (1;0), (1;1) is {(f; t) : 0 <= t <= f}, and p = (2; 1)
         g = FGGroup(1, (d,))
         ws = validate(g, [g.from_vector(v) for v in [(1, 0), (1, 1), (-1, 0), (-1, -1)]])
         start = time.perf_counter()
         ctx = grading_context(ws)
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < (1 if d < 10**5 else 5)
         assert all(ctx.conductor[(t,)] == t for t in range(d))
-        for f in (-1, 0, 1, 2, d // 2, d - 1, d, 3 * d):
+        frees = (-1, 0, 1, 2, d // 2, d - 1, d, 3 * d)
+        for f in frees:
             for t in {0, 1, f - 1, f, f + 1, d - 1} & set(range(d)):
                 assert ctx.member_code(f * d + t) == (0 <= t <= f), (f, t)
+
+        def member(f, t):
+            return 0 <= t % d <= f
+
+        codes, samples = ctx.codes, [(f, t) for f in frees for t in (0, 1, d // 2, d - 1)]
+        for f1, t1 in samples:
+            for f2, t2 in samples:
+                assert codes.sub(f1 * d + t1, f2 * d + t2) == (f1 - f2) * d + (t1 - t2) % d
+            g1 = g.element(f1, (t1,))
+            assert is_mcm(ctx, g1) == (not member(f1 - 2, t1 - 1) and not member(-2 - f1, -1 - t1))
 
     def test_full_monoid_single_generator(self):
         g = FGGroup(1, ())
@@ -224,11 +243,11 @@ class TestOrbits:
         assert build_context(key).orbit_count == count
 
     def test_reps_are_complete_and_reconstruct(self, ctx):
-        reps = ctx.orbit_reps()
+        reps = orbit_reps(ctx)
         assert len(reps) == ctx.orbit_count
         rng = random.Random(8)
         for h in ctx.sample_elements(120, rng):
-            rep, n = ctx.orbit_of(h)
+            rep, n = orbit_of(ctx, h)
             assert rep in reps
             assert rep + n * ctx.p == h
 

@@ -15,23 +15,29 @@ from toricnccr import (
     NotMinimal,
     Rim,
     RimStatus,
-    entry_index,
     exchange_graph,
     grading_context,
-    in_upper_set,
-    is_mutation_step,
     is_nccr,
-    make_rim,
     minimal_elements,
     mutate,
     normalize,
     preimage_summands,
-    rim_of_upper_closure,
     rim_status,
     translation_classes,
     validate,
 )
-from conftest import EXPECTED_CLASS_COUNTS, ladder_context, rank_one_systems
+from conftest import (
+    EXPECTED_CLASS_COUNTS,
+    entry_index,
+    in_upper_set,
+    is_mutation_step,
+    ladder_context,
+    make_rim,
+    orbit_reps,
+    rank_one_systems,
+    rim_of_upper_closure,
+    translate,
+)
 
 def els(ctx, *free_parts):
     return [ctx.element(f) for f in free_parts]
@@ -52,7 +58,7 @@ def normalize_by_torsion_shifts(ctx, rim):
     serialization over every torsion shift of H."""
     min_free = min(e.free for e in rim)
     translates = (
-        rim.translate(ctx.element(-min_free, t)) for t in ctx.group.torsion_residues()
+        translate(rim, ctx.element(-min_free, t)) for t in ctx.group.torsion_residues()
     )
     return min(translates, key=Rim.serialized)
 
@@ -82,7 +88,7 @@ def translation_classes_by_scan(ctx):
     pf = p.free
     cmax = ctx.max_conductor
     anchor = ctx.group.zero()
-    others = [r for r in ctx.orbit_reps() if not r.is_zero()]
+    others = [r for r in orbit_reps(ctx) if not r.is_zero()]
     windows = []
     for rep in others:
         lo = (-rep.free - cmax) // pf - 1
@@ -117,7 +123,7 @@ def translation_classes_by_closure(ctx):
     that is the smallest of its zero translates.  Returns ``(rim,
     stabilizer order)`` pairs in canonical order.
     """
-    reps = ctx.orbit_reps()
+    reps = orbit_reps(ctx)
     k = len(reps)
     d = [[least_shift_by_elements(ctx, ra - rb) for rb in reps] for ra in reps]
     d[0] = [min(x, 0) for x in d[0]]
@@ -133,7 +139,7 @@ def translation_classes_by_closure(ctx):
         if c == k:
             rim = Rim(tuple(sorted((r + m * ctx.p for r, m in zip(reps, n)), key=lambda e: e.key())), True)
             low = min(e.free for e in rim)
-            keys = [rim.translate(-x).serialized() for x in rim if x.free == low]
+            keys = [translate(rim, -x).serialized() for x in rim if x.free == low]
             if min(keys) == rim.serialized():
                 classes.append((rim, keys.count(rim.serialized())))
             continue
@@ -322,8 +328,8 @@ class TestMutation:
             rim = rim_of_upper_closure(ctx, gens)
             h = ctx.sample_elements(1, rng, span=4)[0]
             for m in minimal_elements(ctx, rim):
-                left = mutate(ctx, rim.translate(h), m + h)
-                right = mutate(ctx, rim, m).translate(h)
+                left = mutate(ctx, translate(rim, h), m + h)
+                right = translate(mutate(ctx, rim, m), h)
                 assert left.elements == right.elements
 
 
@@ -362,7 +368,7 @@ class TestTranslationClasses:
         # through zero has |free part| < conductor + free(p), which caps the
         # shifts.
         span = (ctx.max_conductor + ctx.p.free) // ctx.p.free + 1
-        others = [r for r in ctx.orbit_reps() if not r.is_zero()]
+        others = [r for r in orbit_reps(ctx) if not r.is_zero()]
         shift_range = range(-span, span + 1)
         found = set()
         for shifts in product(shift_range, repeat=len(others)):
@@ -389,7 +395,7 @@ def assert_normalize_matches_oracle(ctx, rng):
         expected = normalize_by_torsion_shifts(ctx, rim).elements
         for _ in range(3):
             t = ctx.element(rng.randint(-9, 9), rng.choice(nonzero))
-            assert normalize(ctx, rim.translate(t)).elements == expected
+            assert normalize(ctx, translate(rim, t)).elements == expected
 
 
 class TestCanonicalForm:
