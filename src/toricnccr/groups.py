@@ -19,8 +19,8 @@ matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -30,6 +30,8 @@ from .errors import (
     ParseError,
     RankZeroGroup,
 )
+
+_setattr = object.__setattr__  # how a Value's ``__init__`` sets a field
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +144,65 @@ def _matvec(matrix, vec):
 # Groups and elements
 
 
-@dataclass(frozen=True, slots=True)
-class FGGroup:
+class Value:
+    """Base of the immutable value classes; unlike ``@dataclass``, it generates no code.
+
+    Subclasses name their fields in the class statement (``class Rim(Value,
+    fields=("elements", "complete"))``) and set them in an explicit ``__init__``
+    with ``_setattr``.  Instances equal same-class ones with equal ``compare``
+    fields (default all), hash as their tuple and refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...], compare: tuple[str, ...] = ()):
+        cls._fields, compare = fields, compare or fields
+        get = attrgetter(*compare)
+        cls._key = get if len(compare) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FGGroup(Value, fields=("free_rank", "torsion")):
     """``Z^free_rank x Z/d_1 x ... x Z/d_k`` in invariant-factor form."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank not in (0, 1):
-            raise ValueError(f"free rank must be 0 or 1, got {self.free_rank}")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        for i, d in enumerate(self.torsion):
+    def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+        if free_rank not in (0, 1):
+            raise ValueError(f"free rank must be 0 or 1, got {free_rank}")
+        torsion = tuple(int(d) for d in torsion)
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-            if i and self.torsion[i] % self.torsion[i - 1]:
-                raise ValueError(f"invariant chain broken: {self.torsion}")
+            if i and torsion[i] % torsion[i - 1]:
+                raise ValueError(f"invariant chain broken: {torsion}")
+        _setattr(self, "free_rank", free_rank)
+        _setattr(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.free_rank == other.free_rank and self.torsion == other.torsion
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
@@ -212,13 +257,23 @@ class FGGroup:
         return [self.element(0, t) for t in self.torsion_residues()]
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(Value, fields=("group", "free", "tors")):
     """An element of an :class:`FGGroup`; construct via ``group.element``."""
 
-    group: FGGroup
-    free: int
-    tors: tuple[int, ...]
+    __slots__ = ("group", "free", "tors")
+
+    def __init__(self, group: FGGroup, free: int, tors: tuple[int, ...]):
+        _setattr(self, "group", group)
+        _setattr(self, "free", free)
+        _setattr(self, "tors", tors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.free, self.tors) == (other.group, other.free, other.tors)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.free, self.tors))
 
     def _check(self, other):
         if self.group != other.group:
@@ -329,8 +384,8 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
 # Quotients
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(Value, fields=("source", "target", "matrix", "kernel"),
+                  compare=("source", "target", "matrix")):
     """A surjection ``source -> target`` given by an integer matrix on lifts.
 
     ``matrix`` maps raw source coordinates to raw target coordinates, and
@@ -339,10 +394,12 @@ class QuotientMap:
     (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
     """
 
-    source: FGGroup
-    target: FGGroup
-    matrix: tuple[tuple[int, ...], ...]
-    kernel: tuple[GroupElement, ...] = field(compare=False)
+    def __init__(self, source: FGGroup, target: FGGroup, matrix: tuple[tuple[int, ...], ...],
+                 kernel: tuple[GroupElement, ...]):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "kernel", kernel)
 
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.group != self.source:

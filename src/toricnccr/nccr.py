@@ -16,19 +16,17 @@ for the summand sets and rims returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotMinimal, NotNCCR
-from .groups import GroupElement
+from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
 from .uppersets import Rim, _minimal_codes, _rim_witness, translation_classes
 
 
-@dataclass(frozen=True)
-class SummandSet:
+class SummandSet(Value, fields=("degrees",)):
     """Degrees of the direct summands of a candidate module, sorted."""
 
-    degrees: tuple[GroupElement, ...]
+    def __init__(self, degrees: tuple[GroupElement, ...]):
+        _setattr(self, "degrees", degrees)
 
     @staticmethod
     def of(degrees) -> "SummandSet":
@@ -44,8 +42,8 @@ class SummandSet:
         return "{" + ", ".join(str(g) for g in self.degrees) + "}"
 
 
-@dataclass(frozen=True)
-class MutationCertificate:
+class MutationCertificate(Value,
+                          fields=("fixed_part", "removed_orbit", "plus_steps", "minus_steps")):
     """Bookkeeping for one Iyama-Wemyss mutation.
 
     ``fixed_part`` is the summand left untouched; the full mutation is
@@ -54,10 +52,12 @@ class MutationCertificate:
     ``minus_steps = positives - 1`` for the ambient weight system.
     """
 
-    fixed_part: SummandSet
-    removed_orbit: GroupElement
-    plus_steps: int
-    minus_steps: int
+    def __init__(self, fixed_part: SummandSet, removed_orbit: GroupElement, plus_steps: int,
+                 minus_steps: int):
+        _setattr(self, "fixed_part", fixed_part)
+        _setattr(self, "removed_orbit", removed_orbit)
+        _setattr(self, "plus_steps", plus_steps)
+        _setattr(self, "minus_steps", minus_steps)
 
 
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:

@@ -21,13 +21,12 @@ half-tables in the middle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
 from .errors import MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
-from .groups import GroupElement
+from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
 from .weights import WeightSystem
 
@@ -159,12 +158,12 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
     return max([block_bound, 1, *tors_orders])
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    checked: int
-    agreements: int
-    mismatches: tuple
-    window: int
+class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "window")):
+    def __init__(self, checked: int, agreements: int, mismatches: tuple, window: int):
+        _setattr(self, "checked", checked)
+        _setattr(self, "agreements", agreements)
+        _setattr(self, "mismatches", mismatches)
+        _setattr(self, "window", window)
 
     def summary(self) -> str:
         return f"agree: {self.agreements}/{self.checked}, mismatches: {len(self.mismatches)}"
@@ -226,10 +225,10 @@ def face_test(ws: WeightSystem, indices) -> bool:
     return not has_pos and not has_neg
 
 
-@dataclass(frozen=True)
-class HomotopyType:
-    kind: str  # "empty" | "contractible" | "sphere"
-    dim: int | None = None
+class HomotopyType(Value, fields=("kind", "dim")):
+    def __init__(self, kind: str, dim: int | None = None):
+        _setattr(self, "kind", kind)  # "empty" | "contractible" | "sphere"
+        _setattr(self, "dim", dim)
 
     def betti_profile(self) -> dict[int, int]:
         if self.kind == "empty":
@@ -276,12 +275,12 @@ def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
     raise UnclassifiableSignPattern(f"a = {a}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value, fields=("vertex_count", "facets")):
     """Finite abstract complex given by its facets (downward closure implied)."""
 
-    vertex_count: int
-    facets: tuple[tuple[int, ...], ...]
+    def __init__(self, vertex_count: int, facets: tuple[tuple[int, ...], ...]):
+        _setattr(self, "vertex_count", vertex_count)
+        _setattr(self, "facets", facets)
 
     @cached_property
     def _hash(self) -> int:

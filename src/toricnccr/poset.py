@@ -20,7 +20,6 @@ element; the projection ``q: G -> H`` runs on codes as well
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 import math
 from functools import cached_property
 from heapq import heappop, heappush
@@ -33,7 +32,7 @@ from .errors import (
     RankZeroGroup,
     SearchBudgetExceeded,
 )
-from .groups import GroupElement
+from .groups import GroupElement, Value, _setattr
 from .weights import WeightSystem
 
 
@@ -154,10 +153,9 @@ class GradedContext:
                 f"entries, over the cap of {LEAST_CODES_CAP}"
             )
         self.least = self._least_codes(e * order)
-        # a residue's last gap sits one step of N below its largest least code
-        conductor = [max(self.least[r::order]) // order - e + 1 for r in range(order)]
-        self.conductor = dict(zip(self.group.torsion_residues(), conductor))
-        self.max_conductor = max(conductor)
+        # a residue's last gap sits one step of N below its largest least code;
+        # floor division is monotone, so the largest code gives the maximum
+        self.max_conductor = max(self.least) // order - e + 1
 
     # -- basic data ------------------------------------------------------
 
@@ -167,6 +165,13 @@ class GradedContext:
 
     def element(self, free, tors=()) -> GroupElement:
         return self.group.element(free, tors)
+
+    @cached_property
+    def conductor(self) -> dict[tuple[int, ...], int]:
+        """Per torsion residue of H, the free part from which on its coset lies in the monoid."""
+        order, e = self.codes.order, len(self.least) // self.codes.order
+        residues = enumerate(self.group.torsion_residues())
+        return {t: max(self.least[r::order]) // order - e + 1 for r, t in residues}
 
     # -- the quotient q: G -> H on codes ----------------------------------
 
@@ -254,14 +259,14 @@ def grading_context(ws: WeightSystem) -> GradedContext:
     return GradedContext(ws)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value, fields=("samples", "seed", "translation_pairs", "reach_witnesses")):
     """Outcome of the sampled order/action axiom checks."""
 
-    samples: int
-    seed: int
-    translation_pairs: int
-    reach_witnesses: int
+    def __init__(self, samples: int, seed: int, translation_pairs: int, reach_witnesses: int):
+        _setattr(self, "samples", samples)
+        _setattr(self, "seed", seed)
+        _setattr(self, "translation_pairs", translation_pairs)
+        _setattr(self, "reach_witnesses", reach_witnesses)
 
 
 def check_axioms(ctx: GradedContext, sample_size: int, seed: int) -> AxiomReport:

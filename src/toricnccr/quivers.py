@@ -20,31 +20,30 @@ remaining degree.  A caller may cap the search lower; a
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency, MismatchedGroup
-from .groups import GroupElement
+from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
 
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-    exponents: tuple[int, ...]
+class Arrow(Value, fields=("source", "target", "exponents")):
+    def __init__(self, source: int, target: int, exponents: tuple[int, ...]):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "exponents", exponents)
 
     def is_loop(self) -> bool:
         return self.source == self.target
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Value, fields=("vertices", "arrows")):
     """Vertices labeled by degrees, arrows labeled by exponent vectors."""
 
-    vertices: tuple[GroupElement, ...]
-    arrows: tuple[Arrow, ...]
+    def __init__(self, vertices: tuple[GroupElement, ...], arrows: tuple[Arrow, ...]):
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "arrows", arrows)
 
     def loops(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.is_loop())

@@ -27,10 +27,9 @@ sorted code tuples, which compare as their serializations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, InternalInconsistency, NotMinimal
-from .groups import GroupElement
+from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
 
 
@@ -40,18 +39,18 @@ class RimStatus(enum.Enum):
     COMPLETE = "complete"
 
 
-@dataclass(frozen=True)
-class RimCheck:
-    status: RimStatus
-    witness: tuple[GroupElement, GroupElement] | None = None
+class RimCheck(Value, fields=("status", "witness")):
+    def __init__(self, status: RimStatus, witness: tuple[GroupElement, GroupElement] | None = None):
+        _setattr(self, "status", status)
+        _setattr(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class Rim:
+class Rim(Value, fields=("elements", "complete")):
     """A finite rim; ``complete`` means one element per p-orbit."""
 
-    elements: tuple[GroupElement, ...]
-    complete: bool
+    def __init__(self, elements: tuple[GroupElement, ...], complete: bool):
+        _setattr(self, "elements", elements)
+        _setattr(self, "complete", complete)
 
     def __iter__(self):
         return iter(self.elements)
@@ -128,12 +127,12 @@ def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
 # Translation classes
 
 
-@dataclass(frozen=True)
-class TranslationClass:
+class TranslationClass(Value, fields=("rim", "stabilizer_order")):
     """A translation class of complete rims, held by its canonical member."""
 
-    rim: Rim
-    stabilizer_order: int = 1
+    def __init__(self, rim: Rim, stabilizer_order: int = 1):
+        _setattr(self, "rim", rim)
+        _setattr(self, "stabilizer_order", stabilizer_order)
 
     def __str__(self):
         return str(self.rim)
@@ -243,12 +242,13 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
 # Exchange graph
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
+class ExchangeGraph(Value, fields=("nodes", "edges")):
     """Mutation moves between translation classes; connected by theorem."""
 
-    nodes: tuple[TranslationClass, ...]
-    edges: tuple[tuple[int, int, GroupElement], ...]  # (from, to, minimal element)
+    def __init__(self, nodes: tuple[TranslationClass, ...],
+                 edges: tuple[tuple[int, int, GroupElement], ...]):
+        _setattr(self, "nodes", nodes)
+        _setattr(self, "edges", edges)  # (from, to, minimal element)
 
     @property
     def connected(self) -> bool:

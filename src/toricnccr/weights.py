@@ -13,15 +13,13 @@ are just that the weights sum to zero and generate ``G``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotGorenstein, GenerationFailure, SignCountFailure
-from .groups import FGGroup, GroupElement, subgroup_is_whole
+from .groups import FGGroup, GroupElement, Value, _setattr, subgroup_is_whole
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", "permutation")):
     """Validated weight data with its sign partition.
 
     ``weights[:positives]`` have positive free part, the next ``negatives``
@@ -30,11 +28,13 @@ class WeightSystem:
     input.
     """
 
-    group: FGGroup
-    weights: tuple[GroupElement, ...]
-    positives: int
-    negatives: int
-    permutation: tuple[int, ...]
+    def __init__(self, group: FGGroup, weights: tuple[GroupElement, ...], positives: int,
+                 negatives: int, permutation: tuple[int, ...]):
+        _setattr(self, "group", group)
+        _setattr(self, "weights", weights)
+        _setattr(self, "positives", positives)
+        _setattr(self, "negatives", negatives)
+        _setattr(self, "permutation", permutation)
 
     @cached_property
     def _hash(self) -> int:

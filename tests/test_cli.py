@@ -473,3 +473,15 @@ class TestClosedStdout:
         assert done.returncode == 3
         assert "internal check failed" in done.stderr
         assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI call pays its imports; `@dataclass` execs generated source per
+    # class and imports `inspect`, so the value classes must not use it
+    code = ("import sys; before = 'dataclasses' in sys.modules; import toricnccr.cli; "
+            "print(before, 'dataclasses' in sys.modules)")
+    done = run_in_subprocess([], code=code, capture_output=True, text=True, check=True)
+    before, after = done.stdout.split()
+    if before == "True":
+        pytest.skip("dataclasses is loaded at interpreter start-up here")
+    assert after == "False"

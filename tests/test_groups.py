@@ -9,17 +9,29 @@ import pytest
 
 import toricnccr.groups
 from toricnccr import (
+    AxiomReport,
     FGGroup,
     InfiniteGroup,
     MismatchedGroup,
     NonTorsionGenerator,
     ParseError,
+    Quiver,
     RankZeroGroup,
+    Rim,
+    RimStatus,
+    SimplicialComplex,
+    SummandSet,
+    WeightSystem,
     parse_element,
     quotient_by_subgroup,
     smith_normal_form,
     subgroup_is_whole,
 )
+from toricnccr.groups import GroupElement, QuotientMap
+from toricnccr.nccr import MutationCertificate
+from toricnccr.oracle import CrosscheckReport, HomotopyType
+from toricnccr.quivers import Arrow
+from toricnccr.uppersets import ExchangeGraph, RimCheck, TranslationClass
 from conftest import fiber
 
 
@@ -237,3 +249,74 @@ class TestSerialization:
         with pytest.raises(InfiniteGroup):
             FGGroup(1, ()).elements()
         assert len(FGGroup(0, (2, 4)).elements()) == 8
+
+
+class TestValueClasses:
+    """Every value class keeps the semantics of a frozen dataclass."""
+
+    G = FGGroup(1, (3,))
+    g, h = G.element(1, (2,)), G.element(-1, (1,))
+    rim = Rim((g,), True)
+    # (class, field names in order, compared fields, field values)
+    CASES = [
+        (FGGroup, ("free_rank", "torsion"), None, (1, (3,))),
+        (GroupElement, ("group", "free", "tors"), None, (G, 1, (2,))),
+        (QuotientMap, ("source", "target", "matrix", "kernel"), ("source", "target", "matrix"),
+         (G, G, ((1, 0), (0, 1)), (G.zero(),))),
+        (WeightSystem, ("group", "weights", "positives", "negatives", "permutation"), None,
+         (G, (g, g, h, h), 2, 2, (0, 1, 2, 3))),
+        (AxiomReport, ("samples", "seed", "translation_pairs", "reach_witnesses"), None, (10, 0, 9, 8)),
+        (RimCheck, ("status", "witness"), None, (RimStatus.INVALID, (g, h))),
+        (Rim, ("elements", "complete"), None, ((g, h), False)),
+        (TranslationClass, ("rim", "stabilizer_order"), None, (rim, 2)),
+        (ExchangeGraph, ("nodes", "edges"), None, ((TranslationClass(rim),), ((0, 0, g),))),
+        (SummandSet, ("degrees",), None, ((g, h),)),
+        (MutationCertificate, ("fixed_part", "removed_orbit", "plus_steps", "minus_steps"), None,
+         (SummandSet((g,)), h, 1, 3)),
+        (Arrow, ("source", "target", "exponents"), None, (0, 1, (1, 0, 2))),
+        (Quiver, ("vertices", "arrows"), None, ((g, h), (Arrow(0, 1, (1,)),))),
+        (CrosscheckReport, ("checked", "agreements", "mismatches", "window"), None, (3, 3, (), 10)),
+        (HomotopyType, ("kind", "dim"), None, ("sphere", 2)),
+        (SimplicialComplex, ("vertex_count", "facets"), None, (3, ((0, 1), (2,)))),
+    ]
+
+    @pytest.mark.parametrize("cls, names, compared, values", CASES, ids=[c[0].__name__ for c in CASES])
+    def test_semantics(self, cls, names, compared, values):
+        a, b = cls(*values), cls(**dict(zip(names, values)))
+        assert tuple(getattr(a, n) for n in names) == values
+        assert a == b and not a != b
+        key = tuple(getattr(a, n) for n in compared or names)
+        assert hash(a) == hash(b) == hash(key)
+        if cls is not GroupElement:  # which prints as "<(1;2) in Z x Z/3>"
+            assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+        other = next(c for c in self.CASES if c[0] is not cls)
+        assert a != other[0](*other[3]) and a != key
+        assert a.__eq__(key) is NotImplemented
+        for name in (names[0], "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, names[0])
+        assert a == b and getattr(a, names[0]) is values[0]
+
+    def test_defaults(self):
+        assert FGGroup(1).torsion == ()
+        assert HomotopyType("empty").dim is None
+        assert RimCheck(RimStatus.COMPLETE).witness is None
+        assert TranslationClass(self.rim).stabilizer_order == 1
+        assert Rim((self.g,), complete=True) == self.rim
+
+    def test_quotient_map_ignores_kernel(self):
+        ident = ((1, 0), (0, 1))
+        a, b = QuotientMap(self.G, self.G, ident, (self.G.zero(),)), QuotientMap(self.G, self.G, ident, ())
+        assert a == b and hash(a) == hash(b)
+        assert a != QuotientMap(self.G, FGGroup(1, (6,)), ident, ())
+
+    def test_group_rejects(self):
+        with pytest.raises(ValueError, match=r"^free rank must be 0 or 1, got 2$"):
+            FGGroup(2)
+        with pytest.raises(ValueError, match=r"^invariant factor 1 < 2$"):
+            FGGroup(1, (1,))
+        with pytest.raises(ValueError, match=r"^invariant chain broken: \(2, 3\)$"):
+            FGGroup(0, [2, 3])
+        assert FGGroup(0, [2, "4"]).torsion == (2, 4)
