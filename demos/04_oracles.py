@@ -5,7 +5,8 @@ Three layers of cross-checking, all exact:
     for sign-pattern witness vectors;
   * the homotopy-type classification of sign vectors against boundary-matrix
     ranks of the actual face complexes, over the rationals;
-  * the order/action axioms of the graded poset on random samples.
+  * the order/action axioms of the graded poset, certified exactly by the
+    least-code table of its monoid.
 """
 
 import random
@@ -50,7 +51,10 @@ def main():
 
     table = local_cohomology_window(ws, group.element(7), 4)
     print(f"windowed local cohomology contributions for degree 7: {table}")
-    print(f"axiom check: {check_axioms(ctx, 500, seed=3)}")
+    cert = check_axioms(ctx)
+    print(f"axiom certificate: p = {cert.period} is strictly positive (A1), the order is")
+    print("translation invariant by definition (A2), and x + n*p >= y once the free part")
+    print(f"of x - y + n*p reaches the conductor {cert.conductor} (A3)")
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ class InternalInconsistency(InternalCheckError):
 
 
 class AxiomViolation(InternalCheckError):
-    """A sampled element violates one of the order/action axioms."""
+    """The period fails the order/action axiom certificate."""
 
 
 class OracleMismatch(InternalCheckError):

@@ -41,36 +41,27 @@ _setattr = object.__setattr__  # how a Value's ``__init__`` sets a field
 def smith_normal_form(relations: list[list[int]], n: int):
     """Diagonalize the subgroup of Z^n spanned by the given relation vectors.
 
-    Returns ``(diag, basis, basis_inv)``: ``diag`` is a length-``n`` list with
+    Returns ``(diag, basis)``: ``diag`` is a length-``n`` list with
     ``diag[0] | diag[1] | ...`` (zeros last, meaning a free coordinate), and
-    ``basis``/``basis_inv`` are mutually inverse unimodular n x n matrices such
-    that in the coordinates ``y = basis @ x`` the subgroup is exactly
-    ``diag[0]*Z x diag[1]*Z x ...``.
+    ``basis`` is a unimodular n x n matrix such that in the coordinates ``y =
+    basis @ x`` the subgroup is exactly ``diag[0]*Z x diag[1]*Z x ...``.
     """
     m = len(relations)
     # columns of a are the relations
     a = [[relations[j][i] for j in range(m)] for i in range(n)]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    basis_inv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         basis[i], basis[j] = basis[j], basis[i]
-        for row in basis_inv:
-            row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
         a[i] = [-v for v in a[i]]
         basis[i] = [-v for v in basis[i]]
-        for row in basis_inv:
-            row[i] = -row[i]
 
     def row_add(i, j, k):
-        # row_i += k * row_j ; inverse op on basis_inv columns
         a[i] = [u + k * v for u, v in zip(a[i], a[j])]
         basis[i] = [u + k * v for u, v in zip(basis[i], basis[j])]
-        for row in basis_inv:
-            row[j] -= k * row[i]
 
     def col_swap(i, j):
         for row in a:
@@ -133,7 +124,7 @@ def smith_normal_form(relations: list[list[int]], n: int):
 
     diag = [a[i][i] if i < min(n, m) else 0 for i in range(n)]
     diag = [abs(d) for d in diag]
-    return diag, basis, basis_inv
+    return diag, basis
 
 
 def _matvec(matrix, vec):
@@ -238,11 +229,6 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
 
     def zero(self) -> "GroupElement":
         return self.element(0, (0,) * len(self.torsion))
-
-    def order(self):
-        if self.free_rank:
-            return math.inf
-        return math.prod(self.torsion)
 
     def torsion_order(self) -> int:
         return math.prod(self.torsion)
@@ -470,7 +456,7 @@ def quotient_by_subgroup(
     rels = _group_relations(g)
     for x in gens:
         rels.append(list(QuotientMap._lift(x, g)))
-    diag, basis, _ = smith_normal_form(rels, n)
+    diag, basis = smith_normal_form(rels, n)
 
     free_idx = [i for i, d in enumerate(diag) if d == 0]
     tors_idx = [i for i, d in enumerate(diag) if d >= 2]
@@ -500,5 +486,5 @@ def subgroup_is_whole(g: FGGroup, gens: Iterable[GroupElement]) -> bool:
         if x.group != g:
             raise MismatchedGroup(f"generator {x!r} not in {g}")
         rels.append(list(QuotientMap._lift(x, g)))
-    diag, _, _ = smith_normal_form(rels, g.coordinate_count)
+    diag, _ = smith_normal_form(rels, g.coordinate_count)
     return all(d == 1 for d in diag)

@@ -301,10 +301,6 @@ class SimplicialComplex(Value, fields=("vertex_count", "facets")):
             out[k].sort()
         return out
 
-    @property
-    def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
 
 @lru_cache(maxsize=8)
 def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:

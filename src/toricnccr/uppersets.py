@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DisconnectedGraph, InternalInconsistency, NotMinimal
+from .errors import DisconnectedGraph, InternalInconsistency, NotMinimal, SearchBudgetExceeded
 from .groups import GroupElement, Value, _setattr
-from .poset import GradedContext
+from .poset import LEAST_CODES_CAP, GradedContext
 
 
 class RimStatus(enum.Enum):
@@ -163,6 +163,11 @@ def _classes(ctx: GradedContext):
     class is ``(canonical rim, stabilizer order, offsets n, rim codes by
     orbit)``, sorted by the rim, a sorted code tuple."""
     k, order, sub, plus_p = ctx.orbit_count, ctx.codes.order, ctx.codes.sub, ctx.plus_p
+    if k * k > LEAST_CODES_CAP:
+        raise SearchBudgetExceeded(
+            f"the difference and tau tables need k^2 = {k}^2 = {k * k} entries, "
+            f"over the cap of {LEAST_CODES_CAP}"
+        )
     phi = [_least_shift(ctx, c) for c in range(k)]
     # r_a - r_b is r_c (code c >= 0) or r_c - p (c < 0): tau is phi(c) or phi(c) + 1
     diffs = [[sub(a, b) for b in range(k)] for a in range(k)]

@@ -6,6 +6,7 @@ class group Z, ``z2``/``z3`` torsion class groups Z + Z/2 and Z + Z/3, and
 two-element kernel.
 """
 
+import random
 from functools import cache
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricnccr import (
+    AxiomViolation,
     FGGroup,
     InputError,
     Rim,
@@ -120,6 +122,61 @@ def kernel_systems(draw, max_free=4):
         assume(False)
 
 
+# -- the order on elements and the sampled axiom check ----------------------
+
+
+def leq(ctx, h1, h2):
+    """The poset order: ``h1 <= h2`` iff ``h2 - h1`` is in the monoid."""
+    return ctx.member(h2 - h1)
+
+
+def sample_elements(ctx, count, rng, span=None):
+    """``count`` random elements of H, free parts in ``-span..span``."""
+    span = span if span is not None else 3 * ctx.p.free + ctx.max_conductor + 2
+    out = []
+    for _ in range(count):
+        f = rng.randint(-span, span)
+        t = tuple(rng.randrange(d) for d in ctx.group.torsion)
+        out.append(ctx.element(f, t))
+    return out
+
+
+def check_axioms_by_sampling(ctx, sample_size, seed):
+    """Oracle for ``check_axioms``: test A1-A3 on sampled elements and raise
+    ``AxiomViolation`` on any failure; returns ``(translation pairs, reach
+    witnesses)`` checked.
+
+    (A1) adding p strictly increases, (A2) adding a multiple of p preserves
+    the order, (A3) any element overtakes any other after finitely many p
+    steps; the witness step count comes from the conductor.
+    """
+    if ctx.p.is_zero() or not ctx.member(ctx.p):
+        raise AxiomViolation(f"p = {ctx.p} is not a strictly positive period")
+    if ctx.member(-ctx.p):
+        raise AxiomViolation(f"-p = {-ctx.p} lies in the monoid")
+
+    rng = random.Random(seed)
+    elements = sample_elements(ctx, sample_size, rng)
+    pair_checks = 0
+    witness_checks = 0
+    for x in elements:
+        if not leq(ctx, x, x + ctx.p) or leq(ctx, x + ctx.p, x):
+            raise AxiomViolation(f"x < x + p fails at x = {x}")
+    for _ in range(sample_size):
+        x, y = rng.choice(elements), rng.choice(elements)
+        n = rng.randint(-3, 3)
+        if leq(ctx, x, y) != leq(ctx, x + n * ctx.p, y + n * ctx.p):
+            raise AxiomViolation(f"translation by {n}p broke {x} <= {y}")
+        pair_checks += 1
+        delta = x - y
+        need = ctx.max_conductor - delta.free
+        n_wit = max(0, -(-need // ctx.p.free))
+        if not leq(ctx, y, x + n_wit * ctx.p):
+            raise AxiomViolation(f"no finite p-step takes {x} above {y}")
+        witness_checks += 1
+    return pair_checks, witness_checks
+
+
 # -- element routes through the quotient, oracles for the code routes ------
 
 
@@ -141,7 +198,7 @@ def rim_status_by_elements(ctx, elements):
     elems = sorted(set(elements), key=GroupElement.key)
     for x in elems:
         for y in elems:
-            if ctx.leq(y + ctx.p, x):
+            if leq(ctx, y + ctx.p, x):
                 return RimStatus.INVALID, (x, y)
     if len(elems) == ctx.orbit_count:
         return RimStatus.COMPLETE, None
@@ -183,7 +240,7 @@ def make_rim(ctx, elements):
 
 def in_upper_set(ctx, rim, h):
     """Does ``h`` belong to the upper set with the given rim?"""
-    return any(ctx.leq(y, h) for y in rim)
+    return any(leq(ctx, y, h) for y in rim)
 
 
 def entry_index(ctx, rim, x):

@@ -90,6 +90,23 @@ class TestValidate:
         assert code == 0
         assert report["validation"]["H"] == "Z x Z/1009"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["exchange-graph"], ["mutate", "--class", "0", "--at", "(0)"],
+         ["quiver", "--class", "0"]],
+        ids=["classify", "exchange-graph", "mutate", "quiver"],
+    )
+    def test_orbit_tables_over_budget_exit_2(self, capsys, tmp_path, argv):
+        # N = 1, but k = 20,001 orbits: the k x k tables would need 400,040,001 entries
+        doc = {"group": {"free_rank": 1, "torsion": []}, "weights": [[20000], [1], [-20000], [-1]]}
+        start = time.perf_counter()
+        code, report = run_json(capsys, argv[0], write_doc(tmp_path, doc), *argv[1:])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert report["error"]["type"] == "SearchBudgetExceeded"
+        assert "400040001" in report["error"]["detail"]
+        assert str(1 << 24) in report["error"]["detail"]
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -485,3 +502,12 @@ def test_import_loads_no_dataclasses():
     if before == "True":
         pytest.skip("dataclasses is loaded at interpreter start-up here")
     assert after == "False"
+
+
+def test_import_loads_no_random():
+    # the package proves its certificates and samples nothing; -S skips the
+    # site hooks, some of which (certifi's) import random at start-up
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import toricnccr.cli; "
+            "print('random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]

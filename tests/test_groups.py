@@ -107,18 +107,26 @@ class TestElementOrder:
                 assert not ((n // 2 if n % 2 == 0 else 1) * e).is_zero() or n == 1
 
 
+def determinant(matrix):
+    """Exact determinant by Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * v * determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, v in enumerate(matrix[0])
+        if v
+    )
+
+
 class TestSmithNormalForm:
     @pytest.mark.parametrize("seed", range(25))
     def test_random_relations_diagonalize(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         rels = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, 4))]
-        diag, basis, basis_inv = smith_normal_form([r[:] for r in rels], n)
-        # basis and basis_inv are mutually inverse
-        for i in range(n):
-            for j in range(n):
-                acc = sum(basis[i][k] * basis_inv[k][j] for k in range(n))
-                assert acc == int(i == j)
+        diag, basis = smith_normal_form([r[:] for r in rels], n)
+        # basis is unimodular
+        assert determinant(basis) in (1, -1)
         # divisibility chain
         nonzero = [d for d in diag if d]
         for a, b in zip(nonzero, nonzero[1:]):
@@ -134,7 +142,7 @@ class TestSmithNormalForm:
 
     def test_relations_span_check(self):
         # relation rows (2,0),(0,2) inside Z^2: quotient (Z/2)^2
-        diag, _, _ = smith_normal_form([[2, 0], [0, 2]], 2)
+        diag, _ = smith_normal_form([[2, 0], [0, 2]], 2)
         assert sorted(d for d in diag if d) == [2, 2]
 
 
@@ -265,7 +273,7 @@ class TestValueClasses:
          (G, G, ((1, 0), (0, 1)), (G.zero(),))),
         (WeightSystem, ("group", "weights", "positives", "negatives", "permutation"), None,
          (G, (g, g, h, h), 2, 2, (0, 1, 2, 3))),
-        (AxiomReport, ("samples", "seed", "translation_pairs", "reach_witnesses"), None, (10, 0, 9, 8)),
+        (AxiomReport, ("period", "conductor"), None, (g, 3)),
         (RimCheck, ("status", "witness"), None, (RimStatus.INVALID, (g, h))),
         (Rim, ("elements", "complete"), None, ((g, h), False)),
         (TranslationClass, ("rim", "stabilizer_order"), None, (rim, 2)),

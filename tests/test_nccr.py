@@ -33,6 +33,7 @@ from conftest import (
     fiber,
     kernel_systems,
     ladder_context,
+    leq,
     preimage_by_fibers,
     rank_one_systems,
     rim_status_by_elements,
@@ -74,7 +75,7 @@ class TestMCM:
                 g = ws.group.element(f, t)
                 h = ctx.q(g)
                 assert ctx.image_code(ctx.source_codes.code(g)) == ctx.codes.code(h)
-                assert is_mcm(ctx, g) == (not ctx.leq(ctx.p, h) and not ctx.leq(h, -ctx.p))
+                assert is_mcm(ctx, g) == (not leq(ctx, ctx.p, h) and not leq(ctx, h, -ctx.p))
 
 
 class TestModifying:
@@ -186,7 +187,7 @@ def assert_quotient_matches_elements(ctx, subsets=20, seed=0):
         assert is_nccr(ctx, V) and is_modifying(ctx, V)
         assert rim_of(ctx, V) == cls.rim
         for m in cls.rim:
-            minimal = not any(y != m and ctx.leq(y, m) for y in cls.rim)
+            minimal = not any(y != m and leq(ctx, y, m) for y in cls.rim)
             if not minimal:
                 with pytest.raises(NotMinimal):
                     mutate_nccr(ctx, V, m)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricnccr import (
+    AxiomReport,
     AxiomViolation,
     FGGroup,
     MismatchedGroup,
@@ -17,7 +18,18 @@ from toricnccr import (
     validate,
 )
 from toricnccr.poset import IntegerCodes
-from conftest import build_context, orbit_of, orbit_reps, rank_one_systems
+from conftest import (
+    LADDER,
+    build_context,
+    check_axioms_by_sampling,
+    kernel_systems,
+    ladder_context,
+    leq,
+    orbit_of,
+    orbit_reps,
+    rank_one_systems,
+    sample_elements,
+)
 
 
 def member_by_search(ctx, h):
@@ -129,7 +141,7 @@ class TestMembership:
 
     def test_antisymmetry_on_samples(self, ctx):
         rng = random.Random(3)
-        for x in ctx.sample_elements(150, rng):
+        for x in sample_elements(ctx, 150, rng):
             if ctx.member(x) and ctx.member(-x):
                 assert x.is_zero()
 
@@ -137,21 +149,21 @@ class TestMembership:
 class TestOrder:
     def test_reflexive(self, ctx):
         rng = random.Random(4)
-        for x in ctx.sample_elements(30, rng):
-            assert ctx.leq(x, x)
+        for x in sample_elements(ctx, 30, rng):
+            assert leq(ctx, x, x)
 
     def test_ca4_examples(self, ca4):
         zero = ca4.group.zero()
-        assert ca4.leq(zero, ca4.element(5))
-        assert not ca4.leq(zero, ca4.element(1))
+        assert leq(ca4, zero, ca4.element(5))
+        assert not leq(ca4, zero, ca4.element(1))
 
     def test_transitive_on_samples(self, ctx):
         rng = random.Random(9)
-        elems = ctx.sample_elements(60, rng, span=6)
+        elems = sample_elements(ctx, 60, rng, span=6)
         for _ in range(300):
             x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-            if ctx.leq(x, y) and ctx.leq(y, z):
-                assert ctx.leq(x, z)
+            if leq(ctx, x, y) and leq(ctx, y, z):
+                assert leq(ctx, x, z)
 
 
 class TestConductor:
@@ -246,20 +258,60 @@ class TestOrbits:
         reps = orbit_reps(ctx)
         assert len(reps) == ctx.orbit_count
         rng = random.Random(8)
-        for h in ctx.sample_elements(120, rng):
+        for h in sample_elements(ctx, 120, rng):
             rep, n = orbit_of(ctx, h)
             assert rep in reps
             assert rep + n * ctx.p == h
 
 
+def assert_certificate_agrees_with_sampling(ctx):
+    """The exact certificate passes where the sampled oracle does, and its
+    conductor is tight: one run of ``N`` codes from ``max_conductor`` on is in
+    the monoid (so every larger code is), and a code of free part
+    ``max_conductor - 1`` is not."""
+    assert check_axioms(ctx) == AxiomReport(ctx.p, ctx.max_conductor)
+    check_axioms_by_sampling(ctx, 100, seed=13)
+    order, top = ctx.codes.order, ctx.max_conductor * ctx.codes.order
+    assert all(ctx.member_code(c) for c in range(top, top + len(ctx.least)))
+    if ctx.max_conductor > 0:
+        assert not all(ctx.member_code(c) for c in range(top - order, top))
+
+
 class TestAxioms:
     def test_pass_on_examples(self, ctx):
-        report = check_axioms(ctx, 200, seed=13)
-        assert report.samples == 200
+        report = check_axioms(ctx)
+        assert (report.period, report.conductor) == (ctx.p, ctx.max_conductor)
 
     def test_rigged_period_fails(self, a1):
         ws = a1.weights
         rigged = grading_context(ws)
         rigged.p = rigged.group.zero()
         with pytest.raises(AxiomViolation):
-            check_axioms(rigged, 10, seed=1)
+            check_axioms(rigged)
+        with pytest.raises(AxiomViolation):
+            check_axioms_by_sampling(rigged, 10, seed=1)
+
+    def test_negated_period_fails(self, z3):
+        rigged = grading_context(z3.weights)
+        rigged.p = -rigged.p
+        with pytest.raises(AxiomViolation):
+            check_axioms(rigged)
+        with pytest.raises(AxiomViolation):
+            check_axioms_by_sampling(rigged, 10, seed=1)
+
+    def test_agrees_with_sampling_on_examples(self, ctx):
+        assert_certificate_agrees_with_sampling(ctx)
+
+    @pytest.mark.parametrize("key", sorted(LADDER))
+    def test_agrees_with_sampling_on_ladder(self, key):
+        assert_certificate_agrees_with_sampling(ladder_context(key))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_agrees_with_sampling_on_random_systems(self, ws):
+        assert_certificate_agrees_with_sampling(grading_context(ws))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_agrees_with_sampling_with_a_kernel(self, ws):
+        assert_certificate_agrees_with_sampling(grading_context(ws))

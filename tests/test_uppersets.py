@@ -32,10 +32,12 @@ from conftest import (
     in_upper_set,
     is_mutation_step,
     ladder_context,
+    leq,
     make_rim,
     orbit_reps,
     rank_one_systems,
     rim_of_upper_closure,
+    sample_elements,
     translate,
 )
 
@@ -151,7 +153,7 @@ def translation_classes_by_closure(ctx):
 
 def minimal_elements_by_leq(ctx, rim):
     """Minimal-element oracle: every pair of rim elements compared by ``leq``."""
-    return tuple(m for m in rim if not any(j != m and ctx.leq(j, m) for j in rim))
+    return tuple(m for m in rim if not any(j != m and leq(ctx, j, m) for j in rim))
 
 
 def assert_matches_closure(ctx, edge_limit=None):
@@ -248,9 +250,9 @@ class TestEntryIndex:
 
     def test_characterizes_membership(self, ctx):
         rng = random.Random(21)
-        gens = ctx.sample_elements(2, rng, span=4)
+        gens = sample_elements(ctx, 2, rng, span=4)
         rim = rim_of_upper_closure(ctx, gens)
-        for x in ctx.sample_elements(40, rng, span=4):
+        for x in sample_elements(ctx, 40, rng, span=4):
             n0 = entry_index(ctx, rim, x)
             for n in range(n0 - 2, n0 + 3):
                 assert in_upper_set(ctx, rim, x + n * ctx.p) == (n >= n0)
@@ -267,7 +269,7 @@ class TestUpperClosure:
     def test_roundtrip_random(self, ctx):
         rng = random.Random(f"roundtrip-{ctx.group}")
         for _ in range(200):
-            gens = ctx.sample_elements(rng.randint(1, 3), rng, span=5)
+            gens = sample_elements(ctx, rng.randint(1, 3), rng, span=5)
             rim = rim_of_upper_closure(ctx, gens)
             assert rim_status(ctx, rim.elements).status is RimStatus.COMPLETE
             again = rim_of_upper_closure(ctx, rim.elements)
@@ -307,7 +309,7 @@ class TestMutation:
     def test_bookkeeping(self, ctx):
         rng = random.Random(f"mutation-{ctx.group}")
         for _ in range(40):
-            gens = ctx.sample_elements(rng.randint(1, 3), rng, span=4)
+            gens = sample_elements(ctx, rng.randint(1, 3), rng, span=4)
             rim = rim_of_upper_closure(ctx, gens)
             for m in minimal_elements(ctx, rim):
                 mutated = mutate(ctx, rim, m)
@@ -324,9 +326,9 @@ class TestMutation:
     def test_translation_equivariance(self, ctx):
         rng = random.Random(f"equivariance-{ctx.group}")
         for _ in range(25):
-            gens = ctx.sample_elements(2, rng, span=4)
+            gens = sample_elements(ctx, 2, rng, span=4)
             rim = rim_of_upper_closure(ctx, gens)
-            h = ctx.sample_elements(1, rng, span=4)[0]
+            h = sample_elements(ctx, 1, rng, span=4)[0]
             for m in minimal_elements(ctx, rim):
                 left = mutate(ctx, translate(rim, h), m + h)
                 right = translate(mutate(ctx, rim, m), h)
