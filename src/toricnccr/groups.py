@@ -140,16 +140,16 @@ class Value:
 
     Subclasses name their fields in the class statement (``class Rim(Value,
     fields=("elements", "complete"))``) and set them in an explicit ``__init__``
-    with ``_setattr``.  Instances equal same-class ones with equal ``compare``
-    fields (default all), hash as their tuple and refuse assignment and deletion.
+    with ``_setattr``.  Instances equal same-class ones with equal fields, hash
+    as the tuple of their fields and refuse assignment and deletion.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, fields: tuple[str, ...], compare: tuple[str, ...] = ()):
-        cls._fields, compare = fields, compare or fields
-        get = attrgetter(*compare)
-        cls._key = get if len(compare) > 1 else staticmethod(lambda obj: (get(obj),))
+    def __init_subclass__(cls, fields: tuple[str, ...]):
+        cls._fields = fields
+        get = attrgetter(*fields)
+        cls._key = get if len(fields) > 1 else staticmethod(lambda obj: (get(obj),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -370,22 +370,25 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
 # Quotients
 
 
-class QuotientMap(Value, fields=("source", "target", "matrix", "kernel"),
-                  compare=("source", "target", "matrix")):
+class QuotientMap(Value, fields=("source", "target", "matrix")):
     """A surjection ``source -> target`` given by an integer matrix on lifts.
 
-    ``matrix`` maps raw source coordinates to raw target coordinates, and
-    ``kernel`` lists the finitely many elements with image zero.  Images and
-    preimages in bulk are read off codes
+    ``matrix`` maps raw source coordinates to raw target coordinates.  Images
+    and preimages in bulk are read off codes
     (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
     """
 
-    def __init__(self, source: FGGroup, target: FGGroup, matrix: tuple[tuple[int, ...], ...],
-                 kernel: tuple[GroupElement, ...]):
+    def __init__(self, source: FGGroup, target: FGGroup, matrix: tuple[tuple[int, ...], ...]):
         _setattr(self, "source", source)
         _setattr(self, "target", target)
         _setattr(self, "matrix", matrix)
-        _setattr(self, "kernel", kernel)
+
+    @property
+    def kernel_order(self) -> int:
+        """``|ker q| = |T_source| / |T_target|``: ``q`` is onto and keeps the free
+        part, so its kernel is the torsion subgroup the generators span, and
+        ``q`` maps the torsion of the source onto that of the target."""
+        return self.source.torsion_order() // self.target.torsion_order()
 
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.group != self.source:
@@ -407,31 +410,22 @@ class QuotientMap(Value, fields=("source", "target", "matrix", "kernel"),
 def _identity_quotient(g: FGGroup) -> QuotientMap:
     n = g.coordinate_count
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return QuotientMap(g, g, ident, (g.zero(),))
+    return QuotientMap(g, g, ident)
 
 
-def _group_relations(g: FGGroup) -> list[list[int]]:
+def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
+    """The relation rows of ``g`` followed by the lift of each generator."""
     n = g.coordinate_count
     rels = []
     for j, d in enumerate(g.torsion):
         row = [0] * n
         row[g.free_rank + j] = d
         rels.append(row)
+    for x in gens:
+        if x.group != g:
+            raise MismatchedGroup(f"generator {x!r} not in {g}")
+        rels.append(list(QuotientMap._lift(x, g)))
     return rels
-
-
-def _span_closure(gens: Iterable[GroupElement], group: FGGroup) -> tuple[GroupElement, ...]:
-    """The (finite) subgroup generated by torsion elements."""
-    seen = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur + g
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen, key=GroupElement.key))
 
 
 def quotient_by_subgroup(
@@ -441,22 +435,19 @@ def quotient_by_subgroup(
 
     The quotient comes out in invariant-factor form; when ``g`` has rank one
     the free coordinate of the quotient is oriented so that the projection to
-    ``Z`` commutes with the one on ``g`` (same sign on every element).
+    ``Z`` commutes with the one on ``g`` (same sign on every element).  The
+    kernel is never listed: the map carries only its order,
+    :attr:`QuotientMap.kernel_order`.
     """
     gens = list(gens)
+    rels = _relations(g, gens)
     for x in gens:
-        if x.group != g:
-            raise MismatchedGroup(f"generator {x!r} not in {g}")
         if not x.is_torsion():
             raise NonTorsionGenerator(f"{x} has infinite order")
     if all(x.is_zero() for x in gens):
         return g, _identity_quotient(g)
 
-    n = g.coordinate_count
-    rels = _group_relations(g)
-    for x in gens:
-        rels.append(list(QuotientMap._lift(x, g)))
-    diag, basis = smith_normal_form(rels, n)
+    diag, basis = smith_normal_form(rels, g.coordinate_count)
 
     free_idx = [i for i, d in enumerate(diag) if d == 0]
     tors_idx = [i for i, d in enumerate(diag) if d >= 2]
@@ -475,16 +466,11 @@ def quotient_by_subgroup(
         if lam == -1:
             fwd[0] = [-v for v in fwd[0]]
 
-    q = QuotientMap(g, target, tuple(tuple(r) for r in fwd), _span_closure(gens, g))
+    q = QuotientMap(g, target, tuple(tuple(r) for r in fwd))
     return target, q
 
 
 def subgroup_is_whole(g: FGGroup, gens: Iterable[GroupElement]) -> bool:
     """Do the given elements generate all of ``g``?"""
-    rels = _group_relations(g)
-    for x in gens:
-        if x.group != g:
-            raise MismatchedGroup(f"generator {x!r} not in {g}")
-        rels.append(list(QuotientMap._lift(x, g)))
-    diag, _ = smith_normal_form(rels, g.coordinate_count)
+    diag, _ = smith_normal_form(_relations(g, gens), g.coordinate_count)
     return all(d == 1 for d in diag)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import NotMinimal, NotNCCR
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
-from .uppersets import Rim, _minimal_codes, _rim_witness, translation_classes
+from .uppersets import Rim, _minimal_codes, _rim_witness, _swap_up, translation_classes
 
 
 class SummandSet(Value, fields=("degrees",)):
@@ -80,7 +80,7 @@ def _is_nccr(ctx: GradedContext, images: dict[int, int], image: list[int]) -> bo
     degrees lie over the image, that is ``|degrees| = |image|·|kernel|``."""
     return (
         len(image) == ctx.orbit_count
-        and len(images) == len(image) * len(ctx.q.kernel)
+        and len(images) == len(image) * ctx.q.kernel_order
         and _rim_witness(ctx, image) is None
     )
 
@@ -118,7 +118,7 @@ def rim_of(ctx: GradedContext, summands) -> Rim:
 
 def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
     """Full preimage of a complete rim: the NCCR's summand degrees."""
-    if len(ctx.q.kernel) == 1:  # no torsion weights: q is the identity of G = H
+    if ctx.q.kernel_order == 1:  # q is an isomorphism onto H = G
         return SummandSet.of(rim)
     return _summand_set(ctx, ctx.preimage_codes(map(ctx.codes.code, rim)))
 
@@ -138,11 +138,10 @@ def mutate_nccr(
     if mc not in _minimal_codes(ctx, rim):
         rim_text = Rim(tuple(map(ctx.codes.element, rim)), complete=True)
         raise NotMinimal(f"{m} is not minimal in the upper set of {rim_text}")
-    mutated = [h for h in rim if h != mc] + [mc + ctx.plus_p[mc % ctx.codes.order]]
     cert = MutationCertificate(
         fixed_part=_summand_set(ctx, [c for c, h in images.items() if h != mc]),
         removed_orbit=m,
         plus_steps=ctx.weights.negatives - 1,
         minus_steps=ctx.weights.positives - 1,
     )
-    return _summand_set(ctx, ctx.preimage_codes(mutated)), cert
+    return _summand_set(ctx, ctx.preimage_codes(_swap_up(ctx, rim, mc))), cert

@@ -37,8 +37,9 @@ from .weights import WeightSystem
 
 # The least-code table has N = E·|T| entries, quadratic in |T| when every
 # generator of least E has torsion of full order (Z/10007 then needs about
-# 10^8); the context is refused before the build above this fixed cap, and
-# classification refuses k x k orbit tables above it too.
+# 10^8); the context is refused before the build above this fixed cap,
+# classification refuses k x k orbit tables above it, and the quotient on
+# codes refuses its |T_G| tables above it.
 LEAST_CODES_CAP = 1 << 24
 
 
@@ -191,7 +192,15 @@ class GradedContext:
 
     @cached_property
     def _torsion_image(self) -> list[int]:
-        """Per torsion residue ``t`` of G, in code order, the code of ``q(0; t)``."""
+        """Per torsion residue ``t`` of G, in code order, the code of ``q(0; t)``.
+
+        This table and :attr:`_fibers` have ``|T_G|`` entries each, so ``|T_G|``
+        is checked against the cap before either is built."""
+        if self.source_codes.order > LEAST_CODES_CAP:
+            raise SearchBudgetExceeded(
+                f"the quotient tables need |T_G| = {self.source_codes.order} entries, "
+                f"over the cap of {LEAST_CODES_CAP}"
+            )
         rows = [row[1:] for row in self.q.matrix[1:]]
         return [
             self.codes.encode(0, [sum(map(mul, row, t)) for row in rows])

@@ -219,20 +219,17 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
 
 def mckay_quiver(ws: WeightSystem) -> Quiver:
     """For finite grading groups: all group elements as vertices, one arrow
-    per (element, weight) labeled by the unit exponent vector."""
+    per (element, weight) labeled by the unit exponent vector.
+
+    These are exactly the arrows of the search at bound 1.  The vertex set
+    is all of G, so every unit vector lands on a vertex, and every longer
+    exponent vector has a unit sub-vector that lands, so it is not
+    irreducible.
+    """
     if ws.group.free_rank:
         raise InfiniteGroup(f"{ws.group} is infinite")
     vertices = tuple(sorted(ws.group.elements(), key=GroupElement.key))
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(ws.weights)
-    arrows = []
-    for s, g in enumerate(vertices):
-        for i, x in enumerate(ws.weights):
-            exps = tuple(int(j == i) for j in range(n))
-            arrows.append(Arrow(s, index[g + x], exps))
-    quiver = Quiver(
-        vertices, tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
-    )
+    quiver = Quiver(vertices, _arrow_set(ws, vertices, 1))
     _check_degree_coherence(ws, quiver)
     return quiver
 

@@ -113,14 +113,20 @@ def minimal_elements(ctx: GradedContext, rim: Rim) -> tuple[GroupElement, ...]:
     return tuple(map(ctx.codes.element, _minimal_codes(ctx, codes)))
 
 
+def _swap_up(ctx: GradedContext, codes, c: int) -> tuple[int, ...]:
+    """One mutation step on codes: the sorted codes with ``c`` swapped for ``c + p``."""
+    cp = c + ctx.plus_p[c % ctx.codes.order]
+    return tuple(sorted({cp if y == c else y for y in codes}))
+
+
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
     """Remove the minimal element ``m`` from the upper set: swap m for m + p."""
     if not rim.complete:
         raise NotMinimal("mutation needs a complete rim")
-    if m not in rim.elements or m not in minimal_elements(ctx, rim):
+    codes, mc = [ctx.codes.code(e) for e in rim], ctx.codes.code(m)
+    if mc not in _minimal_codes(ctx, codes):  # so m lies on the rim
         raise NotMinimal(f"{m} is not a minimal element")
-    swapped = [e for e in rim if e != m] + [m + ctx.p]
-    return Rim(tuple(sorted(set(swapped), key=GroupElement.key)), complete=True)
+    return Rim(tuple(map(ctx.codes.element, _swap_up(ctx, codes, mc))), complete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +288,7 @@ def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
     one; the result is looked up by its canonical zero translate.
     """
     tau, classes = _classes(ctx)
-    order, plus_p, element = ctx.codes.order, ctx.plus_p, ctx.codes.element
+    element = ctx.codes.element
     index = {rim: i for i, (rim, *_) in enumerate(classes)}
     nodes = _class_nodes(ctx, classes)
     edges = []
@@ -292,7 +298,7 @@ def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
             a for a, row in enumerate(tau) if sum(n[a] - nb >= t for nb, t in zip(n, row)) == 1
         ]
         for c in sorted(xs[a] for a in minimal):
-            mutated = tuple(sorted(y if y != c else c + plus_p[c % order] for y in rim))
+            mutated = _swap_up(ctx, rim, c)
             j = index.get(min(_zero_translates(ctx, mutated)))
             if j is None:
                 rim_text = ", ".join(str(element(y)) for y in mutated)

@@ -84,6 +84,14 @@ def build_class_quiver(key, class_index, bound=None):
     return endomorphism_quiver(ctx, nccr_classes(ctx)[class_index], bound)
 
 
+@cache
+def huge_kernel_system(d):
+    """Z + Z/d with (1;0), (1;1), (-1;0), (-1;-2), (0;1): the torsion weight
+    (0;1) spans Z/d, so H = Z and the projection's kernel has order d."""
+    group = FGGroup(1, (d,))
+    return validate(group, [group.from_vector(v) for v in [(1, 0), (1, 1), (-1, 0), (-1, -2), (0, 1)]])
+
+
 @st.composite
 def rank_one_systems(draw, max_free=5, torsions=((), (2,), (3,))):
     """Valid rank-one systems: 4-6 weights, free parts in -max_free..max_free,

@@ -107,6 +107,34 @@ class TestValidate:
         assert "400040001" in report["error"]["detail"]
         assert str(1 << 24) in report["error"]["detail"]
 
+    # the torsion weight (0;1) spans Z/(2^24 + 1), so H = Z and |T_G| is just over the cap
+    HUGE_KERNEL = {
+        "group": {"free_rank": 1, "torsion": [(1 << 24) + 1]},
+        "weights": [[1, 0], [1, 1], [-1, 0], [-1, -2], [0, 1]],
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["mutate", "--class", "0", "--at", "(0)"], ["quiver", "--class", "0"]],
+        ids=["classify", "mutate", "quiver"],
+    )
+    def test_quotient_tables_over_budget_exit_2(self, capsys, tmp_path, argv):
+        start = time.perf_counter()
+        code, report = run_json(capsys, argv[0], write_doc(tmp_path, self.HUGE_KERNEL), *argv[1:])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert report["error"]["type"] == "SearchBudgetExceeded"
+        assert str((1 << 24) + 1) in report["error"]["detail"]
+        assert str(1 << 24) in report["error"]["detail"]
+
+    def test_huge_kernel_validates(self, capsys, tmp_path):
+        # validate builds neither quotient table
+        start = time.perf_counter()
+        code, report = run_json(capsys, "validate", write_doc(tmp_path, self.HUGE_KERNEL))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert (report["validation"]["H"], report["validation"]["p"]) == ("Z", "(2)")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

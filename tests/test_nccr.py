@@ -31,6 +31,7 @@ from conftest import (
     LADDER,
     build_context,
     fiber,
+    huge_kernel_system,
     kernel_systems,
     ladder_context,
     leq,
@@ -123,7 +124,7 @@ class TestNCCR:
     def test_summand_count_is_rim_times_kernel(self, ctx):
         for cls in translation_classes(ctx):
             summ = preimage_summands(ctx, cls.rim)
-            assert len(summ) == len(cls.rim) * len(ctx.q.kernel)
+            assert len(summ) == len(cls.rim) * ctx.q.kernel_order
 
     def test_expected_class_and_vertex_counts(self, system_key, ctx):
         classes = nccr_classes(ctx)
@@ -174,16 +175,18 @@ class TestIWMutation:
 
 
 def assert_quotient_matches_elements(ctx, subsets=20, seed=0):
-    """``preimage_summands``, ``is_nccr``, ``rim_of`` and ``mutate_nccr`` on
-    codes against the fibers and rims computed on elements, per class; and
+    """The kernel order against the fiber over zero; ``preimage_summands``,
+    ``is_nccr``, ``rim_of`` and ``mutate_nccr`` on codes against the fibers
+    and rims computed on elements, per class; and
     ``is_modifying``/``is_nccr`` on random degree sets against element
     ``rim_status`` and the union of fibers."""
     q, p = ctx.q, ctx.p
+    assert q.kernel_order == len(fiber(q, ctx.group.zero()))
     classes = translation_classes(ctx)
     for cls in classes:
         V = preimage_summands(ctx, cls.rim)
         assert V == preimage_by_fibers(ctx, cls.rim)
-        assert len(V) == len(cls.rim) * len(q.kernel)
+        assert len(V) == len(cls.rim) * q.kernel_order
         assert is_nccr(ctx, V) and is_modifying(ctx, V)
         assert rim_of(ctx, V) == cls.rim
         for m in cls.rim:
@@ -198,7 +201,7 @@ def assert_quotient_matches_elements(ctx, subsets=20, seed=0):
             assert cert.fixed_part == SummandSet.of(g for g in V if q(g) != m)
     rng = random.Random(seed)
     pool = list(preimage_summands(ctx, classes[0].rim))
-    pool += [g + k for g in pool[:2] for k in q.kernel] + [fiber(q, p)[0]]
+    pool += [g + k for g in pool[:2] for k in fiber(q, q.target.zero())] + [fiber(q, p)[0]]
     G = ctx.weights.group
     pool += [G.element(rng.randint(-3, 3), [rng.randrange(d) for d in G.torsion]) for _ in range(4)]
     for _ in range(subsets):
@@ -215,7 +218,7 @@ class TestQuotientOnCodes:
         assert_quotient_matches_elements(ctx)
 
     def test_z4_kernel_has_two_elements(self, z4):
-        assert len(z4.q.kernel) == 2
+        assert z4.q.kernel_order == 2
         for cls in translation_classes(z4):
             for h in cls.rim:
                 over = z4.preimage_codes([z4.codes.code(h)])
@@ -229,7 +232,7 @@ class TestQuotientOnCodes:
     @given(kernel_systems())
     def test_random_kernels(self, ws):
         ctx = grading_context(ws)
-        assert len(ctx.q.kernel) > 1
+        assert ctx.q.kernel_order > 1
         assert_quotient_matches_elements(ctx, subsets=10)
         G = ws.group
         for f in range(-2, ctx.p.free + 2):
@@ -241,9 +244,29 @@ class TestQuotientOnCodes:
                 assert tuple(map(ctx.source_codes.element, over)) == fiber(ctx.q, ctx.q(g))
 
 
+def count_element_constructions(monkeypatch) -> list[str]:
+    """From now on, log each ``FGGroup.element`` call and ``GroupElement``
+    construction to the returned list."""
+    built = []
+    make, init = FGGroup.element, GroupElement.__init__
+
+    def counted_make(*args, **kwargs):
+        built.append("FGGroup.element")
+        return make(*args, **kwargs)
+
+    def counted_init(*args, **kwargs):
+        built.append("GroupElement")
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(FGGroup, "element", counted_make)
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    return built
+
+
 class TestNoElementsInLoops:
     """The arrow search, its degree check, ``is_modifying`` and ``is_nccr``
-    run on integers: none of them constructs a group element."""
+    run on integers: none of them constructs a group element; nor does the
+    context build one per element of the projection's kernel."""
 
     @pytest.mark.parametrize("key", ["z3", "z4"])
     def test_no_element_is_built(self, key, monkeypatch):
@@ -252,21 +275,19 @@ class TestNoElementsInLoops:
         quiver = endomorphism_quiver(build_context(key), V)
         bound = degree_bound(ws, quiver.vertices)
         ctx = grading_context(ws)  # its quotient tables are built under the count
-        built = []
-        make, init = FGGroup.element, GroupElement.__init__
-
-        def counted_make(*args, **kwargs):
-            built.append("FGGroup.element")
-            return make(*args, **kwargs)
-
-        def counted_init(*args, **kwargs):
-            built.append("GroupElement")
-            init(*args, **kwargs)
-
-        monkeypatch.setattr(FGGroup, "element", counted_make)
-        monkeypatch.setattr(GroupElement, "__init__", counted_init)
+        built = count_element_constructions(monkeypatch)
         assert _arrow_set(ws, quiver.vertices, bound) == quiver.arrows
         _check_degree_coherence(ws, quiver)
         assert is_modifying(ctx, V) and is_nccr(ctx, V)
         assert not is_nccr(ctx, list(V)[1:])
         assert built == []
+
+    def test_context_cost_is_independent_of_the_kernel(self, monkeypatch):
+        systems = [huge_kernel_system(d) for d in (1009, 100003)]
+        built = count_element_constructions(monkeypatch)
+        counts = []
+        for ws in systems:
+            built.clear()
+            assert grading_context(ws).q.kernel_order == ws.group.torsion[0]
+            counts.append(len(built))
+        assert counts[0] == counts[1]

@@ -22,6 +22,7 @@ from conftest import (
     LADDER,
     build_context,
     check_axioms_by_sampling,
+    huge_kernel_system,
     kernel_systems,
     ladder_context,
     leq,
@@ -213,6 +214,16 @@ class TestConductor:
                 assert codes.sub(f1 * d + t1, f2 * d + t2) == (f1 - f2) * d + (t1 - t2) % d
             g1 = g.element(f1, (t1,))
             assert is_mcm(ctx, g1) == (not member(f1 - 2, t1 - 1) and not member(-2 - f1, -1 - t1))
+
+    @pytest.mark.parametrize("d", [1009, 100003, 1000003])
+    def test_huge_kernel(self, d):
+        # q sends (f; t) to (f), so H = Z and p = (2); the kernel is never listed
+        ws = huge_kernel_system(d)
+        start = time.perf_counter()
+        ctx = grading_context(ws)
+        assert time.perf_counter() - start < 1
+        assert ctx.q.kernel_order == d
+        assert (ctx.group, ctx.p, ctx.orbit_count) == (FGGroup(1, ()), ctx.element(2), 2)
 
     def test_full_monoid_single_generator(self):
         g = FGGroup(1, ())

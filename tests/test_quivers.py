@@ -12,6 +12,7 @@ from toricnccr import (
     BoundTooSmall,
     FGGroup,
     InfiniteGroup,
+    InputError,
     MismatchedGroup,
     SummandSet,
     WeightSystem,
@@ -30,6 +31,34 @@ from conftest import build_class_quiver, ladder_context, rank_one_systems
 
 def quiver_of_class(key, k, bound=None):
     return build_class_quiver(key, k, bound)
+
+
+@st.composite
+def finite_systems(draw):
+    """Valid finite systems: 2-5 weights over Z/2, Z/3, Z/4, Z/6, Z/2+Z/2 or
+    Z/2+Z/4; the last weight completes the zero sum."""
+    torsion = draw(st.sampled_from([(2,), (3,), (4,), (6,), (2, 2), (2, 4)]))
+    weight = st.tuples(*(st.integers(0, d - 1) for d in torsion))
+    vecs = draw(st.lists(weight, min_size=1, max_size=4))
+    vecs.append(tuple(-sum(col) for col in zip(*vecs)))
+    group = FGGroup(0, torsion)
+    try:
+        return validate(group, [group.element(0, v) for v in vecs])
+    except InputError:
+        assume(False)
+
+
+def mckay_arrows_by_units(ws, vertices):
+    """Oracle for ``mckay_quiver``: one arrow per (element, weight), from
+    ``g`` to ``g + w_i``, labeled by the unit vector ``e_i``."""
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(ws.weights)
+    arrows = [
+        Arrow(s, index[g + x], tuple(int(j == i) for j in range(n)))
+        for s, g in enumerate(vertices)
+        for i, x in enumerate(ws.weights)
+    ]
+    return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
 
 
 def loop_labels(q):
@@ -392,6 +421,14 @@ class TestMcKay:
     def test_infinite_group_rejected(self, a1):
         with pytest.raises(InfiniteGroup):
             mckay_quiver(a1.weights)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(finite_systems())
+    def test_random_finite_systems(self, ws):
+        q = mckay_quiver(ws)
+        assert q.vertices == tuple(sorted(ws.group.elements(), key=GroupElement.key))
+        assert q.arrows == _arrow_set(ws, q.vertices, 1) == _arrow_set(ws, q.vertices, 3)
+        assert q.arrows == mckay_arrows_by_units(ws, q.vertices)
 
 
 class TestDot:

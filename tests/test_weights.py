@@ -134,7 +134,7 @@ class TestGradingContext:
         ctx = build_context("z4")
         assert ctx.group == FGGroup(1, (2,))
         assert ctx.p == ctx.group.element(2, (1,))
-        assert len(ctx.q.kernel) == 2
+        assert ctx.q.kernel_order == 2
 
     def test_period_free_part_is_positive_block_sum(self, ctx):
         ws = ctx.weights
