@@ -22,16 +22,16 @@ import sys
 import warnings as warnings_module
 
 from . import __version__
-from .errors import InputError, InternalCheckError, InternalInconsistency, ParseError, UnknownClass
-from .groups import FGGroup, parse_element
-from .nccr import (
-    is_modifying,
-    is_nccr,
-    mutate_nccr,
-    nccr_classes,
-    preimage_summands,
-    rim_of,
+from .errors import (
+    InputError,
+    InternalCheckError,
+    InternalInconsistency,
+    OracleMismatch,
+    ParseError,
+    UnknownClass,
 )
+from .groups import FGGroup, parse_element
+from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_mcm, sufficient_window
 from .poset import grading_context
 from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
@@ -259,8 +259,9 @@ def cmd_exchange_graph(args):
             for i, node in enumerate(graph.nodes)
         ],
         "edges": [{"from": a, "to": b, "at": str(m)} for a, b, m in graph.edges],
-        "connected": graph.connected,
-        "verdict": "CONNECTED" if graph.connected else "DISCONNECTED",
+        # exchange_graph raised DisconnectedGraph (exit 3) if it was not
+        "connected": True,
+        "verdict": "CONNECTED",
     }
     _emit(_report("exchange-graph", payload))
     return 0
@@ -277,7 +278,10 @@ def cmd_oracle(args):
     need = sufficient_window(ctx, degrees)
     if args.window < need:
         raise InputError(f"--window {args.window} is below the sufficiency bound {need}")
-    report = crosscheck_mcm(ctx, degrees, args.window, strict=False)
+    try:
+        report = crosscheck_mcm(ctx, degrees, args.window)
+    except OracleMismatch as exc:  # report the disagreement, then exit 3 below
+        report = exc.report
     payload = {
         "validation": _validation_summary(ws, ctx),
         "range": f"{lo}..{hi}",

@@ -139,7 +139,7 @@ class Value:
     """Base of the immutable value classes; unlike ``@dataclass``, it generates no code.
 
     Subclasses name their fields in the class statement (``class Rim(Value,
-    fields=("elements", "complete"))``) and set them in an explicit ``__init__``
+    fields=("elements",))``) and set them in an explicit ``__init__``
     with ``_setattr``.  Instances equal same-class ones with equal fields, hash
     as the tuple of their fields and refuse assignment and deletion.
     """

@@ -113,7 +113,7 @@ def _nccr_images(ctx: GradedContext, summands) -> tuple[dict[int, int], list[int
 
 def rim_of(ctx: GradedContext, summands) -> Rim:
     """The image rim of an NCCR summand set."""
-    return Rim(tuple(map(ctx.codes.element, _nccr_images(ctx, summands)[1])), complete=True)
+    return Rim(tuple(map(ctx.codes.element, _nccr_images(ctx, summands)[1])))
 
 
 def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
@@ -136,7 +136,7 @@ def mutate_nccr(
     images, rim = _nccr_images(ctx, summands)
     mc = ctx.codes.code(m)
     if mc not in _minimal_codes(ctx, rim):
-        rim_text = Rim(tuple(map(ctx.codes.element, rim)), complete=True)
+        rim_text = Rim(tuple(map(ctx.codes.element, rim)))
         raise NotMinimal(f"{m} is not minimal in the upper set of {rim_text}")
     cert = MutationCertificate(
         fixed_part=_summand_set(ctx, [c for c, h in images.items() if h != mc]),

@@ -169,14 +169,11 @@ class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "wi
         return f"agree: {self.agreements}/{self.checked}, mismatches: {len(self.mismatches)}"
 
 
-def crosscheck_mcm(
-    ctx: GradedContext, degrees, window: int, strict: bool = True
-) -> CrosscheckReport:
+def crosscheck_mcm(ctx: GradedContext, degrees, window: int) -> CrosscheckReport:
     """Assert ``is_mcm(g) <=> no sign-pattern witness`` for every degree.
 
-    Raises :class:`OracleMismatch` on any disagreement (a bug: the
-    equivalence is a theorem); pass ``strict=False`` to get the report back
-    instead.
+    Raises :class:`OracleMismatch`, which carries the report, on any
+    disagreement (a bug: the equivalence is a theorem).
     """
     from .nccr import is_mcm
 
@@ -196,7 +193,7 @@ def crosscheck_mcm(
         else:
             mismatches.append((g, mcm, _witness(ctx.weights, key, window, cap)))
     report = CrosscheckReport(len(degrees), agreements, tuple(mismatches), window)
-    if mismatches and strict:
+    if mismatches:
         raise OracleMismatch(report)
     return report
 

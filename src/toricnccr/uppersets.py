@@ -45,12 +45,12 @@ class RimCheck(Value, fields=("status", "witness")):
         _setattr(self, "witness", witness)
 
 
-class Rim(Value, fields=("elements", "complete")):
-    """A finite rim; ``complete`` means one element per p-orbit."""
+class Rim(Value, fields=("elements",)):
+    """A finite rim, held by its elements alone: it is complete iff it has
+    one element per p-orbit, ``ctx.orbit_count`` of them."""
 
-    def __init__(self, elements: tuple[GroupElement, ...], complete: bool):
+    def __init__(self, elements: tuple[GroupElement, ...]):
         _setattr(self, "elements", elements)
-        _setattr(self, "complete", complete)
 
     def __iter__(self):
         return iter(self.elements)
@@ -102,7 +102,7 @@ def _least_shift(ctx: GradedContext, c: int) -> int:
 
 
 def _minimal_codes(ctx: GradedContext, codes) -> list[int]:
-    """The codes lying above no other code of the list."""
+    """The codes lying above no other code of the list, in list order."""
     sub, member = ctx.codes.sub, ctx.member_code
     return [c for c in codes if not any(d != c and member(sub(c, d)) for d in codes)]
 
@@ -120,13 +120,14 @@ def _swap_up(ctx: GradedContext, codes, c: int) -> tuple[int, ...]:
 
 
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
-    """Remove the minimal element ``m`` from the upper set: swap m for m + p."""
-    if not rim.complete:
-        raise NotMinimal("mutation needs a complete rim")
+    """Remove the minimal element ``m`` from the upper set of a complete rim:
+    swap m for m + p."""
     codes, mc = [ctx.codes.code(e) for e in rim], ctx.codes.code(m)
+    if len(set(codes)) != ctx.orbit_count:
+        raise NotMinimal("mutation needs a complete rim")
     if mc not in _minimal_codes(ctx, codes):  # so m lies on the rim
         raise NotMinimal(f"{m} is not a minimal element")
-    return Rim(tuple(map(ctx.codes.element, _swap_up(ctx, codes, mc))), complete=True)
+    return Rim(tuple(map(ctx.codes.element, _swap_up(ctx, codes, mc))))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +162,12 @@ def normalize(ctx: GradedContext, rim: Rim) -> Rim:
     so the winner is one of them.
     """
     best = min(_zero_translates(ctx, tuple(sorted(ctx.codes.code(e) for e in rim))))
-    return Rim(tuple(ctx.codes.element(c) for c in best), rim.complete)
+    return Rim(tuple(map(ctx.codes.element, best)))
 
 
-def _classes(ctx: GradedContext):
-    """``(tau, classes)`` for :func:`translation_classes`, on codes: each
-    class is ``(canonical rim, stabilizer order, offsets n, rim codes by
-    orbit)``, sorted by the rim, a sorted code tuple."""
+def _classes(ctx: GradedContext) -> list[tuple[tuple[int, ...], int]]:
+    """The classes of :func:`translation_classes` on codes: ``(canonical
+    rim, stabilizer order)`` pairs, sorted by the rim, a sorted code tuple."""
     k, order, sub, plus_p = ctx.orbit_count, ctx.codes.order, ctx.codes.sub, ctx.plus_p
     if k * k > LEAST_CODES_CAP:
         raise SearchBudgetExceeded(
@@ -190,23 +190,20 @@ def _classes(ctx: GradedContext):
         n = stack.pop()
         c = len(n)
         if c == k:
-            xs = tuple(ladder[m] for ladder, m in zip(ladders, n))
-            rim = tuple(sorted(xs))
+            rim = tuple(sorted(ladder[m] for ladder, m in zip(ladders, n)))
             translates = _zero_translates(ctx, rim)
             if min(translates) == rim:
-                classes.append((rim, translates.count(rim), n, xs))
+                classes.append((rim, translates.count(rim)))
             continue
         lo = max(n[b] - d[b][c] for b in range(c))
         hi = min(n[b] + d[c][b] for b in range(c))
         stack.extend(n + (m,) for m in range(lo, hi + 1))
-    return tau, sorted(classes)
+    return sorted(classes)
 
 
 def _class_nodes(ctx: GradedContext, classes) -> tuple[TranslationClass, ...]:
     element = ctx.codes.element
-    return tuple(
-        TranslationClass(Rim(tuple(map(element, rim)), True), stab) for rim, stab, *_ in classes
-    )
+    return tuple(TranslationClass(Rim(tuple(map(element, rim))), stab) for rim, stab in classes)
 
 
 def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
@@ -246,7 +243,7 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
     The work runs on integer codes, where rims sort as their serializations;
     elements are built only for the classes returned.
     """
-    return _class_nodes(ctx, _classes(ctx)[1])
+    return _class_nodes(ctx, _classes(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +280,17 @@ class ExchangeGraph(Value, fields=("nodes", "edges")):
 def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
     """Classes with one edge per (class, minimal element); self-loops kept.
 
-    On a class with offsets ``n``, ``x_a`` is minimal iff ``n_a - n_b <
-    tau(a, b)`` for every other orbit ``b``, and mutating it raises ``n_a`` by
-    one; the result is looked up by its canonical zero translate.
+    Each class's minimal elements come from the same test as :func:`mutate`'s,
+    in rim order; mutating one swaps it for itself plus ``p``, and the result
+    is looked up by its canonical zero translate.
     """
-    tau, classes = _classes(ctx)
+    classes = _classes(ctx)
     element = ctx.codes.element
-    index = {rim: i for i, (rim, *_) in enumerate(classes)}
+    index = {rim: i for i, (rim, _) in enumerate(classes)}
     nodes = _class_nodes(ctx, classes)
     edges = []
-    for i, (rim, _, n, xs) in enumerate(classes):
-        # x_a lies above x_b iff n_a - n_b >= tau(a, b); minimal: above itself only
-        minimal = [
-            a for a, row in enumerate(tau) if sum(n[a] - nb >= t for nb, t in zip(n, row)) == 1
-        ]
-        for c in sorted(xs[a] for a in minimal):
+    for i, (rim, _) in enumerate(classes):
+        for c in _minimal_codes(ctx, rim):
             mutated = _swap_up(ctx, rim, c)
             j = index.get(min(_zero_translates(ctx, mutated)))
             if j is None:

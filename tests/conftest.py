@@ -222,7 +222,7 @@ def sorted_unique(elements):
 
 def translate(rim, t):
     """The rim translated by the element ``t``."""
-    return Rim(sorted_unique(e + t for e in rim), rim.complete)
+    return Rim(sorted_unique(e + t for e in rim))
 
 
 def orbit_reps(ctx):
@@ -238,12 +238,40 @@ def orbit_of(ctx, h):
     return h - n * ctx.p, n
 
 
+def tau_table(ctx):
+    """``tau(a, b)``: the least ``m`` with ``r_a - r_b + m*p`` in the monoid,
+    for the orbit representatives ``r`` in code order."""
+    reps = orbit_reps(ctx)
+
+    def least_shift(delta):
+        rep, n = orbit_of(ctx, delta)  # rep + (n + m)*p is in the monoid iff n + m >= phi(rep)
+        return _least_shift(ctx, ctx.codes.code(rep)) - n
+
+    return [[least_shift(ra - rb) for rb in reps] for ra in reps]
+
+
+def minimal_by_tau(ctx, tau, codes):
+    """Oracle for ``_minimal_codes`` on a complete rim of codes, by offsets:
+    write the rim element in orbit ``a`` as ``x_a = r_a + n_a*p``.  Returns the
+    minimal codes, sorted."""
+    n, xs = [None] * ctx.orbit_count, [None] * ctx.orbit_count
+    for c in codes:
+        rep, m = orbit_of(ctx, ctx.codes.element(c))
+        a = ctx.codes.code(rep)
+        n[a], xs[a] = m, c
+    # x_a lies above x_b iff n_a - n_b >= tau(a, b); minimal: above itself only
+    minimal = [
+        a for a, row in enumerate(tau) if sum(n[a] - nb >= t for nb, t in zip(n, row)) == 1
+    ]
+    return sorted(xs[a] for a in minimal)
+
+
 def make_rim(ctx, elements):
     check = rim_status(ctx, elements)
     if check.status is RimStatus.INVALID:
         x, y = check.witness
         raise ValueError(f"{x} >= {y} + p: not a rim")
-    return Rim(sorted_unique(elements), check.status is RimStatus.COMPLETE)
+    return Rim(sorted_unique(elements))
 
 
 def in_upper_set(ctx, rim, h):
@@ -262,9 +290,9 @@ def rim_of_upper_closure(ctx, generators):
     gens = sorted_unique(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    seed = Rim(gens, complete=False)
+    seed = Rim(gens)
     out = [rep + entry_index(ctx, seed, rep) * ctx.p for rep in orbit_reps(ctx)]
-    return Rim(sorted_unique(out), complete=True)
+    return Rim(sorted_unique(out))
 
 
 def is_mutation_step(ctx, rim_a, rim_b):

@@ -355,7 +355,7 @@ class TestMutate:
         import toricnccr.cli
 
         ctx = build_context("ca4")
-        stray = Rim(tuple(ctx.element(f) for f in (0, 1, 2, 3, 9)), complete=True)
+        stray = Rim(tuple(ctx.element(f) for f in (0, 1, 2, 3, 9)))
         monkeypatch.setattr(toricnccr.cli, "normalize", lambda ctx, rim: stray)
         code = main(["mutate", str(INPUTS / "ca4.json"), "--class", "0", "--at", "(1)"])
         captured = capsys.readouterr()

@@ -267,7 +267,7 @@ class TestValueClasses:
 
     G = FGGroup(1, (3,))
     g, h = G.element(1, (2,)), G.element(-1, (1,))
-    rim = Rim((g,), True)
+    rim = Rim((g,))
     # (class, field names in order, field values)
     CASES = [
         (FGGroup, ("free_rank", "torsion"), (1, (3,))),
@@ -277,7 +277,7 @@ class TestValueClasses:
          (G, (g, g, h, h), 2, 2, (0, 1, 2, 3))),
         (AxiomReport, ("period", "conductor"), (g, 3)),
         (RimCheck, ("status", "witness"), (RimStatus.INVALID, (g, h))),
-        (Rim, ("elements", "complete"), ((g, h), False)),
+        (Rim, ("elements",), ((g, h),)),
         (TranslationClass, ("rim", "stabilizer_order"), (rim, 2)),
         (ExchangeGraph, ("nodes", "edges"), ((TranslationClass(rim),), ((0, 0, g),))),
         (SummandSet, ("degrees",), ((g, h),)),
@@ -313,7 +313,6 @@ class TestValueClasses:
         assert HomotopyType("empty").dim is None
         assert RimCheck(RimStatus.COMPLETE).witness is None
         assert TranslationClass(self.rim).stabilizer_order == 1
-        assert Rim((self.g,), complete=True) == self.rim
 
     def test_group_rejects(self):
         with pytest.raises(ValueError, match=r"^free rank must be 0 or 1, got 2$"):

@@ -395,7 +395,7 @@ class TestRandomCrosscheck:
         ctx = grading_context(ws)
         G = ws.group
         degrees = [G.element(f, t) for f in range(-10, 11) for t in G.torsion_residues()]
-        report = crosscheck_mcm(ctx, degrees, sufficient_window(ctx, degrees), strict=True)
+        report = crosscheck_mcm(ctx, degrees, sufficient_window(ctx, degrees))
         assert report.agreements == report.checked == len(degrees)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import toricnccr.uppersets
+from toricnccr.uppersets import _classes, _minimal_codes, _swap_up
 
 from toricnccr import (
     FGGroup,
@@ -28,16 +29,19 @@ from toricnccr import (
 )
 from conftest import (
     EXPECTED_CLASS_COUNTS,
+    LADDER,
     entry_index,
     in_upper_set,
     is_mutation_step,
     ladder_context,
     leq,
     make_rim,
+    minimal_by_tau,
     orbit_reps,
     rank_one_systems,
     rim_of_upper_closure,
     sample_elements,
+    tau_table,
     translate,
 )
 
@@ -100,7 +104,7 @@ def translation_classes_by_scan(ctx):
     for combo in product(*windows):
         elems = (anchor,) + combo
         if not any(ctx.member(x - y - p) for x in elems for y in elems):
-            rim = Rim(tuple(sorted(elems, key=lambda e: e.key())), True)
+            rim = Rim(tuple(sorted(elems, key=lambda e: e.key())))
             hits[normalize_by_torsion_shifts(ctx, rim).serialized()] += 1
     assert all(ctx.orbit_count % h == 0 for h in hits.values())
     return {key: ctx.orbit_count // h for key, h in hits.items()}
@@ -139,7 +143,7 @@ def translation_classes_by_closure(ctx):
         n = stack.pop()
         c = len(n)
         if c == k:
-            rim = Rim(tuple(sorted((r + m * ctx.p for r, m in zip(reps, n)), key=lambda e: e.key())), True)
+            rim = Rim(tuple(sorted((r + m * ctx.p for r, m in zip(reps, n)), key=lambda e: e.key())))
             low = min(e.free for e in rim)
             keys = [translate(rim, -x).serialized() for x in rim if x.free == low]
             if min(keys) == rim.serialized():
@@ -306,6 +310,12 @@ class TestMutation:
         with pytest.raises(NotMinimal):
             mutate(ca4, full, ca4.element(3))
 
+    def test_partial_rim_rejected(self, ca4):
+        partial = Rim(tuple(els(ca4, 0, 1)))  # a rim holds no completeness flag
+        assert rim_status(ca4, partial.elements).status is RimStatus.PARTIAL
+        with pytest.raises(NotMinimal, match="^mutation needs a complete rim$"):
+            mutate(ca4, partial, ca4.element(0))
+
     def test_bookkeeping(self, ctx):
         rng = random.Random(f"mutation-{ctx.group}")
         for _ in range(40):
@@ -378,7 +388,7 @@ class TestTranslationClasses:
                 rep + n * ctx.p for rep, n in zip(others, shifts)
             ]
             if rim_status(ctx, elems).status is RimStatus.COMPLETE:
-                rim = Rim(tuple(sorted(elems, key=lambda e: e.key())), True)
+                rim = Rim(tuple(sorted(elems, key=lambda e: e.key())))
                 found.add(normalize_by_torsion_shifts(ctx, rim).serialized())
         expected = {cls.rim.serialized() for cls in translation_classes(ctx)}
         assert found == expected
@@ -398,6 +408,37 @@ def assert_normalize_matches_oracle(ctx, rng):
         for _ in range(3):
             t = ctx.element(rng.randint(-9, 9), rng.choice(nonzero))
             assert normalize(ctx, translate(rim, t)).elements == expected
+
+
+def assert_minimal_matches_tau(ctx):
+    """``_minimal_codes`` equals the tau-sum oracle on every class rim and on
+    every rim one mutation away from it."""
+    tau = tau_table(ctx)
+    for rim, _ in _classes(ctx):
+        minimal = _minimal_codes(ctx, rim)
+        assert minimal == minimal_by_tau(ctx, tau, rim)
+        for c in minimal:
+            mutated = _swap_up(ctx, rim, c)
+            assert _minimal_codes(ctx, mutated) == minimal_by_tau(ctx, tau, mutated)
+
+
+class TestMinimalByTau:
+    def test_fixtures(self, ctx):
+        assert_minimal_matches_tau(ctx)
+
+    @pytest.mark.parametrize("key", sorted(LADDER))
+    def test_ladder(self, key):
+        assert_minimal_matches_tau(ladder_context(key))
+
+    def test_torsion_system_with_stabilizers(self):
+        assert_minimal_matches_tau(torsion_ladder_context())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=4))
+    def test_random_systems(self, ws):
+        ctx = grading_context(ws)
+        assume(ctx.orbit_count <= 12)
+        assert_minimal_matches_tau(ctx)
 
 
 class TestCanonicalForm:
