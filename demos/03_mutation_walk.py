@@ -28,8 +28,8 @@ def main():
     ctx = grading_context(ws)
 
     graph = exchange_graph(ctx)
-    print(f"exchange graph on {len(graph.nodes)} classes "
-          f"({'connected' if graph.connected else 'DISCONNECTED'})")
+    # exchange_graph raises DisconnectedGraph if the classes fall apart
+    print(f"exchange graph on {len(graph.nodes)} classes (connected)")
     for a, b, m in graph.edges:
         print(f"   class {a} --[remove {m}]--> class {b}")
     print()

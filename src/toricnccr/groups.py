@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     InfiniteGroup,
+    InputError,
     MismatchedGroup,
     NonTorsionGenerator,
     ParseError,
@@ -177,13 +178,13 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
 
     def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
         if free_rank not in (0, 1):
-            raise ValueError(f"free rank must be 0 or 1, got {free_rank}")
+            raise InputError(f"free rank must be 0 or 1, got {free_rank}")
         torsion = tuple(int(d) for d in torsion)
         for i, d in enumerate(torsion):
             if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+                raise InputError(f"invariant factor {d} < 2")
             if i and torsion[i] % torsion[i - 1]:
-                raise ValueError(f"invariant chain broken: {torsion}")
+                raise InputError(f"invariant chain broken: {torsion}")
         _setattr(self, "free_rank", free_rank)
         _setattr(self, "torsion", torsion)
 

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
-from .errors import MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
+from .errors import InputError, MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
 from .weights import WeightSystem
@@ -139,7 +139,7 @@ def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     (0, 0, -1, -1)
     """
     if window < 1:
-        raise ValueError("window must be at least 1")
+        raise InputError("window must be at least 1")
     # any cap >= |free(g)| is exact; a power of two lets calls share tables
     return _witness(ws, _degree_key(ws, g), window, 1 << abs(g.free).bit_length())
 
@@ -181,7 +181,7 @@ def crosscheck_mcm(ctx: GradedContext, degrees, window: int) -> CrosscheckReport
     keys = [_degree_key(ctx.weights, g) for g in degrees]
     need = sufficient_window(ctx, degrees)
     if window < need:
-        raise ValueError(f"window {window} below the sufficiency bound {need}")
+        raise InputError(f"window {window} below the sufficiency bound {need}")
     # one cap for all degrees, so both patterns' tables are built once
     cap = max((abs(key[0]) for key in keys), default=0)
     mismatches = []
@@ -251,7 +251,7 @@ def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
     n = len(ws.weights)
     a = tuple(a)
     if len(a) != n:
-        raise ValueError(f"sign vector length {len(a)}, expected {n}")
+        raise InputError(f"sign vector length {len(a)}, expected {n}")
     l, lp = ws.positives, ws.negatives
     if any(a[i] >= 0 for i in range(l + lp, n)):
         return CONTRACTIBLE
@@ -317,7 +317,7 @@ def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
     """The complex of faces whose vertices all have nonnegative sign."""
     a = tuple(a)
     if len(a) != len(ws.weights):
-        raise ValueError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
+        raise InputError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
     return _support_complex(ws, sum(1 << i for i, v in enumerate(a) if v >= 0))
 
 
@@ -425,7 +425,7 @@ def local_cohomology_window(ws: WeightSystem, g: GroupElement, window: int) -> d
     classified once (the classification reads only signs).
     """
     if window < 0:
-        raise ValueError("window must be nonnegative")
+        raise InputError("window must be nonnegative")
     target = _degree_key(ws, g)
     dims = (0,) + ws.group.torsion
     n = len(ws.weights)

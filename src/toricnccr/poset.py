@@ -121,7 +121,9 @@ class GradedContext:
 
     def __init__(self, ws: WeightSystem):
         if ws.group.free_rank != 1:
-            raise RankZeroGroup("the graded poset needs a rank-one system")
+            raise RankZeroGroup(
+                "the graded poset needs a rank-one system; for a finite group use the McKay quiver"
+            )
         from .groups import quotient_by_subgroup
 
         self.weights = ws

@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 from operator import mul
 
-from .errors import BoundTooSmall, InfiniteGroup, InternalInconsistency, MismatchedGroup
+from .errors import BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
@@ -199,11 +199,8 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     degree outside the grading group raises :class:`MismatchedGroup`.
     """
     vertices = tuple(sorted(set(summands), key=GroupElement.key))
-    for v in vertices:
-        if v.group != ctx.weights.group:
-            raise MismatchedGroup(f"degree {v!r} does not lie in {ctx.weights.group}")
     if search_bound is not None and search_bound < 1:
-        raise ValueError("search bound must be at least 1")
+        raise InputError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)
     bound = proven if search_bound is None else min(search_bound, proven)
     if bound < proven:

@@ -122,9 +122,12 @@ def _swap_up(ctx: GradedContext, codes, c: int) -> tuple[int, ...]:
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
     """Remove the minimal element ``m`` from the upper set of a complete rim:
     swap m for m + p."""
-    codes, mc = [ctx.codes.code(e) for e in rim], ctx.codes.code(m)
-    if len(set(codes)) != ctx.orbit_count:
+    codes, mc = sorted({ctx.codes.code(e) for e in rim}), ctx.codes.code(m)
+    if len(codes) != ctx.orbit_count:
         raise NotMinimal("mutation needs a complete rim")
+    if (witness := _rim_witness(ctx, codes)) is not None:
+        x, y = map(ctx.codes.element, witness)
+        raise NotMinimal(f"{x} >= {y} + p: not a rim")
     if mc not in _minimal_codes(ctx, codes):  # so m lies on the rim
         raise NotMinimal(f"{m} is not a minimal element")
     return Rim(tuple(map(ctx.codes.element, _swap_up(ctx, codes, mc))))

@@ -316,6 +316,13 @@ class TestMutation:
         with pytest.raises(NotMinimal, match="^mutation needs a complete rim$"):
             mutate(ca4, partial, ca4.element(0))
 
+    def test_invalid_rim_rejected(self, ca4):
+        # one element per orbit, yet (5) >= (0) + p: the count alone passes it
+        invalid = Rim(tuple(els(ca4, 0, 1, 2, 3, 5)))
+        assert rim_status(ca4, invalid.elements).status is RimStatus.INVALID
+        with pytest.raises(NotMinimal, match=r"^\(5\) >= \(0\) \+ p: not a rim$"):
+            mutate(ca4, invalid, ca4.element(1))
+
     def test_bookkeeping(self, ctx):
         rng = random.Random(f"mutation-{ctx.group}")
         for _ in range(40):
