@@ -8,18 +8,17 @@ Input files are JSON documents::
 Every weight vector lists the free coordinate first, then one residue per
 torsion invariant (a zero free coordinate is required for rank-zero groups).
 Reports are JSON on stdout; ``--format dot`` switches graph commands to DOT.
-Exit codes: 0 success, 2 bad input (any ``InputError``), 3 internal assertion
-failure (a theorem was violated, i.e. a bug).
+Exit codes: 0 success, 2 bad input (any ``InputError``, a malformed command
+line included), 3 internal assertion failure (a theorem was violated, a bug).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 import warnings as warnings_module
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -308,103 +307,102 @@ def cmd_mckay(args):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ParseError(f"range must look like -10..10, got {text!r}")
+    lo, _, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise ParseError(f"bad range {text!r}") from exc
+        raise ParseError(f"range must look like -10..10, got {text!r}") from exc
     if lo > hi:
         raise ParseError(f"range {text!r} is empty")
     return lo, hi
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="toricnccr",
-        description="classify toric NCCRs of rank-one Gorenstein toric singularities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a weight system file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="enumerate NCCR translation classes")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("quiver", help="quiver of one class or a raw degree set")
-    p.add_argument("file")
-    p.add_argument("--class", dest="klass", type=int, default=None)
-    p.add_argument("--degrees", default=None, help="space-separated degree labels")
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="cap on the total degree of the arrow search (default: the proven "
-        "degree bound; a lower cap warns that arrows may be missing)",
-    )
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("mutate", help="Iyama-Wemyss mutation of a class")
-    p.add_argument("file")
-    p.add_argument("--class", dest="klass", type=int, required=True)
-    p.add_argument("--at", required=True, help="minimal element of the quotient H")
-    p.set_defaults(func=cmd_mutate)
-
-    p = sub.add_parser("exchange-graph", help="mutation graph of all classes")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_exchange_graph)
-
-    p = sub.add_parser("oracle", help="crosscheck the Cohen-Macaulay criterion")
-    p.add_argument("file")
-    p.add_argument("--range", required=True, help="free-part range, e.g. -10..10")
-    p.add_argument("--window", type=int, required=True)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("mckay", help="McKay quiver for a finite grading group")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_mckay)
-
-    return parser
+def _format(text: str) -> str:
+    if text not in ("json", "dot"):
+        raise ParseError("expected json or dot")
+    return text
 
 
-def _join_range_flag(argv):
-    # let "--range -10..10" through argparse, which would read the value as a flag
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--range" and i + 1 < len(argv):
-            out.append(f"--range={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out
+_FORMAT = ("format", _format, False)
+
+# command word -> (handler, help, {flag: (destination, converter, required)});
+# every command also takes one FILE, and an absent flag reads as None
+COMMANDS = {
+    "validate": (cmd_validate, "check a weight system file", {}),
+    "classify": (cmd_classify, "enumerate NCCR translation classes", {}),
+    "quiver": (cmd_quiver, "quiver of one class or a raw degree set", {
+        "--class": ("klass", int, False), "--degrees": ("degrees", str, False),
+        "--bound": ("bound", int, False), "--format": _FORMAT}),
+    "mutate": (cmd_mutate, "Iyama-Wemyss mutation of a class",
+               {"--class": ("klass", int, True), "--at": ("at", str, True)}),
+    "exchange-graph": (cmd_exchange_graph, "mutation graph of all classes", {"--format": _FORMAT}),
+    "oracle": (cmd_oracle, "crosscheck the Cohen-Macaulay criterion",
+               {"--range": ("range", str, True), "--window": ("window", int, True)}),
+    "mckay": (cmd_mckay, "McKay quiver for a finite grading group", {"--format": _FORMAT}),
+}
+
+
+def usage() -> str:
+    """The synopsis of every command in ``COMMANDS``, printed by ``--help``."""
+    lines = ["usage: toricnccr COMMAND FILE [--flag VALUE | --flag=VALUE ...]",
+             "       toricnccr --help"]
+    for word, (_, help_, flags) in COMMANDS.items():
+        spec = "".join(f" {f} {f[2:].upper()}" if req else f" [{f} {f[2:].upper()}]"
+                       for f, (_, _, req) in flags.items())
+        lines += [f"  {word} FILE{spec}", f"      {help_}"]
+    return "\n".join(lines + ["FORMAT is json (the default) or dot; RANGE looks like -10..10.", ""])
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read ``COMMAND FILE`` and that command's flags, as ``--flag VALUE`` or
+    ``--flag=VALUE``, in one pass; the token after a flag is its value even
+    when it starts with ``-``.  A malformed command line raises ``ParseError``."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        raise ParseError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    flags = COMMANDS[command][2]
+    args = SimpleNamespace(command=command, file=None, **{d: None for d, _, _ in flags.values()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if args.file is not None:
+                raise ParseError(f"{command} takes one FILE, got a second: {token!r}")
+            args.file = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ParseError(f"{command} has no flag {flag}")
+        dest, convert, _ = flags[flag]
+        if getattr(args, dest) is not None:
+            raise ParseError(f"{flag} is given twice")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ParseError(f"{flag} needs a value")
+        try:
+            setattr(args, dest, convert(value))
+        except ValueError as exc:  # int's, or the format check's ParseError
+            raise ParseError(f"bad {flag} {value!r}: {exc}") from None
+    if args.file is None:
+        raise ParseError(f"{command} needs a FILE")
+    missing = [f for f, (d, _, required) in flags.items() if required and getattr(args, d) is None]
+    if missing:
+        raise ParseError(f"{command} needs {' and '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_join_range_flag(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] in (["-h"], ["--help"]):
+        _write(usage())
+        return 0
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        return args.func(args)
+        args = parse_args(argv)
+        return COMMANDS[command][0](args)
     except InputError as exc:
-        _emit(
-            {
-                "format": REPORT_FORMAT,
-                "command": args.command,
-                "error": {"type": type(exc).__name__, "detail": str(exc)},
-            }
-        )
+        error = {"type": type(exc).__name__, "detail": str(exc)}
+        _emit({"format": REPORT_FORMAT, "command": command, "error": error})
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)

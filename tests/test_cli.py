@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricnccr import FGGroup, Rim, is_nccr, parse_element
-from toricnccr.cli import main
+from toricnccr.cli import COMMANDS, main
 from conftest import build_context
 
-INPUTS = Path(__file__).resolve().parent.parent / "inputs"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "inputs"
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -483,12 +484,133 @@ class TestMcKay:
         assert report["error"]["type"] == "RankZeroGroup"
 
 
+A1, CA4 = str(INPUTS / "a1.json"), str(INPUTS / "ca4.json")
+
+# id -> (the report's command, argv)
+MALFORMED = {
+    "empty": (None, []),
+    "unknown-command": (None, ["frob", A1]),
+    "flag-first": (None, ["--class", "0", "quiver", CA4]),
+    "non-integer": ("quiver", ["quiver", CA4, "--class", "x"]),
+    "unknown-format": ("quiver", ["quiver", CA4, "--class", "0", "--format", "svg"]),
+    "missing-required-flag": ("oracle", ["oracle", A1, "--range", "-2..2"]),
+    "unknown-flag": ("validate", ["validate", A1, "--frob", "1"]),
+    "abbreviated-flag": ("quiver", ["quiver", CA4, "--cl", "0"]),
+    "help-after-command": ("validate", ["validate", A1, "--help"]),
+    "repeated-flag": ("quiver", ["quiver", CA4, "--class", "0", "--class", "1"]),
+    "repeated-joined-flag": ("exchange-graph", ["exchange-graph", A1, "--format=dot", "--format", "dot"]),
+    "flag-without-value": ("quiver", ["quiver", CA4, "--class"]),
+    "second-file": ("validate", ["validate", A1, A1]),
+    "missing-file": ("validate", ["validate"]),
+    "missing-file-with-flags": ("mutate", ["mutate", "--class", "0", "--at", "(0)"]),
+}
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process call; a SystemExit fails."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped main({argv!r})")
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("command,argv", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_command_line_exit_2(self, command, argv):
+        code, out, err = call(argv)
+        assert code == 2
+        assert err == ""
+        report = json.loads(out)
+        assert list(report) == ["format", "command", "error"]
+        assert report["command"] == command
+        assert report["error"]["type"] == "ParseError"
+        assert report["error"]["detail"]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage_exit_0(self, flag):
+        code, out, err = call([flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: toricnccr ")
+        synopsis = [line.split() for line in out.splitlines() if line.startswith("  ") and "FILE" in line]
+        assert [line[0] for line in synopsis] == list(COMMANDS)
+        for line, (_, _, flags) in zip(synopsis, COMMANDS.values()):
+            assert [t.strip("[") for t in line if t.startswith(("--", "[--"))] == list(flags)
+
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            (["oracle", A1, "--range", "-10..10", "--window", "12"],
+             ["oracle", A1, "--range=-10..10", "--window=12"]),
+            (["quiver", CA4, "--class", "0", "--bound", "3"], ["quiver", CA4, "--class=0", "--bound=3"]),
+            (["quiver", CA4, "--class", "1", "--format", "dot"], ["quiver", "--format=dot", "--class=1", CA4]),
+            (["mutate", CA4, "--class", "0", "--at", "(1)"], ["mutate", CA4, "--at=(1)", "--class", "0"]),
+        ],
+        ids=["range", "class-bound", "file-last", "mutate"],
+    )
+    def test_joined_flags_give_the_same_bytes(self, spaced, joined):
+        first, second = call(spaced), call(joined)
+        assert first == second
+        assert first[0] == 0
+
+
+FLAGS = sorted({flag for _, _, flags in COMMANDS.values() for flag in flags})
+INTS = st.integers(-1, 12).map(str)
+LABELS = st.sampled_from(["(0)", "(1)", "(3)", "(0;1)", "0 1", "0 2", "x"])
+VALUES = {
+    "--format": st.sampled_from(["json", "dot", "svg"]),
+    "--range": st.sampled_from(["-3..3", "2..1", "x"]),
+    "--degrees": LABELS,
+    "--at": LABELS,
+}
+TOKENS = st.one_of(
+    st.sampled_from(list(COMMANDS) + FLAGS + ["-h", "--help", "--cl", "-", A1]),
+    INTS,
+    *VALUES.values(),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command, FILE (a1) and some of its flags, each with a drawn value,
+    spaced or joined by ``=``; then none, one or three tokens (command words,
+    flags, integers, formats, element labels, a1's path) inserted anywhere,
+    and sometimes one token dropped.  Many lines run; most are malformed."""
+    word = draw(st.sampled_from(list(COMMANDS)))
+    tokens = [word, A1]
+    for flag in COMMANDS[word][2]:
+        if draw(st.integers(0, 3)):
+            value = draw(VALUES.get(flag, INTS))
+            tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(TOKENS))
+    if draw(st.integers(0, 4)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return tokens
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(command_lines())
+    def test_every_command_line_exits_0_or_2(self, argv):
+        code, _, _ = call(argv)
+        assert code in (0, 2), argv
+
+
 def run_in_subprocess(argv, code="import sys; from toricnccr.cli import main; sys.exit(main(sys.argv[1:]))", **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, **kwargs)
 
 
 class TestOneParserPerProcess:
+    """A sequence of calls in one process prints what separate processes do.
+
+    No parser is cached any more: ``parse_args`` reads each argv afresh
+    against ``cli.COMMANDS``, and this keeps anything from carrying over
+    between calls."""
+
     CALLS = [
         ["quiver", INPUTS / "z3.json", "--class", "2", "--format", "dot"],
         ["quiver", INPUTS / "z3.json", "--class", "1"],
@@ -564,3 +686,23 @@ def test_import_loads_no_random():
             "print('random' in sys.modules)")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False"]
+
+
+def test_cli_call_loads_no_argparse():
+    # the command line is read against cli.COMMANDS; building argparse parsers
+    # once cost about a third of a batch of small calls
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import toricnccr.cli; "
+            f"code = toricnccr.cli.main(['validate', {A1!r}]); "
+            "print(code, 'argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+
+
+def test_readme_usage_matches_command_table():
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("toricnccr ")]
+    assert ["toricnccr", "--help"] in lines
+    synopses = [line[1:] for line in lines if line[1] != "--help"]
+    assert {line[0] for line in synopses} == set(COMMANDS)
+    named = {(line[0], t.strip("[]")) for line in synopses for t in line if t.strip("[").startswith("--")}
+    assert named == {(word, flag) for word, (_, _, flags) in COMMANDS.items() for flag in flags}
