@@ -42,12 +42,16 @@ class NotGorenstein(InputError):
 class GenerationFailure(InputError):
     """Dropping one weight leaves a proper subgroup.
 
-    ``index`` is a witness: the weight whose removal breaks generation.
+    ``index`` is a witness, the weight whose removal breaks generation, or
+    ``None`` when the weights of a rank-zero ``group`` together fail to generate it.
     """
 
-    def __init__(self, index):
+    def __init__(self, index, group=None):
         self.index = index
-        super().__init__(f"weights without index {index} generate a proper subgroup")
+        if index is None:
+            super().__init__(f"the weights generate a proper subgroup of {group}")
+        else:
+            super().__init__(f"weights without index {index} generate a proper subgroup")
 
 
 class SignCountFailure(InputError):

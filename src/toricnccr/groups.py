@@ -6,8 +6,8 @@ group, store the free coordinate as a plain integer and torsion coordinates
 as reduced residues, and support ``+``, ``-`` and integer scaling.
 
 Quotients by finite subgroups are computed through the Smith normal form of
-the relation matrix, which also yields the projection as an explicit integer
-matrix.
+the relation matrix.  The projection keeps the free coordinate, and the Smith
+basis yields its torsion block as an explicit integer matrix.
 
 >>> G = FGGroup(1, (4,))
 >>> str(G.element(3, (5,)))
@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 from .errors import (
     InfiniteGroup,
     InputError,
+    InternalInconsistency,
     MismatchedGroup,
     NonTorsionGenerator,
     ParseError,
@@ -372,11 +373,11 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
 
 
 class QuotientMap(Value, fields=("source", "target", "matrix")):
-    """A surjection ``source -> target`` given by an integer matrix on lifts.
+    """A surjection ``source -> target`` that keeps the free coordinate.
 
-    ``matrix`` maps raw source coordinates to raw target coordinates.  Images
-    and preimages in bulk are read off codes
-    (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
+    ``matrix`` is the torsion block: it maps the torsion coordinates of the
+    source to those of the target.  Images and preimages in bulk are read off
+    codes (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
     """
 
     def __init__(self, source: FGGroup, target: FGGroup, matrix: tuple[tuple[int, ...], ...]):
@@ -394,28 +395,11 @@ class QuotientMap(Value, fields=("source", "target", "matrix")):
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.group != self.source:
             raise MismatchedGroup(f"{g.group} is not the source {self.source}")
-        y = _matvec(self.matrix, self._lift(g, self.source))
-        return self._assemble(self.target, y)
-
-    @staticmethod
-    def _lift(g: GroupElement, group: FGGroup) -> tuple[int, ...]:
-        return ((g.free,) if group.free_rank else ()) + g.tors
-
-    @staticmethod
-    def _assemble(group: FGGroup, coords) -> GroupElement:
-        if group.free_rank:
-            return group.element(coords[0], coords[1:])
-        return group.element(0, coords)
-
-
-def _identity_quotient(g: FGGroup) -> QuotientMap:
-    n = g.coordinate_count
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return QuotientMap(g, g, ident)
+        return self.target.element(g.free, _matvec(self.matrix, g.tors))
 
 
 def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
-    """The relation rows of ``g`` followed by the lift of each generator."""
+    """The relation rows of ``g`` followed by the raw coordinates of each generator."""
     n = g.coordinate_count
     rels = []
     for j, d in enumerate(g.torsion):
@@ -425,7 +409,7 @@ def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
     for x in gens:
         if x.group != g:
             raise MismatchedGroup(f"generator {x!r} not in {g}")
-        rels.append(list(QuotientMap._lift(x, g)))
+        rels.append(list(x.key()[1 - g.free_rank:]))
     return rels
 
 
@@ -434,41 +418,30 @@ def quotient_by_subgroup(
 ) -> tuple[FGGroup, QuotientMap]:
     """Quotient of ``g`` by the subgroup generated by torsion elements.
 
-    The quotient comes out in invariant-factor form; when ``g`` has rank one
-    the free coordinate of the quotient is oriented so that the projection to
-    ``Z`` commutes with the one on ``g`` (same sign on every element).  The
-    kernel is never listed: the map carries only its order,
-    :attr:`QuotientMap.kernel_order`.
+    Every generator has free part 0, so the quotient is ``Z^r x T/K`` (``T``
+    the torsion of ``g``, ``K`` the span) and the projection keeps the free
+    coordinate.  Its matrix is the torsion block of the Smith basis of the
+    relations; a basis that moves the free coordinate is a bug and raises
+    :class:`InternalInconsistency`.  The kernel is never listed: the map
+    carries only its order, :attr:`QuotientMap.kernel_order`.
     """
     gens = list(gens)
     rels = _relations(g, gens)
     for x in gens:
         if not x.is_torsion():
             raise NonTorsionGenerator(f"{x} has infinite order")
-    if all(x.is_zero() for x in gens):
-        return g, _identity_quotient(g)
 
     diag, basis = smith_normal_form(rels, g.coordinate_count)
+    # the free coordinate is a zero row of the relations: the reduction never
+    # pivots on it, adds it or negates it, so its basis row stays e_0 at the
+    # one zero of diag, and no other basis row gets a free entry
+    r, e0 = g.free_rank, [1] + [0] * len(g.torsion)
+    if [(d, row) for d, row in zip(diag, basis) if d == 0 or any(row[:r])] != [(0, e0)] * r:
+        raise InternalInconsistency(f"the Smith basis moved the free coordinate: {basis}")
 
-    free_idx = [i for i, d in enumerate(diag) if d == 0]
     tors_idx = [i for i, d in enumerate(diag) if d >= 2]
-    if len(free_idx) != g.free_rank:
-        raise NonTorsionGenerator("quotient changed the free rank")
-    target = FGGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-
-    order = free_idx + tors_idx
-    fwd = [list(basis[i]) for i in order]
-
-    if g.free_rank == 1:
-        # the composite Z -> G -> H -> Z is multiplication by +-1; fix it to +1
-        lam = fwd[0][0]
-        if abs(lam) != 1:
-            raise NonTorsionGenerator("quotient does not preserve the free line")
-        if lam == -1:
-            fwd[0] = [-v for v in fwd[0]]
-
-    q = QuotientMap(g, target, tuple(tuple(r) for r in fwd))
-    return target, q
+    target = FGGroup(r, tuple(diag[i] for i in tors_idx))
+    return target, QuotientMap(g, target, tuple(tuple(basis[i][r:]) for i in tors_idx))
 
 
 def subgroup_is_whole(g: FGGroup, gens: Iterable[GroupElement]) -> bool:

@@ -89,7 +89,7 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     # the weights sum to zero, so dropping any one leaves a family whose span
     # still holds it: every proper subfamily generates G iff all weights do
     if not subgroup_is_whole(group, raw):
-        raise GenerationFailure(None if group.free_rank == 0 else 0)
+        raise GenerationFailure(0 if group.free_rank else None, group)
     if group.free_rank == 0:
         return WeightSystem(group, tuple(raw), 0, 0, tuple(range(len(raw))))
 

@@ -17,6 +17,7 @@ from toricnccr import (
     AxiomViolation,
     FGGroup,
     InputError,
+    NonTorsionGenerator,
     Rim,
     RimStatus,
     SummandSet,
@@ -24,6 +25,7 @@ from toricnccr import (
     minimal_elements,
     mutate,
     rim_status,
+    smith_normal_form,
     validate,
 )
 from toricnccr.groups import GroupElement
@@ -183,6 +185,51 @@ def check_axioms_by_sampling(ctx, sample_size, seed):
             raise AxiomViolation(f"no finite p-step takes {x} above {y}")
         witness_checks += 1
     return pair_checks, witness_checks
+
+
+# -- the quotient on the full Smith basis, oracle for quotient_by_subgroup ---
+
+
+def quotient_by_full_snf(g, gens):
+    """``quotient_by_subgroup`` as it was before the projection kept the free
+    coordinate by construction: the full (1+k) x (1+k) Smith basis, a separate
+    identity map when every generator is zero, a re-check of the free rank
+    and a sign flip of the free line when needed.  Returns the quotient and
+    the projection as a function on elements."""
+    gens = list(gens)
+    n, rank = g.coordinate_count, g.free_rank
+
+    def lift(x):
+        return x.key()[1 - rank:]
+
+    rels = [[d * (i == rank + j) for i in range(n)] for j, d in enumerate(g.torsion)]
+    rels += [list(lift(x)) for x in gens]
+    for x in gens:
+        if not x.is_torsion():
+            raise NonTorsionGenerator(f"{x} has infinite order")
+    if all(x.is_zero() for x in gens):
+        target, fwd = g, [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        diag, basis = smith_normal_form(rels, n)
+        free_idx = [i for i, d in enumerate(diag) if d == 0]
+        tors_idx = [i for i, d in enumerate(diag) if d >= 2]
+        if len(free_idx) != rank:
+            raise NonTorsionGenerator("quotient changed the free rank")
+        target = FGGroup(rank, tuple(diag[i] for i in tors_idx))
+        fwd = [list(basis[i]) for i in free_idx + tors_idx]
+        if rank == 1:
+            # the composite Z -> G -> H -> Z is multiplication by +-1; fix it to +1
+            lam = fwd[0][0]
+            if abs(lam) != 1:
+                raise NonTorsionGenerator("quotient does not preserve the free line")
+            if lam == -1:
+                fwd[0] = [-v for v in fwd[0]]
+
+    def image(x):
+        y = [sum(a * b for a, b in zip(row, lift(x))) for row in fwd]
+        return target.element(y[0], y[1:]) if rank else target.element(0, y)
+
+    return target, image
 
 
 # -- element routes through the quotient, oracles for the code routes ------

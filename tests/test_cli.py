@@ -465,6 +465,17 @@ class TestMcKay:
         assert code == 2
         assert report["error"]["type"] == "InfiniteGroup"
 
+    def test_proper_subgroup_exit_2(self, capsys, tmp_path):
+        path = write_doc(
+            tmp_path, {"group": {"free_rank": 0, "torsion": [4]}, "weights": [[0, 2], [0, 2]]}
+        )
+        code, report = run_json(capsys, "mckay", path)
+        assert code == 2
+        assert report["error"] == {
+            "type": "GenerationFailure",
+            "detail": "the weights generate a proper subgroup of Z/4",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toricnccr.groups
 from toricnccr import (
@@ -27,12 +29,13 @@ from toricnccr import (
     smith_normal_form,
     subgroup_is_whole,
 )
+from toricnccr.errors import InternalInconsistency
 from toricnccr.groups import GroupElement, QuotientMap
 from toricnccr.nccr import MutationCertificate
 from toricnccr.oracle import CrosscheckReport, HomotopyType
 from toricnccr.quivers import Arrow
 from toricnccr.uppersets import ExchangeGraph, RimCheck, TranslationClass
-from conftest import fiber
+from conftest import SYSTEM_SPECS, build_context, fiber, kernel_systems, quotient_by_full_snf
 
 
 def test_doctests():
@@ -146,6 +149,18 @@ class TestSmithNormalForm:
         assert sorted(d for d in diag if d) == [2, 2]
 
 
+QUOTIENT_TORSIONS = [(2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (4, 8), (3, 9), (2, 2, 2), (2, 2, 4)]
+
+
+@st.composite
+def torsion_quotients(draw):
+    """A group of free rank 0 or 1 over one of ``QUOTIENT_TORSIONS`` and 0-3
+    torsion generators, zero ones included."""
+    group = FGGroup(draw(st.integers(0, 1)), draw(st.sampled_from(QUOTIENT_TORSIONS)))
+    tors = st.tuples(*(st.integers(0, d - 1) for d in group.torsion))
+    return group, [group.element(0, t) for t in draw(st.lists(tors, max_size=3))]
+
+
 class TestQuotient:
     def test_quotient_of_z4_by_two_torsion(self):
         g = FGGroup(1, (4,))
@@ -176,13 +191,56 @@ class TestQuotient:
         with pytest.raises(NonTorsionGenerator):
             quotient_by_subgroup(g, [g.element(1, (0,))])
 
-    def test_orientation_preserves_sign(self):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_orientation_preserves_sign(self, ws):
         g = FGGroup(1, (4, 8))
         h, q = quotient_by_subgroup(g, [g.element(0, (2, 4))])
         for free in (-3, -1, 1, 2, 7):
             img = q(g.element(free, (1, 3)))
             assert (img.free_part() > 0) == (free > 0)
             assert abs(img.free_part()) == abs(free)
+        # q keeps the free coordinate on the worked systems and a random one
+        # with a nontrivial kernel
+        maps = [q, quotient_by_subgroup(ws.group, ws.torsion_weights)[1]]
+        maps += [build_context(key).q for key in SYSTEM_SPECS]
+        for q in maps:
+            for free, t in product((-3, 0, 2), q.source.torsion_residues()):
+                x = q.source.element(free, t)
+                assert q(x).free == x.free
+
+    @pytest.mark.parametrize("damage", ["negated free row", "free entry in a torsion row"])
+    def test_moved_free_coordinate_is_a_bug(self, monkeypatch, damage):
+        real = toricnccr.groups.smith_normal_form
+
+        def damaged(relations, n):
+            diag, basis = real(relations, n)
+            assert diag == [2, 0] and basis == [[0, 1], [1, 0]]
+            if damage == "negated free row":
+                basis[1] = [-1, 0]
+            else:
+                basis[0] = [1, 1]
+            return diag, basis
+
+        monkeypatch.setattr(toricnccr.groups, "smith_normal_form", damaged)
+        g = FGGroup(1, (4,))
+        with pytest.raises(InternalInconsistency, match="moved the free coordinate"):
+            quotient_by_subgroup(g, [g.element(0, (2,))])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(torsion_quotients())
+    @example((FGGroup(1, (2, 4)), [FGGroup(1, (2, 4)).zero()] * 2))
+    @example((FGGroup(0, (3, 3)), [FGGroup(0, (3, 3)).zero()]))
+    @example((FGGroup(0, (6,)), []))
+    def test_agrees_with_full_snf_oracle(self, case):
+        g, gens = case
+        h, q = quotient_by_subgroup(g, gens)
+        target, image = quotient_by_full_snf(g, gens)
+        assert h == target
+        for free in (-2, 0, 3) if g.free_rank else (0,):
+            for t in g.torsion_residues():
+                x = g.element(free, t)
+                assert q(x) == image(x)
 
     def test_additivity_and_surjectivity_sampled(self):
         rng = random.Random(5)
@@ -272,7 +330,7 @@ class TestValueClasses:
     CASES = [
         (FGGroup, ("free_rank", "torsion"), (1, (3,))),
         (GroupElement, ("group", "free", "tors"), (G, 1, (2,))),
-        (QuotientMap, ("source", "target", "matrix"), (G, G, ((1, 0), (0, 1)))),
+        (QuotientMap, ("source", "target", "matrix"), (G, G, ((1,),))),
         (WeightSystem, ("group", "weights", "positives", "negatives", "permutation"),
          (G, (g, g, h, h), 2, 2, (0, 1, 2, 3))),
         (AxiomReport, ("period", "conductor"), (g, 3)),

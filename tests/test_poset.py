@@ -297,6 +297,7 @@ class TestAxioms:
         ws = a1.weights
         rigged = grading_context(ws)
         rigged.p = rigged.group.zero()
+        rigged.p_code = rigged.codes.code(rigged.p)  # check_axioms reads the code
         with pytest.raises(AxiomViolation):
             check_axioms(rigged)
         with pytest.raises(AxiomViolation):
@@ -305,6 +306,7 @@ class TestAxioms:
     def test_negated_period_fails(self, z3):
         rigged = grading_context(z3.weights)
         rigged.p = -rigged.p
+        rigged.p_code = rigged.codes.code(rigged.p)
         with pytest.raises(AxiomViolation):
             check_axioms(rigged)
         with pytest.raises(AxiomViolation):

@@ -48,6 +48,7 @@ class TestValidate:
         with pytest.raises(GenerationFailure) as err:
             validate(g, [g.element(2), g.element(2), g.element(-2), g.element(-2)])
         assert err.value.index == 0
+        assert str(err.value) == "weights without index 0 generate a proper subgroup"
 
     def test_all_examples_validate(self, system_key):
         ws = build_system(system_key)
@@ -116,8 +117,10 @@ class TestValidate:
         g = FGGroup(0, (4,))
         with pytest.raises(NotGorenstein):
             validate(g, [g.element(0, (1,)), g.element(0, (1,))])
-        with pytest.raises(GenerationFailure):
+        with pytest.raises(GenerationFailure) as err:
             validate(g, [g.element(0, (2,)), g.element(0, (2,))])
+        assert err.value.index is None
+        assert str(err.value) == "the weights generate a proper subgroup of Z/4"
 
 
 class TestGradingContext:
