@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import FGGroup, parse_element
 from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
-from .oracle import crosscheck_mcm
+from .oracle import crosscheck_range
 from .poset import grading_context
 from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
 from .uppersets import exchange_graph, normalize, translation_classes
@@ -263,13 +263,8 @@ def cmd_exchange_graph(args):
 def cmd_oracle(args):
     ws, ctx = _context_for(args.file)
     lo, hi = _parse_range(args.range)
-    degrees = [
-        ws.group.element(f, t)
-        for f in range(lo, hi + 1)
-        for t in ws.group.torsion_residues()
-    ]
     try:
-        report = crosscheck_mcm(ctx, degrees, args.window)
+        report = crosscheck_range(ctx, lo, hi, args.window)
     except OracleMismatch as exc:  # report the disagreement, then exit 3 below
         report = exc.report
     payload = {

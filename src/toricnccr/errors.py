@@ -108,9 +108,5 @@ class DisconnectedGraph(InternalCheckError):
     """The mutation exchange graph came out disconnected."""
 
 
-class UnclassifiableSignPattern(InternalCheckError):
-    """No case of the sign-pattern classification applied."""
-
-
 class BoundTooSmall(UserWarning):
     """The quiver search was capped below the proven degree bound; arrows may be missing."""

@@ -307,13 +307,7 @@ class GroupElement(Value, fields=("group", "free", "tors")):
         """
         if self.free:
             return math.inf
-        n = 1
-        for t, d in zip(self.tors, self.torsion_moduli()):
-            n = math.lcm(n, d // math.gcd(d, t))
-        return n
-
-    def torsion_moduli(self) -> tuple[int, ...]:
-        return self.group.torsion
+        return math.lcm(*(d // math.gcd(d, t) for t, d in zip(self.tors, self.group.torsion)))
 
     def key(self) -> tuple:
         """Raw coordinates ``(free, t_1, ..., t_k)`` (free kept for rank 0 too),

@@ -62,7 +62,12 @@ class MutationCertificate(Value,
 
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:
     """Is the divisorial module of degree ``g`` maximal Cohen-Macaulay?"""
-    h, sub = ctx.image_code(ctx.source_codes.code(g)), ctx.codes.sub
+    return is_mcm_code(ctx, ctx.source_codes.code(g))
+
+
+def is_mcm_code(ctx: GradedContext, c: int) -> bool:
+    """:func:`is_mcm` on the source code ``c`` of the degree."""
+    h, sub = ctx.image_code(c), ctx.codes.sub
     h_minus_p = sub(h, ctx.p_code)
     minus_p_minus_h = sub(0, h + ctx.plus_p[h % ctx.codes.order])
     return not ctx.member_code(h_minus_p) and not ctx.member_code(minus_p_minus_h)

@@ -5,10 +5,13 @@ A degree fails to be maximal Cohen-Macaulay exactly when some integer vector
 on the positive block and negative everywhere else, or nonnegative on the
 negative block and negative everywhere else.  The oracle searches for such
 witnesses inside a finite window and cross-checks the order criterion: per
-sign pattern and weight position, one int per torsion residue has bit
-``|free|`` set for each sum of the remaining weights up to the largest free
-part checked.  A degree's witness test is one bit; the lexicographically first
-witness is rebuilt front to back only when asked for.
+sign pattern and weight position, one int per torsion residue (in code order,
+see :class:`~.poset.IntegerCodes`) has bit ``|free|`` set for each sum of the
+remaining weights up to the largest free part checked.  A weight's residue
+maps are built once per class of coefficients mod the order of its torsion
+part.  The crosscheck runs on source codes (:func:`crosscheck_range` walks a
+free-part range in code order): a degree's witness test is one bit, and an
+element and its lexicographically first witness are built only for a mismatch.
 
 The topological side: each sign vector ``a`` selects a subcomplex of the face
 complex of the weight polytope, whose homotopy type is one of empty, a point,
@@ -25,9 +28,10 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
-from .errors import InputError, MismatchedGroup, OracleMismatch, UnclassifiableSignPattern
+from . import nccr
+from .errors import InputError, OracleMismatch, SearchBudgetExceeded
 from .groups import GroupElement, Value, _setattr
-from .poset import GradedContext
+from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
 
@@ -35,16 +39,11 @@ from .weights import WeightSystem
 # Sign-pattern witnesses
 
 
-def _degree_key(ws: WeightSystem, g: GroupElement) -> tuple[int, ...]:
-    """``g`` as a raw ``(free, t_1, ...)`` tuple, torsion reduced; it must lie in ``ws``'s group."""
-    if g.group != ws.group:
-        raise MismatchedGroup(f"degree {g!r} does not lie in {ws.group}")
-    return g.key()
-
-
-def _plus(u, v, k: int, dims) -> tuple[int, ...]:
-    """Raw ``u + k*v``; ``dims`` is 0 for the free coordinate, else the invariant factor."""
-    return tuple((a + k * b) % d if d else a + k * b for a, b, d in zip(u, v, dims))
+# Building a witness table shifts one (cap+1)-bit set per coefficient and
+# residue.  Its work, the shifts times the 64-bit words per set, is refused
+# above this fixed cap before the build: inputs/z4.json with --range -N..N
+# needs about N²/4, so the cap admits N up to 23,000.
+WITNESS_WORK_CAP = 1 << 27
 
 
 # Each cache holds one job's working set and is bounded so that it cannot grow
@@ -54,7 +53,7 @@ def _plus(u, v, k: int, dims) -> tuple[int, ...]:
 # complexes (64 for six).
 @lru_cache(maxsize=4)
 def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
-    """Suffix reachability tables of one sign pattern, as ``(index, steps, suffix)``.
+    """Suffix reachability tables of one sign pattern, as ``(steps, suffix)``.
 
     A vector matches the pattern when ``a_i`` is in [0, window] on its nonneg
     block and in [-window, -1] elsewhere.  In pattern 6 every term ``a_i x_i``
@@ -62,61 +61,67 @@ def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
     negative ones, torsion weights add 0), in pattern 7 <= 0.  So partial sums
     from either end are monotone in free part, and within the cap if the sum is.
 
-    ``suffix[i][r]`` has bit ``|f|`` set iff ``(f, residue r)`` is a sum of
-    weights ``i..n-1`` in the pattern's ranges with ``|f| <= cap``: by
-    monotonicity, ``suffix[i + 1]`` shifted by each step of weight ``i``, ORed
-    and masked to the cap.  ``steps[i]`` holds weight ``i``'s coefficients in
-    increasing order with shift ``|c * free|`` and residue map ``r -> r - c *
-    tors``; only those with ``|c * free| <= cap``, and one period of a torsion
-    weight, whose steps repeat.
+    Residues are indexed in code order (:class:`~.poset.IntegerCodes`), so a
+    source code ``c`` has residue ``c % |T|``.  ``suffix[i][r]`` has bit
+    ``|f|`` set iff ``(f, residue r)`` is a sum of weights ``i..n-1`` in the
+    pattern's ranges with ``|f| <= cap``: by monotonicity, ``suffix[i + 1]``
+    shifted by each step of weight ``i``, ORed and masked to the cap.
+    ``steps[i]`` holds weight ``i``'s coefficients in increasing order with
+    shift ``|c * free|`` and residue map ``r -> r - c * tors``; only those with
+    ``|c * free| <= cap``, and one period of a torsion weight, whose steps
+    repeat.  The map depends only on ``c`` mod ``ord(tors)``, so each class
+    builds one, shared by its coefficients; a torsion-free weight has one, the
+    identity.
     """
-    dims = ws.group.torsion
-    residues = list(ws.group.torsion_residues())
-    index = {t: r for r, t in enumerate(residues)}
+    codes = IntegerCodes(ws.group)
+    order = codes.order
     l, lp = ws.positives, ws.negatives
     nonneg = range(l) if pattern == 6 else range(l, l + lp)
-    steps = []
+    ranges = []
     for i, x in enumerate(ws.weights):
         lo, hi = (0, window) if i in nonneg else (-window, -1)
         if x.free:
             k = cap // abs(x.free)
-            coefficients = range(max(lo, -k), min(hi, k) + 1)
+            ranges.append(range(max(lo, -k), min(hi, k) + 1))
         else:
-            coefficients = range(lo, hi + 1)[: x.order()]
-        steps.append(tuple(
-            (c, abs(c * x.free), tuple(index[_plus(t, x.tors, -c, dims)] for t in residues))
-            for c in coefficients
-        ))
+            ranges.append(range(lo, hi + 1)[: x.order()])
+    work = order * sum(map(len, ranges)) * (cap // 64 + 1)
+    if work > WITNESS_WORK_CAP:
+        raise SearchBudgetExceeded(
+            f"the witness table needs {work} word operations, over the cap of {WITNESS_WORK_CAP}"
+        )
+    steps = []
+    for x, coefficients in zip(ws.weights, ranges):
+        period = ws.group.element(0, x.tors).order()
+        back = {}
+        for j in {c % period for c in coefficients}:
+            jt = codes.encode(0, [j * t for t in x.tors])
+            back[j] = tuple(codes.sub(r, jt) for r in range(order))
+        steps.append(tuple((c, abs(c * x.free), back[c % period]) for c in coefficients))
     mask = (1 << cap + 1) - 1
-    suffix = [[1] + [0] * (len(residues) - 1)]  # the empty sum: only 0
+    suffix = [[1] + [0] * (order - 1)]  # the empty sum: only 0
     for options in reversed(steps):
-        table = [0] * len(residues)
+        table = [0] * order
         for _, shift, back in options:
             for r, s in enumerate(back):
                 table[r] |= suffix[-1][s] << shift
         suffix.append([bits & mask for bits in table])
-    return index, tuple(steps), tuple(reversed(suffix))
+    return tuple(steps), tuple(reversed(suffix))
 
 
-def _locate(ws: WeightSystem, key, window: int, cap: int):
-    """``(tables, |free|, residue)`` of ``key``, or ``None`` if no witness sums to it.
+def _witness(ws: WeightSystem, code: int, window: int, cap: int):
+    """The lexicographically first witness summing to the source ``code``, or
+    ``None``: front to back, each coordinate takes the first coefficient whose
+    remainder lies in the next suffix table, that is, has a completion.
 
-    The sign of ``free`` picks the pattern: a sum of free part 0 has all terms
-    0, impossible in a rank-one system, and without free weights the two
+    The sign of the free part picks the pattern: a sum of free part 0 has all
+    terms 0, impossible in a rank-one system, and without free weights the two
     patterns coincide."""
-    index, _, suffix = tables = _witness_table(ws, 6 if key[0] >= 0 else 7, window, cap)
-    u, r = abs(key[0]), index[key[1:]]
-    return (tables, u, r) if suffix[0][r] >> u & 1 else None
-
-
-def _witness(ws: WeightSystem, key, window: int, cap: int):
-    """The lexicographically first witness summing to ``key``, or ``None``:
-    front to back, each coordinate takes the first coefficient whose remainder
-    lies in the next suffix table, that is, has a completion."""
-    found = _locate(ws, key, window, cap)
-    if found is None:
+    free, r = divmod(code, ws.group.torsion_order())
+    steps, suffix = _witness_table(ws, 6 if free >= 0 else 7, window, cap)
+    u = abs(free)
+    if not suffix[0][r] >> u & 1:
         return None
-    (_, steps, suffix), u, r = found
     a = []
     for options, after in zip(steps, suffix[1:]):
         for c, shift, back in options:
@@ -141,7 +146,13 @@ def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     if window < 1:
         raise InputError("window must be at least 1")
     # any cap >= |free(g)| is exact; a power of two lets calls share tables
-    return _witness(ws, _degree_key(ws, g), window, 1 << abs(g.free).bit_length())
+    return _witness(ws, IntegerCodes(ws.group).code(g), window, 1 << abs(g.free).bit_length())
+
+
+def _window_bound(ctx: GradedContext, max_free: int) -> int:
+    """:func:`sufficient_window` for degrees of largest ``|free|`` ``max_free``."""
+    block = max(0, max_free - ctx.p.free) // min(g.free for g in ctx.generators) + 1
+    return max([block, *(x.order() for x in ctx.weights.torsion_weights)])
 
 
 def sufficient_window(ctx: GradedContext, degrees) -> int:
@@ -151,11 +162,7 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
     block entries at most ``(max |free(g)| - free(p)) / min generator free
     part + 1`` and torsion-weight entries at most the weight's order.
     """
-    maxpi = max((abs(g.free_part()) for g in degrees), default=0)
-    min_gen = min(g.free for g in ctx.generators)
-    tors_orders = [int(x.order()) for x in ctx.weights.torsion_weights]
-    block_bound = max(0, (maxpi - ctx.p.free)) // min_gen + 1
-    return max([block_bound, 1, *tors_orders])
+    return _window_bound(ctx, max((abs(g.free_part()) for g in degrees), default=0))
 
 
 class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "window")):
@@ -169,33 +176,47 @@ class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "wi
         return f"agree: {self.agreements}/{self.checked}, mismatches: {len(self.mismatches)}"
 
 
+def _crosscheck(ctx: GradedContext, codes, cap: int, window: int) -> CrosscheckReport:
+    """:func:`crosscheck_mcm` on source codes of largest ``|free|`` ``cap``.
+
+    A code's free part is ``c // |T|`` and its residue ``c % |T|``; its
+    witness test is one bit of the first suffix table of its sign pattern.
+    An element, and its witness, is built only for a mismatch."""
+    need = _window_bound(ctx, cap)
+    if window < need:
+        raise InputError(f"window {window} below the sufficiency bound {need}")
+    ws, order = ctx.weights, ctx.source_codes.order
+    # one cap for all degrees, so both patterns' tables are built once; the
+    # sign of the free part picks the pattern, as in _witness
+    first = [_witness_table(ws, pattern, window, cap)[1][0] for pattern in (6, 7)]
+    mismatches = []
+    for c in codes:
+        free, r = divmod(c, order)
+        mcm = nccr.is_mcm_code(ctx, c)
+        if mcm == first[free < 0][r] >> abs(free) & 1:  # MCM iff no witness
+            mismatches.append((ctx.source_codes.element(c), mcm, _witness(ws, c, window, cap)))
+    report = CrosscheckReport(len(codes), len(codes) - len(mismatches), tuple(mismatches), window)
+    if mismatches:
+        raise OracleMismatch(report)
+    return report
+
+
 def crosscheck_mcm(ctx: GradedContext, degrees, window: int) -> CrosscheckReport:
     """Assert ``is_mcm(g) <=> no sign-pattern witness`` for every degree.
 
     Raises :class:`OracleMismatch`, which carries the report, on any
     disagreement (a bug: the equivalence is a theorem).
     """
-    from .nccr import is_mcm
+    codes = [ctx.source_codes.code(g) for g in degrees]
+    cap = max((abs(c // ctx.source_codes.order) for c in codes), default=0)
+    return _crosscheck(ctx, codes, cap, window)
 
-    degrees = list(degrees)
-    keys = [_degree_key(ctx.weights, g) for g in degrees]
-    need = sufficient_window(ctx, degrees)
-    if window < need:
-        raise InputError(f"window {window} below the sufficiency bound {need}")
-    # one cap for all degrees, so both patterns' tables are built once
-    cap = max((abs(key[0]) for key in keys), default=0)
-    mismatches = []
-    agreements = 0
-    for g, key in zip(degrees, keys):
-        mcm = is_mcm(ctx, g)
-        if mcm == (_locate(ctx.weights, key, window, cap) is None):
-            agreements += 1
-        else:
-            mismatches.append((g, mcm, _witness(ctx.weights, key, window, cap)))
-    report = CrosscheckReport(len(degrees), agreements, tuple(mismatches), window)
-    if mismatches:
-        raise OracleMismatch(report)
-    return report
+
+def crosscheck_range(ctx: GradedContext, lo: int, hi: int, window: int) -> CrosscheckReport:
+    """:func:`crosscheck_mcm` on every degree of free part ``lo..hi``, in code
+    order: by free part, then by torsion residue, lexicographically."""
+    order = ctx.source_codes.order
+    return _crosscheck(ctx, range(lo * order, (hi + 1) * order), max(-lo, hi, 0), window)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +231,9 @@ def face_test(ws: WeightSystem, indices) -> bool:
     mixes both free-part signs, or consists of torsion weights only (whose
     contribution dies after scaling by the torsion exponent).
     """
-    n = len(ws.weights)
-    complement = set(range(n)) - set(indices)
-    if not complement:
-        return True
+    complement = set(range(len(ws.weights))) - set(indices)
     l, lp = ws.positives, ws.negatives
-    has_pos = any(i < l for i in complement)
-    has_neg = any(l <= i < l + lp for i in complement)
-    if has_pos and has_neg:
-        return True
-    return not has_pos and not has_neg
+    return any(i < l for i in complement) == any(l <= i < l + lp for i in complement)
 
 
 class HomotopyType(Value, fields=("kind", "dim")):
@@ -253,23 +267,12 @@ def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
     if len(a) != n:
         raise InputError(f"sign vector length {len(a)}, expected {n}")
     l, lp = ws.positives, ws.negatives
-    if any(a[i] >= 0 for i in range(l + lp, n)):
+    pos, neg = {c >= 0 for c in a[:l]}, {c >= 0 for c in a[l:l + lp]}
+    if any(c >= 0 for c in a[l + lp:]) or len(pos) > 1 or len(neg) > 1 or pos == neg == {True}:
         return CONTRACTIBLE
-    pos = [a[i] >= 0 for i in range(l)]
-    neg = [a[i] >= 0 for i in range(l, l + lp)]
-    if any(pos) and not all(pos):
-        return CONTRACTIBLE
-    if any(neg) and not all(neg):
-        return CONTRACTIBLE
-    if not any(pos) and not any(neg):
+    if pos == neg:  # every coordinate negative
         return EMPTY
-    if all(pos) and all(neg):
-        return CONTRACTIBLE
-    if all(pos):
-        return sphere(l - 2)
-    if all(neg):
-        return sphere(lp - 2)
-    raise UnclassifiableSignPattern(f"a = {a}")  # pragma: no cover
+    return sphere(l - 2 if True in pos else lp - 2)
 
 
 class SimplicialComplex(Value, fields=("vertex_count", "facets")):
@@ -306,10 +309,7 @@ def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             if face_test(ws, subset):
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                out.append((mask, subset))
+                out.append((sum(1 << i for i in subset), subset))
     return tuple(out)
 
 
@@ -387,11 +387,7 @@ def reduced_homology(complex_: SimplicialComplex) -> tuple[tuple[int, int], ...]
                 rows[lower[sub]][j] = (-1) ** omit
         ranks[k] = _matrix_rank(rows)
 
-    betti = []
-    for k in range(-1, top + 1):
-        b = dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        betti.append((k, b))
-    return tuple(betti)
+    return tuple((k, dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)) for k in range(-1, top + 1))
 
 
 def betti_numbers(complex_: SimplicialComplex) -> dict[int, int]:
@@ -402,15 +398,17 @@ def betti_numbers(complex_: SimplicialComplex) -> dict[int, int]:
 # Windowed local cohomology
 
 
-def _half_counts(ws: WeightSystem, indices, window: int, dims) -> dict:
-    """``(raw sum, nonneg mask) -> count`` over coefficients in [-window, window] on ``indices``."""
-    counts = {((0,) * len(dims), 0): 1}
+def _half_counts(ws: WeightSystem, indices, window: int, codes: IntegerCodes) -> dict:
+    """``(code of the sum, nonneg mask) -> count`` over coefficients in
+    [-window, window] on ``indices``; adding ``c * x`` to a code ``v`` adds
+    ``steps(c * x)[v % |T|]``."""
+    counts, order = {(0, 0): 1}, codes.order
     for i in indices:
-        x = ws.weights[i].key()
+        moves = [(codes.steps(c * ws.weights[i]), (c >= 0) << i) for c in range(-window, window + 1)]
         new: dict = {}
         for (value, mask), cnt in counts.items():
-            for c in range(-window, window + 1):
-                key = (_plus(value, x, c, dims), (mask | 1 << i) if c >= 0 else mask)
+            for steps, bit in moves:
+                key = (value + steps[value % order], mask | bit)
                 new[key] = new.get(key, 0) + cnt
         counts = new
     return counts
@@ -420,21 +418,21 @@ def local_cohomology_window(ws: WeightSystem, g: GroupElement, window: int) -> d
     """Per cohomological degree, the number of windowed sign vectors whose
     support complex contributes there; a lower bound for the true dimensions.
 
-    Meet in the middle: each half of the weights is tabulated by raw sum and
-    nonneg mask, the halves are joined on ``g - sum``, and each mask is
-    classified once (the classification reads only signs).
+    Meet in the middle: each half of the weights is tabulated by the code of
+    its sum and its nonneg mask, the halves are joined on ``g - sum``, and each
+    mask is classified once (the classification reads only signs).
     """
     if window < 0:
         raise InputError("window must be nonnegative")
-    target = _degree_key(ws, g)
-    dims = (0,) + ws.group.torsion
+    codes = IntegerCodes(ws.group)
+    target = codes.code(g)
     n = len(ws.weights)
     right: dict = {}
-    for (value, mask), cnt in _half_counts(ws, range(n // 2, n), window, dims).items():
+    for (value, mask), cnt in _half_counts(ws, range(n // 2, n), window, codes).items():
         right.setdefault(value, {})[mask] = cnt
     by_mask: dict[int, int] = {}
-    for (value, left_mask), left_cnt in _half_counts(ws, range(n // 2), window, dims).items():
-        for right_mask, right_cnt in right.get(_plus(target, value, -1, dims), {}).items():
+    for (value, left_mask), left_cnt in _half_counts(ws, range(n // 2), window, codes).items():
+        for right_mask, right_cnt in right.get(codes.sub(target, value), {}).items():
             mask = left_mask | right_mask
             by_mask[mask] = by_mask.get(mask, 0) + left_cnt * right_cnt
     d = ws.ring_dimension - 1

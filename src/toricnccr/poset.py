@@ -117,31 +117,38 @@ class GradedContext:
     ``k`` mod ``N`` in the ray ``least[k] + N·j`` (``j >= 0``), ``least[k]``
     being its least member; the weights generate H, so no class misses it.
     ``least`` is a shortest-path table (Nijenhuis, *Amer. Math. Monthly* 86, 1979).
+
+    Like a :class:`~.groups.Value` it refuses assignment, so ``p`` cannot drift
+    from ``p_code`` and ``plus_p``; ``cached_property`` writes ``__dict__``.
     """
+
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
     def __init__(self, ws: WeightSystem):
         if ws.group.free_rank != 1:
             raise RankZeroGroup(
                 "the graded poset needs a rank-one system; for a finite group use the McKay quiver"
             )
-        self.weights = ws
-        self.group, self.q = quotient_by_subgroup(ws.group, ws.torsion_weights)
-        pos_gens = [self.q(x) for x in ws.positive_block()]
-        neg_gens = [-self.q(x) for x in ws.negative_block()]
-        p_from_pos = sum(pos_gens, self.group.zero())
-        p_from_neg = sum(neg_gens, self.group.zero())
+        group, q = quotient_by_subgroup(ws.group, ws.torsion_weights)
+        _setattr(self, "weights", ws)
+        _setattr(self, "group", group)
+        _setattr(self, "q", q)
+        pos_gens = [q(x) for x in ws.positive_block()]
+        neg_gens = [-q(x) for x in ws.negative_block()]
+        p_from_pos = sum(pos_gens, group.zero())
+        p_from_neg = sum(neg_gens, group.zero())
         if p_from_pos != p_from_neg:
             raise InternalInconsistency(f"period mismatch: {p_from_pos} vs {p_from_neg}")
-        self.p = p_from_pos
-        self.generators = tuple(pos_gens + neg_gens)
+        _setattr(self, "p", p_from_pos)
+        _setattr(self, "generators", tuple(pos_gens + neg_gens))
         for g in self.generators:
             if g.free_part() <= 0:
                 raise InternalInconsistency(f"generator {g} has nonpositive free part")
 
-        self.codes = IntegerCodes(self.group)
-        self.source_codes = IntegerCodes(ws.group)
-        self.p_code = self.codes.code(self.p)
-        self.plus_p = self.codes.steps(self.p)  # translation by p on codes
+        _setattr(self, "codes", IntegerCodes(self.group))
+        _setattr(self, "source_codes", IntegerCodes(ws.group))
+        _setattr(self, "p_code", self.codes.code(self.p))
+        _setattr(self, "plus_p", self.codes.steps(self.p))  # translation by p on codes
         order = self.codes.order
         e = min(g.free * self.element(0, g.tors).order() for g in self.generators)
         if e * order > LEAST_CODES_CAP:
@@ -149,10 +156,10 @@ class GradedContext:
                 f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} "
                 f"entries, over the cap of {LEAST_CODES_CAP}"
             )
-        self.least = self._least_codes(e * order)
+        _setattr(self, "least", self._least_codes(e * order))
         # a residue's last gap sits one step of N below its largest least code;
         # floor division is monotone, so the largest code gives the maximum
-        self.max_conductor = max(self.least) // order - e + 1
+        _setattr(self, "max_conductor", max(self.least) // order - e + 1)
 
     # -- basic data ------------------------------------------------------
 

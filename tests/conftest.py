@@ -17,7 +17,9 @@ from toricnccr import (
     AxiomViolation,
     FGGroup,
     InputError,
+    MismatchedGroup,
     NonTorsionGenerator,
+    OracleMismatch,
     Rim,
     RimStatus,
     SummandSet,
@@ -25,10 +27,14 @@ from toricnccr import (
     minimal_elements,
     mutate,
     rim_status,
+    sign_pattern_witness,
     smith_normal_form,
+    sufficient_window,
     validate,
 )
+import toricnccr.nccr
 from toricnccr.groups import GroupElement
+from toricnccr.oracle import CrosscheckReport, _witness_table
 from toricnccr.uppersets import _least_shift
 
 SYSTEM_SPECS = {
@@ -258,6 +264,59 @@ def rim_status_by_elements(ctx, elements):
     if len(elems) == ctx.orbit_count:
         return RimStatus.COMPLETE, None
     return RimStatus.PARTIAL, None
+
+
+# -- the crosscheck on elements, oracle for the crosscheck on codes --------
+
+
+def count_element_constructions(monkeypatch) -> list[str]:
+    """From now on, log each ``FGGroup.element`` call and ``GroupElement``
+    construction to the returned list."""
+    built = []
+    make, init = FGGroup.element, GroupElement.__init__
+
+    def counted_make(*args, **kwargs):
+        built.append("FGGroup.element")
+        return make(*args, **kwargs)
+
+    def counted_init(*args, **kwargs):
+        built.append("GroupElement")
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(FGGroup, "element", counted_make)
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    return built
+
+
+def witness_bit(ws, key, window, cap):
+    """Is there a witness summing to the raw key ``(free, t...)``?  Its bit in
+    the first suffix table of the sign pattern its free part picks, the
+    residue's index found through a dict over ``torsion_residues``."""
+    index = {t: r for r, t in enumerate(ws.group.torsion_residues())}
+    _, suffix = _witness_table(ws, 6 if key[0] >= 0 else 7, window, cap)
+    return bool(suffix[0][index[key[1:]]] >> abs(key[0]) & 1)
+
+
+def crosscheck_by_elements(ctx, degrees, window):
+    """``crosscheck_mcm`` as it ran on elements: ``is_mcm`` on each degree, then
+    a lookup of its raw key; a mismatch carries ``sign_pattern_witness``."""
+    ws, degrees = ctx.weights, list(degrees)
+    for g in degrees:
+        if g.group != ws.group:
+            raise MismatchedGroup(f"degree {g!r} does not lie in {ws.group}")
+    need = sufficient_window(ctx, degrees)
+    if window < need:
+        raise InputError(f"window {window} below the sufficiency bound {need}")
+    cap = max((abs(g.free) for g in degrees), default=0)
+    mismatches = []
+    for g in degrees:
+        mcm = toricnccr.nccr.is_mcm(ctx, g)
+        if mcm == witness_bit(ws, g.key(), window, cap):
+            mismatches.append((g, mcm, sign_pattern_witness(ws, g, window)))
+    report = CrosscheckReport(len(degrees), len(degrees) - len(mismatches), tuple(mismatches), window)
+    if mismatches:
+        raise OracleMismatch(report)
+    return report
 
 
 # -- rims and orbits on elements, for the tests only -----------------------

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricnccr.oracle
 from toricnccr import FGGroup, Rim, is_nccr, parse_element
 from toricnccr.cli import COMMANDS, main
-from conftest import build_context
+from conftest import build_context, count_element_constructions
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -436,10 +437,35 @@ class TestOracle:
         assert '"window": 1000000,' in huge
         assert huge.replace('"window": 1000000,', '"window": 12,') == small
 
+    def test_oversized_range_exits_2_fast(self, capsys):
+        # the witness table's work is bounded before it is built
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys, "oracle", INPUTS / "a1.json", "--range", "-3000000..3000000",
+            "--window", "3000001",
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert report["error"]["type"] == "SearchBudgetExceeded"
+        assert "witness table needs" in report["error"]["detail"]
+
+    def test_no_element_per_degree(self, capsys, monkeypatch):
+        # elements are built per job and per weight of a witness table, never
+        # per degree checked; each run builds its own two tables
+        built = count_element_constructions(monkeypatch)
+        counts = []
+        for span in ("-6..6", "-60..60"):
+            toricnccr.oracle._witness_table.cache_clear()
+            built.clear()
+            code, _ = run(capsys, "oracle", INPUTS / "z4.json", "--range", span, "--window", "60")
+            assert code == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_internal_mismatch_exit_3(self, capsys, monkeypatch):
         import toricnccr.nccr
 
-        monkeypatch.setattr(toricnccr.nccr, "is_mcm", lambda ctx, g: True)
+        monkeypatch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
         code = main(["oracle", str(INPUTS / "a1.json"), "--range=-5..5", "--window", "12"])
         captured = capsys.readouterr()
         assert code == 3
@@ -670,7 +696,7 @@ class TestClosedStdout:
     def test_failed_check_exits_3(self):
         done = self.run_with_closed_stdout(
             self.ORACLE,
-            code="import sys, toricnccr.nccr; toricnccr.nccr.is_mcm = lambda ctx, g: True; "
+            code="import sys, toricnccr.nccr; toricnccr.nccr.is_mcm_code = lambda ctx, c: True; "
             "from toricnccr.cli import main; sys.exit(main(sys.argv[1:]))",
         )
         assert done.returncode == 3

@@ -22,7 +22,6 @@ from toricnccr import (
     grading_context,
     translation_classes,
 )
-from toricnccr.groups import FGGroup, GroupElement
 from toricnccr.quivers import _arrow_set, _check_degree_coherence, degree_bound
 from toricnccr.uppersets import RimStatus
 from conftest import (
@@ -30,6 +29,7 @@ from conftest import (
     EXPECTED_VERTEX_COUNTS,
     LADDER,
     build_context,
+    count_element_constructions,
     fiber,
     huge_kernel_system,
     kernel_systems,
@@ -242,25 +242,6 @@ class TestQuotientOnCodes:
                 assert h == ctx.codes.code(ctx.q(g))
                 over = ctx.preimage_codes([h])
                 assert tuple(map(ctx.source_codes.element, over)) == fiber(ctx.q, ctx.q(g))
-
-
-def count_element_constructions(monkeypatch) -> list[str]:
-    """From now on, log each ``FGGroup.element`` call and ``GroupElement``
-    construction to the returned list."""
-    built = []
-    make, init = FGGroup.element, GroupElement.__init__
-
-    def counted_make(*args, **kwargs):
-        built.append("FGGroup.element")
-        return make(*args, **kwargs)
-
-    def counted_init(*args, **kwargs):
-        built.append("GroupElement")
-        init(*args, **kwargs)
-
-    monkeypatch.setattr(FGGroup, "element", counted_make)
-    monkeypatch.setattr(GroupElement, "__init__", counted_init)
-    return built
 
 
 class TestNoElementsInLoops:

@@ -1,6 +1,7 @@
 """Sign-pattern witnesses, the face complex, exact homology, crosschecks."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -14,6 +15,7 @@ from toricnccr import (
     EMPTY,
     MismatchedGroup,
     OracleMismatch,
+    SearchBudgetExceeded,
     SimplicialComplex,
     betti_numbers,
     classify_sign_vector,
@@ -28,8 +30,23 @@ from toricnccr import (
     support_complex,
 )
 import toricnccr.oracle
-from toricnccr.oracle import _locate, _matrix_rank, _witness, reduced_homology
-from conftest import SYSTEM_SPECS, build_context, build_system, ladder_context, rank_one_systems
+from toricnccr.oracle import _matrix_rank, _witness, crosscheck_range, reduced_homology
+from toricnccr.poset import IntegerCodes
+from conftest import (
+    SYSTEM_SPECS,
+    build_context,
+    build_system,
+    crosscheck_by_elements,
+    kernel_systems,
+    ladder_context,
+    rank_one_systems,
+    witness_bit,
+)
+
+
+def code_of(ws, key):
+    """The code of the raw key ``(free, t...)`` in ``ws``'s group."""
+    return IntegerCodes(ws.group).encode(key[0], key[1:])
 
 
 def weighted_sum(ws, a):
@@ -217,8 +234,8 @@ def assert_witnesses_match_blocks(ws, free_range, window):
             if a is not None:
                 assert_is_witness(ws, g, a, window, pattern)
         a = dict_witness(ws, key, window, cap)
-        assert (_locate(ws, key, window, cap) is None) == (a is None), g
-        assert _witness(ws, key, window, cap) == a, g
+        assert witness_bit(ws, key, window, cap) == (a is not None), g
+        assert _witness(ws, code_of(ws, key), window, cap) == a, g
         assert sign_pattern_witness(ws, g, window) == a, g
 
 
@@ -291,8 +308,8 @@ class TestWitnessTable:
                 for t in ws.group.torsion_residues():
                     key = (f,) + t
                     a = dict_witness(ws, key, window, cap)
-                    assert (_locate(ws, key, window, cap) is None) == (a is None), key
-                    assert _witness(ws, key, window, cap) == a, key
+                    assert witness_bit(ws, key, window, cap) == (a is not None), key
+                    assert _witness(ws, code_of(ws, key), window, cap) == a, key
 
     def test_lexicographically_first_witness(self, ctx):
         ws = ctx.weights
@@ -303,7 +320,7 @@ class TestWitnessTable:
                 first.setdefault(weighted_sum(ws, a).key(), a)
             for key, a in first.items():
                 if abs(key[0]) <= cap:
-                    assert _witness(ws, key, window, cap) == a, key
+                    assert _witness(ws, code_of(ws, key), window, cap) == a, key
 
 
 class TestBlockAndDfsOracles:
@@ -373,7 +390,7 @@ class TestCrosscheck:
         report = crosscheck_mcm(a1, degrees, 12)
         assert (report.checked, report.agreements) == (3, 3)
         assert witness_table_by_dict(a1.weights, 6, 12, 2)[(2,)] == (0, 0, -1, -1)
-        assert _witness(a1.weights, (2,), 12, 2) == (0, 0, -1, -1)
+        assert _witness(a1.weights, code_of(a1.weights, (2,)), 12, 2) == (0, 0, -1, -1)
 
     def test_foreign_degree_raises(self, z2, z3):
         degrees = [z2.weights.group.element(0, (1,)), z3.weights.group.element(0, (1,))]
@@ -381,7 +398,7 @@ class TestCrosscheck:
             crosscheck_mcm(z2, degrees, 12)
 
     def test_mismatch_raises(self, a1, monkeypatch):
-        monkeypatch.setattr(toricnccr.nccr, "is_mcm", lambda ctx, g: True)
+        monkeypatch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
         degrees = [a1.weights.group.element(f) for f in range(-6, 7)]
         with pytest.raises(OracleMismatch) as err:
             crosscheck_mcm(a1, degrees, 12)
@@ -397,6 +414,63 @@ class TestRandomCrosscheck:
         degrees = [G.element(f, t) for f in range(-10, 11) for t in G.torsion_residues()]
         report = crosscheck_mcm(ctx, degrees, sufficient_window(ctx, degrees))
         assert report.agreements == report.checked == len(degrees)
+
+
+def assert_routes_agree(ctx, lo, hi):
+    """``crosscheck_mcm`` and ``crosscheck_range`` return the report of the
+    crosscheck on elements, field for field, and raise the same report when
+    ``is_mcm_code`` is forced to say MCM everywhere."""
+    G = ctx.weights.group
+    degrees = [G.element(f, t) for f in range(lo, hi + 1) for t in G.torsion_residues()]
+    window = sufficient_window(ctx, degrees)
+    routes = (
+        lambda: crosscheck_by_elements(ctx, degrees, window),
+        lambda: crosscheck_mcm(ctx, degrees, window),
+        lambda: crosscheck_range(ctx, lo, hi, window),
+    )
+    expected = routes[0]()
+    assert expected.agreements == expected.checked == len(degrees)
+    assert [route() for route in routes[1:]] == [expected, expected]
+    forced = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
+        for route in routes:
+            with pytest.raises(OracleMismatch) as err:
+                route()
+            forced.append(err.value.report)
+    assert forced[0].mismatches  # p itself is in range and not MCM
+    assert forced[1:] == [forced[0], forced[0]]
+
+
+class TestCrosscheckRoutes:
+    """The crosscheck on codes against the crosscheck on elements.  The kernel
+    family has torsion weights whose order is below their invariant factor,
+    where one residue map serves several coefficients."""
+
+    def test_fixtures(self, ctx):
+        assert_routes_agree(ctx, -ctx.p.free - 2, ctx.p.free + 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
+    def test_random_systems(self, ws):
+        ctx = grading_context(ws)
+        assert_routes_agree(ctx, -ctx.p.free - 2, ctx.p.free + 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_kernel_systems(self, ws):
+        ctx = grading_context(ws)
+        assert_routes_agree(ctx, -ctx.p.free - 2, ctx.p.free + 2)
+
+
+class TestWitnessBudget:
+    def test_oversized_table_is_refused(self, z4):
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded, match="witness table needs"):
+            crosscheck_range(z4, -100000, 100000, 100001)
+        with pytest.raises(SearchBudgetExceeded):
+            sign_pattern_witness(z4.weights, z4.weights.group.element(10**6, (0,)), 10**6)
+        assert time.perf_counter() - start < 1
 
 
 class TestFaceTest:

@@ -288,6 +288,22 @@ def assert_certificate_agrees_with_sampling(ctx):
         assert not all(ctx.member_code(c) for c in range(top - order, top))
 
 
+class TestImmutableContext:
+    def test_assignment_and_deletion_raise(self, ctx):
+        # p_code and plus_p are derived from p, so a new p would leave them stale
+        with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+            ctx.p = ctx.p
+        with pytest.raises(AttributeError, match="cannot delete field 'p_code'"):
+            del ctx.p_code
+        assert ctx.codes.code(ctx.p) == ctx.p_code
+
+    def test_cached_fields_still_build(self, z4):
+        context = grading_context(z4.weights)
+        assert "conductor" not in vars(context)
+        assert context.conductor == z4.conductor
+        assert context.conductor is context.conductor
+
+
 class TestAxioms:
     def test_pass_on_examples(self, ctx):
         report = check_axioms(ctx)
@@ -296,8 +312,9 @@ class TestAxioms:
     def test_rigged_period_fails(self, a1):
         ws = a1.weights
         rigged = grading_context(ws)
-        rigged.p = rigged.group.zero()
-        rigged.p_code = rigged.codes.code(rigged.p)  # check_axioms reads the code
+        # the context refuses assignment; check_axioms reads the code
+        object.__setattr__(rigged, "p", rigged.group.zero())
+        object.__setattr__(rigged, "p_code", rigged.codes.code(rigged.p))
         with pytest.raises(AxiomViolation):
             check_axioms(rigged)
         with pytest.raises(AxiomViolation):
@@ -305,8 +322,8 @@ class TestAxioms:
 
     def test_negated_period_fails(self, z3):
         rigged = grading_context(z3.weights)
-        rigged.p = -rigged.p
-        rigged.p_code = rigged.codes.code(rigged.p)
+        object.__setattr__(rigged, "p", -rigged.p)
+        object.__setattr__(rigged, "p_code", rigged.codes.code(rigged.p))
         with pytest.raises(AxiomViolation):
             check_axioms(rigged)
         with pytest.raises(AxiomViolation):
