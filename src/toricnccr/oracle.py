@@ -93,11 +93,11 @@ def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
     steps = []
     for x, coefficients in zip(ws.weights, ranges):
         period = ws.group.element(0, x.tors).order()
-        back = {}
+        maps = {}
         for j in {c % period for c in coefficients}:
             jt = codes.encode(0, [j * t for t in x.tors])
-            back[j] = tuple(codes.sub(r, jt) for r in range(order))
-        steps.append(tuple((c, abs(c * x.free), back[c % period]) for c in coefficients))
+            maps[j] = tuple(codes.sub(r, jt) for r in range(order))
+        steps.append(tuple((c, abs(c * x.free), maps[c % period]) for c in coefficients))
     mask = (1 << cap + 1) - 1
     suffix = [[1] + [0] * (order - 1)]  # the empty sum: only 0
     for options in reversed(steps):
