@@ -7,7 +7,8 @@ Input files are JSON documents::
 
 Every weight vector lists the free coordinate first, then one residue per
 torsion invariant (a zero free coordinate is required for rank-zero groups).
-Reports are JSON on stdout; ``--format dot`` switches graph commands to DOT.
+Reports are JSON on stdout; ``--format dot`` switches graph commands to DOT,
+and then each warning goes to stderr as one ``warning: ...`` line.
 Exit codes: 0 success, 2 bad input (any ``InputError``, a malformed command
 line included), 3 internal assertion failure (a theorem was violated, a bug).
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-import warnings as warnings_module
+import warnings
 from types import SimpleNamespace
 
 from . import __version__
@@ -25,6 +26,7 @@ from .errors import (
     InputError,
     InternalCheckError,
     InternalInconsistency,
+    NotNCCR,
     OracleMismatch,
     ParseError,
     UnknownClass,
@@ -90,13 +92,6 @@ def _validation_summary(ws, ctx=None):
     return summary
 
 
-def _report(command, payload, warnings_=()):
-    report = {"format": REPORT_FORMAT, "command": command}
-    report.update(payload)
-    report["warnings"] = list(warnings_)
-    return report
-
-
 def _emit(report):
     _write(json.dumps(report, indent=2) + "\n")
 
@@ -137,30 +132,25 @@ def _quiver_payload(quiver):
     }
 
 
-def _context_for(path):
-    group, raw = load_document(path)
-    ws = validate(group, raw)
-    return ws, grading_context(ws)
-
-
 def _pick_class(classes, k):
     if not 0 <= k < len(classes):
         raise UnknownClass(f"class {k} out of range 0..{len(classes) - 1}")
     return classes[k]
 
 
-def cmd_validate(args):
-    group, raw = load_document(args.file)
-    ws = validate(group, raw)
+# every handler takes the parsed flags and the validated weight system and
+# returns a report payload (a dict) or DOT text; ``main`` writes it
+
+
+def cmd_validate(args, ws):
     ctx = None if ws.is_finite else grading_context(ws)
-    _emit(_report("validate", {"validation": _validation_summary(ws, ctx)}))
-    return 0
+    return {"validation": _validation_summary(ws, ctx)}
 
 
-def cmd_classify(args):
-    ws, ctx = _context_for(args.file)
+def cmd_classify(args, ws):
+    ctx = grading_context(ws)
     classes = translation_classes(ctx)
-    payload = {
+    return {
         "validation": _validation_summary(ws, ctx),
         "count": len(classes),
         "classes": [
@@ -168,30 +158,22 @@ def cmd_classify(args):
             for i, c in enumerate(classes)
         ],
     }
-    _emit(_report("classify", payload))
-    return 0
 
 
-def cmd_quiver(args):
-    ws, ctx = _context_for(args.file)
+def cmd_quiver(args, ws):
+    ctx = grading_context(ws)
     if (args.klass is None) == (args.degrees is None):
         raise InputError("give exactly one of --class or --degrees")
     if args.klass is not None:
         summands = preimage_summands(ctx, _pick_class(translation_classes(ctx), args.klass).rim)
     else:
-        labels = args.degrees.split()
-        if not labels:
-            raise ParseError("--degrees lists no degree labels")
-        summands = [parse_element(ws.group, t) for t in labels]
+        summands = [parse_element(ws.group, t) for t in args.degrees]
     modifying = is_modifying(ctx, summands)
     if args.klass is None and not modifying:
         raise InputError("the degree set is not modifying; no quiver")
-    with warnings_module.catch_warnings(record=True) as caught:
-        warnings_module.simplefilter("always")
-        quiver = endomorphism_quiver(ctx, summands, args.bound)
+    quiver = endomorphism_quiver(ctx, summands, args.bound)
     if args.format == "dot":
-        _write(emit_dot(quiver))
-        return 0
+        return emit_dot(quiver)
     payload = {
         "validation": _validation_summary(ws, ctx),
         "is_modifying": modifying,
@@ -200,23 +182,26 @@ def cmd_quiver(args):
     }
     if args.klass is not None:
         payload["class"] = args.klass
-    _emit(_report("quiver", payload, [str(w.message) for w in caught]))
-    return 0
+    return payload
 
 
-def cmd_mutate(args):
-    ws, ctx = _context_for(args.file)
+def cmd_mutate(args, ws):
+    ctx = grading_context(ws)
     classes = translation_classes(ctx)
     node = _pick_class(classes, args.klass)
     m = parse_element(ctx.group, args.at)
     summands = preimage_summands(ctx, node.rim)
     mutated, cert = mutate_nccr(ctx, summands, m)
-    target = normalize(ctx, rim_of(ctx, mutated))
+    try:
+        rim = rim_of(ctx, mutated)
+    except NotNCCR as exc:  # mutation keeps the NCCR property: a bug, not bad input
+        raise InternalInconsistency(f"mutation gave no NCCR: {exc}") from None
+    target = normalize(ctx, rim)
     index = {c.rim.serialized(): i for i, c in enumerate(classes)}
     target_index = index.get(target.serialized())
     if target_index is None:
         raise InternalInconsistency(f"mutation left the class list: {target}")
-    payload = {
+    return {
         "validation": _validation_summary(ws, ctx),
         "class": args.klass,
         "at": str(m),
@@ -229,12 +214,10 @@ def cmd_mutate(args):
             "minus_steps": cert.minus_steps,
         },
     }
-    _emit(_report("mutate", payload))
-    return 0
 
 
-def cmd_exchange_graph(args):
-    ws, ctx = _context_for(args.file)
+def cmd_exchange_graph(args, ws):
+    ctx = grading_context(ws)
     graph = exchange_graph(ctx)
     if args.format == "dot":
         lines = ["digraph exchange {"]
@@ -243,9 +226,8 @@ def cmd_exchange_graph(args):
         for a, b, m in graph.edges:
             lines.append(f'  "class{a}" -> "class{b}" [label="{m}"];')
         lines.append("}")
-        _write("\n".join(lines) + "\n")
-        return 0
-    payload = {
+        return "\n".join(lines) + "\n"
+    return {
         "validation": _validation_summary(ws, ctx),
         "nodes": [
             {"index": i, "rim": [str(h) for h in node.rim]}
@@ -256,18 +238,16 @@ def cmd_exchange_graph(args):
         "connected": True,
         "verdict": "CONNECTED",
     }
-    _emit(_report("exchange-graph", payload))
-    return 0
 
 
-def cmd_oracle(args):
-    ws, ctx = _context_for(args.file)
-    lo, hi = _parse_range(args.range)
+def cmd_oracle(args, ws):
+    ctx = grading_context(ws)
+    lo, hi = args.range
     try:
         report = crosscheck_range(ctx, lo, hi, args.window)
-    except OracleMismatch as exc:  # report the disagreement, then exit 3 below
+    except OracleMismatch as exc:  # report the disagreement; main then exits 3
         report = exc.report
-    payload = {
+    return {
         "validation": _validation_summary(ws, ctx),
         "range": f"{lo}..{hi}",
         "window": args.window,
@@ -279,37 +259,35 @@ def cmd_oracle(args):
         ],
         "summary": report.summary(),
     }
-    _emit(_report("oracle", payload))
-    if report.mismatches:
-        raise InternalCheckError(report.summary())
-    return 0
 
 
-def cmd_mckay(args):
-    group, raw = load_document(args.file)
-    ws = validate(group, raw)
+def cmd_mckay(args, ws):
     quiver = mckay_quiver(ws)
     if args.format == "dot":
-        _write(emit_dot(quiver))
-        return 0
-    payload = {
+        return emit_dot(quiver)
+    return {
         "group": str(ws.group),
         "weights": [str(w) for w in ws.weights],
         "quiver": _quiver_payload(quiver),
     }
-    _emit(_report("mckay", payload))
-    return 0
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi)
-    except ValueError as exc:
-        raise ParseError(f"range must look like -10..10, got {text!r}") from exc
+    except ValueError:
+        raise ParseError("expected LO..HI, like -10..10") from None
     if lo > hi:
-        raise ParseError(f"range {text!r} is empty")
+        raise ParseError("the range is empty")
     return lo, hi
+
+
+def _parse_degrees(text: str) -> list[str]:
+    labels = text.split()
+    if not labels:
+        raise ParseError("no degree labels")
+    return labels
 
 
 def _format(text: str) -> str:
@@ -326,13 +304,13 @@ COMMANDS = {
     "validate": (cmd_validate, "check a weight system file", {}),
     "classify": (cmd_classify, "enumerate NCCR translation classes", {}),
     "quiver": (cmd_quiver, "quiver of one class or a raw degree set", {
-        "--class": ("klass", int, False), "--degrees": ("degrees", str, False),
+        "--class": ("klass", int, False), "--degrees": ("degrees", _parse_degrees, False),
         "--bound": ("bound", int, False), "--format": _FORMAT}),
     "mutate": (cmd_mutate, "Iyama-Wemyss mutation of a class",
                {"--class": ("klass", int, True), "--at": ("at", str, True)}),
     "exchange-graph": (cmd_exchange_graph, "mutation graph of all classes", {"--format": _FORMAT}),
     "oracle": (cmd_oracle, "crosscheck the Cohen-Macaulay criterion",
-               {"--range": ("range", str, True), "--window": ("window", int, True)}),
+               {"--range": ("range", _parse_range, True), "--window": ("window", int, True)}),
     "mckay": (cmd_mckay, "McKay quiver for a finite grading group", {"--format": _FORMAT}),
 }
 
@@ -387,6 +365,8 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run one command line; return 0, 2 (an ``InputError``) or 3 (an
+    ``InternalCheckError``).  Only here is the input read and stdout written."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] in (["-h"], ["--help"]):
         _write(usage())
@@ -394,7 +374,20 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         args = parse_args(argv)
-        return COMMANDS[command][0](args)
+        ws = validate(*load_document(args.file))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            output = COMMANDS[command][0](args, ws)
+        notes = [str(w.message) for w in caught]
+        if isinstance(output, str):  # DOT text has no place for warnings
+            for note in notes:
+                print(f"warning: {note}", file=sys.stderr)
+            _write(output)
+        else:
+            _emit({"format": REPORT_FORMAT, "command": command, **output, "warnings": notes})
+            if output.get("mismatches"):  # an oracle disagreement, reported in full above
+                raise InternalCheckError(output["summary"])
+        return 0
     except InputError as exc:
         error = {"type": type(exc).__name__, "detail": str(exc)}
         _emit({"format": REPORT_FORMAT, "command": command, "error": error})

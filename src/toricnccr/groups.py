@@ -189,14 +189,6 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
         _setattr(self, "free_rank", free_rank)
         _setattr(self, "torsion", torsion)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.free_rank == other.free_rank and self.torsion == other.torsion
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "0"
@@ -254,14 +246,6 @@ class GroupElement(Value, fields=("group", "free", "tors")):
         _setattr(self, "group", group)
         _setattr(self, "free", free)
         _setattr(self, "tors", tors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.free, self.tors) == (other.group, other.free, other.tors)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.free, self.tors))
 
     def _check(self, other):
         if self.group != other.group:

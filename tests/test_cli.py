@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import toricnccr.oracle
 from toricnccr import FGGroup, Rim, is_nccr, parse_element
-from toricnccr.cli import COMMANDS, main
+from toricnccr.cli import COMMANDS, load_document, main, parse_args
+from toricnccr.weights import validate
 from conftest import build_context, count_element_constructions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -336,6 +338,17 @@ class TestQuiver:
         assert report["warnings"]
         assert "bound" in report["warnings"][0]
 
+    def test_small_bound_warning_goes_to_stderr_with_dot(self, capsys):
+        # DOT has no place for the warning; stdout keeps exactly the DOT text
+        code = main(["quiver", str(INPUTS / "ca4.json"), "--class", "0", "--bound", "1", "--format", "dot"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("digraph quiver {")
+        assert captured.out.count("->") == 10
+        assert captured.err == (
+            "warning: search bound 1 is below the proven degree bound 10; arrows may be missing\n"
+        )
+
     def test_bound_just_below_proven_warns(self, capsys):
         code, report = run_json(
             capsys, "quiver", INPUTS / "ca4.json", "--class", 0, "--bound", 9
@@ -375,6 +388,25 @@ class TestMutate:
         assert code == 3
         assert "InternalInconsistency" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_mutation_giving_no_nccr_exit_3(self, capsys, monkeypatch):
+        # rim_of refuses a non-NCCR with NotNCCR, an InputError; after a
+        # mutation that is a broken theorem, not bad input
+        import toricnccr.cli
+
+        real = toricnccr.cli.mutate_nccr
+
+        def drop_one(ctx, summands, m):
+            mutated, cert = real(ctx, summands, m)
+            return list(mutated)[1:], cert
+
+        monkeypatch.setattr(toricnccr.cli, "mutate_nccr", drop_one)
+        code = main(["mutate", str(INPUTS / "ca4.json"), "--class", "0", "--at", "(1)"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "InternalInconsistency" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestExchangeGraph:
@@ -566,6 +598,22 @@ class TestParser:
         assert report["error"]["type"] == "ParseError"
         assert report["error"]["detail"]
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["oracle", "--range", "5..1", "--window", "3"], "--range"),
+            (["oracle", "--range", "oops", "--window", "3"], "--range"),
+            (["quiver", "--degrees", " "], "--degrees"),
+        ],
+        ids=["empty-range", "bad-range", "empty-degrees"],
+    )
+    def test_bad_flag_value_refused_before_the_file_is_read(self, argv, flag):
+        code, out, err = call([argv[0], "/nonexistent/input.json", *argv[1:]])
+        assert (code, err) == (2, "")
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert flag in error["detail"] and "cannot read" not in error["detail"]
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_prints_usage_exit_0(self, flag):
         code, out, err = call([flag])
@@ -591,6 +639,43 @@ class TestParser:
         first, second = call(spaced), call(joined)
         assert first == second
         assert first[0] == 0
+
+
+class TestHandlers:
+    """Each handler returns its report payload or DOT text and writes nothing;
+    ``main`` alone loads the input, writes stdout and sets the exit code."""
+
+    CALLS = [
+        ["validate", INPUTS / "ca4.json"],
+        ["validate", INPUTS / "mckay_z2.json"],
+        ["classify", INPUTS / "z3.json"],
+        ["quiver", INPUTS / "ca4.json", "--class", "0", "--bound", "1"],
+        ["quiver", INPUTS / "a1.json", "--degrees", "0 1", "--format", "dot"],
+        ["mutate", INPUTS / "ca4.json", "--class", "0", "--at", "(1)"],
+        ["exchange-graph", INPUTS / "z2.json"],
+        ["exchange-graph", INPUTS / "z2.json", "--format", "dot"],
+        ["oracle", INPUTS / "a1.json", "--range", "-4..4", "--window", "6"],
+        ["mckay", INPUTS / "mckay_z3.json"],
+        ["mckay", INPUTS / "mckay_z3.json", "--format", "dot"],
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(map(str, argv[:1] + argv[2:])))
+    def test_handler_returns_output_and_writes_nothing(self, capsys, argv):
+        args = parse_args([str(a) for a in argv])
+        ws = validate(*load_document(args.file))
+        with warnings.catch_warnings(record=True):  # the --bound 1 quiver warns
+            warnings.simplefilter("always")
+            output = COMMANDS[args.command][0](args, ws)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+        if getattr(args, "format", None) == "dot":
+            assert isinstance(output, str) and output.startswith("digraph ")
+        else:
+            assert isinstance(output, dict)
+            assert not {"format", "command", "warnings", "error"} & set(output)
+
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv in self.CALLS} == set(COMMANDS)
 
 
 FLAGS = sorted({flag for _, _, flags in COMMANDS.values() for flag in flags})
