@@ -36,7 +36,7 @@ from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_range
 from .poset import grading_context
 from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
-from .uppersets import exchange_graph, normalize, translation_classes
+from .uppersets import Rim, _class_of, _classes, exchange_graph, translation_classes
 from .weights import validate
 
 REPORT_FORMAT = f"toricnccr-report/{__version__}"
@@ -132,10 +132,11 @@ def _quiver_payload(quiver):
     }
 
 
-def _pick_class(classes, k):
+def _class_summands(ctx, classes, k):
+    """The NCCR summands of class ``k`` of the code-tuple class list."""
     if not 0 <= k < len(classes):
         raise UnknownClass(f"class {k} out of range 0..{len(classes) - 1}")
-    return classes[k]
+    return preimage_summands(ctx, Rim(tuple(map(ctx.codes.element, classes[k][0]))))
 
 
 # every handler takes the parsed flags and the validated weight system and
@@ -165,7 +166,7 @@ def cmd_quiver(args, ws):
     if (args.klass is None) == (args.degrees is None):
         raise InputError("give exactly one of --class or --degrees")
     if args.klass is not None:
-        summands = preimage_summands(ctx, _pick_class(translation_classes(ctx), args.klass).rim)
+        summands = _class_summands(ctx, _classes(ctx), args.klass)
     else:
         summands = [parse_element(ws.group, t) for t in args.degrees]
     modifying = is_modifying(ctx, summands)
@@ -187,20 +188,15 @@ def cmd_quiver(args, ws):
 
 def cmd_mutate(args, ws):
     ctx = grading_context(ws)
-    classes = translation_classes(ctx)
-    node = _pick_class(classes, args.klass)
-    m = parse_element(ctx.group, args.at)
-    summands = preimage_summands(ctx, node.rim)
-    mutated, cert = mutate_nccr(ctx, summands, m)
+    m = parse_element(ctx.group, args.at)  # a bad --at is refused before the enumeration
+    classes = _classes(ctx)
+    mutated, cert = mutate_nccr(ctx, _class_summands(ctx, classes, args.klass), m)
     try:
         rim = rim_of(ctx, mutated)
     except NotNCCR as exc:  # mutation keeps the NCCR property: a bug, not bad input
         raise InternalInconsistency(f"mutation gave no NCCR: {exc}") from None
-    target = normalize(ctx, rim)
-    index = {c.rim.serialized(): i for i, c in enumerate(classes)}
-    target_index = index.get(target.serialized())
-    if target_index is None:
-        raise InternalInconsistency(f"mutation left the class list: {target}")
+    index = {r: i for i, (r, _) in enumerate(classes)}
+    target_index = _class_of(ctx, index, tuple(sorted(map(ctx.codes.code, rim))))
     return {
         "validation": _validation_summary(ws, ctx),
         "class": args.klass,

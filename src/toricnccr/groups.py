@@ -248,7 +248,7 @@ class GroupElement(Value, fields=("group", "free", "tors")):
         _setattr(self, "tors", tors)
 
     def _check(self, other):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise MismatchedGroup(f"{self.group} vs {other.group}")
 
     def __add__(self, other: "GroupElement") -> "GroupElement":

@@ -280,26 +280,30 @@ class ExchangeGraph(Value, fields=("nodes", "edges")):
         return len(seen) == len(self.nodes)
 
 
+def _class_of(ctx: GradedContext, index: dict[tuple[int, ...], int], rim: tuple[int, ...]) -> int:
+    """The number in ``index`` of the class of ``rim``, a sorted code tuple, by canonical form."""
+    j = index.get(min(_zero_translates(ctx, rim)))
+    if j is None:
+        rim_text = ", ".join(str(ctx.codes.element(y)) for y in rim)
+        raise InternalInconsistency(f"mutation left the class list: {{{rim_text}}}")
+    return j
+
+
 def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
     """Classes with one edge per (class, minimal element); self-loops kept.
 
     Each class's minimal elements come from the same test as :func:`mutate`'s,
     in rim order; mutating one swaps it for itself plus ``p``, and the result
-    is looked up by its canonical zero translate.
+    is looked up by :func:`_class_of`.
     """
     classes = _classes(ctx)
-    element = ctx.codes.element
     index = {rim: i for i, (rim, _) in enumerate(classes)}
     nodes = _class_nodes(ctx, classes)
-    edges = []
-    for i, (rim, _) in enumerate(classes):
-        for c in _minimal_codes(ctx, rim):
-            mutated = _swap_up(ctx, rim, c)
-            j = index.get(min(_zero_translates(ctx, mutated)))
-            if j is None:
-                rim_text = ", ".join(str(element(y)) for y in mutated)
-                raise InternalInconsistency(f"mutation left the class list: {{{rim_text}}}")
-            edges.append((i, j, element(c)))
+    edges = [
+        (i, _class_of(ctx, index, _swap_up(ctx, rim, c)), ctx.codes.element(c))
+        for i, (rim, _) in enumerate(classes)
+        for c in _minimal_codes(ctx, rim)
+    ]
     graph = ExchangeGraph(nodes, tuple(edges))
     if not graph.connected:
         raise DisconnectedGraph(f"{len(nodes)} classes fell apart: {graph.edges}")

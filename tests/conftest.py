@@ -72,6 +72,17 @@ def ladder_context(key):
     return grading_context(validate(group, [group.element(w) for w in LADDER[key]]))
 
 
+# Z + Z/3 with 24 orbits and 146 classes, two of them with stabilizer order 3
+TORSION_LADDER = {"group": {"free_rank": 1, "torsion": [3]},
+                  "weights": [[3, 2], [3, 2], [2, 1], [-4, 2], [-4, 2]]}
+
+
+@cache
+def torsion_ladder_context():
+    group = FGGroup(1, (3,))
+    return grading_context(validate(group, [group.from_vector(v) for v in TORSION_LADDER["weights"]]))
+
+
 @cache
 def build_system(key):
     rank, torsion, vecs = SYSTEM_SPECS[key]

@@ -10,16 +10,26 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricnccr.oracle
-from toricnccr import FGGroup, Rim, is_nccr, parse_element
-from toricnccr.cli import COMMANDS, load_document, main, parse_args
+from toricnccr import FGGroup, exchange_graph, is_nccr, parse_element
+from toricnccr.cli import COMMANDS, cmd_mutate, load_document, main, parse_args
+from toricnccr.uppersets import _classes
 from toricnccr.weights import validate
-from conftest import build_context, count_element_constructions
+from conftest import (
+    LADDER,
+    SYSTEM_SPECS,
+    TORSION_LADDER,
+    build_context,
+    count_element_constructions,
+    ladder_context,
+    torsion_ladder_context,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -380,14 +390,62 @@ class TestMutate:
     def test_result_outside_class_list_exit_3(self, capsys, monkeypatch):
         import toricnccr.cli
 
-        ctx = build_context("ca4")
-        stray = Rim(tuple(ctx.element(f) for f in (0, 1, 2, 3, 9)))
-        monkeypatch.setattr(toricnccr.cli, "normalize", lambda ctx, rim: stray)
+        # the stray rim {0, 1, 2, 3, 9} goes through the lookup the exchange
+        # graph shares, in place of the mutated rim
+        real = toricnccr.cli._class_of
+        monkeypatch.setattr(toricnccr.cli, "_class_of",
+                            lambda ctx, index, rim: real(ctx, index, (0, 1, 2, 3, 9)))
         code = main(["mutate", str(INPUTS / "ca4.json"), "--class", "0", "--at", "(1)"])
         captured = capsys.readouterr()
         assert code == 3
         assert "InternalInconsistency" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_bad_at_refused_before_enumeration(self, capsys, monkeypatch):
+        import toricnccr.cli
+
+        def enumerate_classes(ctx):
+            raise AssertionError("the classes were enumerated")
+
+        monkeypatch.setattr(toricnccr.cli, "_classes", enumerate_classes)
+        code, report = run_json(
+            capsys, "mutate", INPUTS / "ca4.json", "--class", 0, "--at", "(bad"
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("key", [*SYSTEM_SPECS, "w2525", "w3535", "torsion"])
+    def test_result_class_is_exchange_graph_target(self, key, monkeypatch):
+        # every (class, minimal element) edge, not only each class's first
+        import toricnccr.cli
+
+        if key == "torsion":
+            ctx = torsion_ladder_context()
+        else:
+            ctx = ladder_context(key) if key in LADDER else build_context(key)
+        classes = _classes(ctx)
+        # one context and one enumeration serve every call; the lookup is mutate's own
+        monkeypatch.setattr(toricnccr.cli, "grading_context", lambda ws: ctx)
+        monkeypatch.setattr(toricnccr.cli, "_classes", lambda ctx: classes)
+        edges = exchange_graph(ctx).edges
+        assert len(edges) >= len(classes)
+        for i, j, m in edges:
+            report = cmd_mutate(SimpleNamespace(klass=i, at=str(m)), ctx.weights)
+            assert (report["class"], report["at"], report["result_class"]) == (i, str(m), j)
+
+    def test_no_element_per_class(self, capsys, monkeypatch, tmp_path):
+        # on the 146-class system, elements are built for the chosen class,
+        # its summands and the mutated set, never for every class
+        ctx = torsion_ladder_context()
+        path = write_doc(tmp_path, TORSION_LADDER)
+        bound = 8 * ctx.orbit_count * ctx.q.kernel_order
+        built = count_element_constructions(monkeypatch)
+        for argv in (["mutate", path, "--class", 0, "--at", "(0;0)"],
+                     ["quiver", path, "--class", 3]):
+            built.clear()
+            code, _ = run(capsys, *argv)
+            assert code == 0
+            assert len(built) <= bound, argv[0]
 
     def test_mutation_giving_no_nccr_exit_3(self, capsys, monkeypatch):
         # rim_of refuses a non-NCCR with NotNCCR, an InputError; after a

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from functools import cache
 from itertools import product
 
 import pytest
@@ -42,20 +41,12 @@ from conftest import (
     rim_of_upper_closure,
     sample_elements,
     tau_table,
+    torsion_ladder_context,
     translate,
 )
 
 def els(ctx, *free_parts):
     return [ctx.element(f) for f in free_parts]
-
-
-@cache
-def torsion_ladder_context():
-    """Z + Z/3 with weights (3;2),(3;2),(2;1),(-4;2),(-4;2): 24 orbits, 146
-    classes, two of them with stabilizer order 3."""
-    group = FGGroup(1, (3,))
-    vecs = [[3, 2], [3, 2], [2, 1], [-4, 2], [-4, 2]]
-    return grading_context(validate(group, [group.from_vector(v) for v in vecs]))
 
 
 def normalize_by_torsion_shifts(ctx, rim):
