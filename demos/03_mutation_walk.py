@@ -11,12 +11,8 @@ from toricnccr import (
     FGGroup,
     exchange_graph,
     grading_context,
-    minimal_elements,
     mutate_nccr,
     nccr_classes,
-    normalize,
-    rim_of,
-    translation_classes,
     validate,
 )
 
@@ -34,21 +30,18 @@ def main():
         print(f"   class {a} --[remove {m}]--> class {b}")
     print()
 
-    classes = translation_classes(ctx)
-    V = nccr_classes(ctx)[0]
-    print(f"start at class 0, summands {V}")
+    summands = nccr_classes(ctx)  # one summand set per node, in node order
+    current = 0
+    print(f"start at class 0, summands {summands[0]}")
     for step in range(4):
-        rim = rim_of(ctx, V)
-        m = minimal_elements(ctx, rim)[-1]
-        V, cert = mutate_nccr(ctx, V, m)
-        canon = normalize(ctx, rim_of(ctx, V)).serialized()
-        landed = next(
-            i for i, c in enumerate(classes) if c.rim.serialized() == canon
-        )
+        # the last move out of the current class; its edge names the class it lands in
+        _, landed, m = [edge for edge in graph.edges if edge[0] == current][-1]
+        V, cert = mutate_nccr(ctx, summands[current], m)
         print(f"step {step + 1}: removed orbit {cert.removed_orbit}; "
               f"{cert.plus_steps} right / {cert.minus_steps} left module mutations; "
               f"landed in class {landed}")
         print(f"         summands now {V}")
+        current = landed
 
 
 if __name__ == "__main__":

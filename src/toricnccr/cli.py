@@ -36,7 +36,7 @@ from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_range
 from .poset import grading_context
 from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
-from .uppersets import Rim, _class_of, _classes, exchange_graph, translation_classes
+from .uppersets import Rim, _class_of, _classes, exchange_graph
 from .weights import validate
 
 REPORT_FORMAT = f"toricnccr-report/{__version__}"
@@ -106,15 +106,6 @@ def _write(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _class_payload(index, rim, summands):
-    return {
-        "index": index,
-        "rim": [str(h) for h in rim],
-        "summand_degrees": [str(g) for g in summands],
-        "vertex_count": len(summands),
-    }
-
-
 def _quiver_payload(quiver):
     return {
         "vertices": [str(v) for v in quiver.vertices],
@@ -150,13 +141,19 @@ def cmd_validate(args, ws):
 
 def cmd_classify(args, ws):
     ctx = grading_context(ws)
-    classes = translation_classes(ctx)
+    rims = [rim for rim, _ in _classes(ctx)]
+    summands = [ctx.preimage_codes(rim) for rim in rims]
+    # one text per distinct code: a class list repeats a few codes many times
+    rim_text, degree_text = (
+        {c: str(g) for c, g in codes.elements(x for row in rows for x in row).items()}
+        for codes, rows in ((ctx.codes, rims), (ctx.source_codes, summands)))
     return {
         "validation": _validation_summary(ws, ctx),
-        "count": len(classes),
+        "count": len(rims),
         "classes": [
-            _class_payload(i, c.rim, preimage_summands(ctx, c.rim))
-            for i, c in enumerate(classes)
+            {"index": i, "rim": [rim_text[h] for h in rim],
+             "summand_degrees": [degree_text[g] for g in degrees], "vertex_count": len(degrees)}
+            for i, (rim, degrees) in enumerate(zip(rims, summands))
         ],
     }
 

@@ -332,7 +332,7 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
     else:
         head, tail = "0", s
     try:
-        free = int(head) if head else 0
+        free = int(head)  # an empty free coordinate is refused, not read as 0
         tors = tuple(int(t) for t in tail.split(",")) if tail else ()
     except ValueError as exc:
         raise ParseError(f"bad element text {text!r}") from exc

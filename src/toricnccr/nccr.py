@@ -123,8 +123,6 @@ def rim_of(ctx: GradedContext, summands) -> Rim:
 
 def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
     """Full preimage of a complete rim: the NCCR's summand degrees."""
-    if ctx.q.kernel_order == 1:  # q is an isomorphism onto H = G
-        return SummandSet.of(rim)
     return _summand_set(ctx, ctx.preimage_codes(map(ctx.codes.code, rim)))
 
 

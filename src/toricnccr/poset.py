@@ -82,6 +82,10 @@ class IntegerCodes:
         free, r = divmod(c, self.order)
         return GroupElement(self.group, free, self._residues[r])
 
+    def elements(self, codes) -> dict[int, GroupElement]:
+        """One element per distinct code of the batch ``codes``, by code."""
+        return {c: self.element(c) for c in set(codes)}
+
     @cached_property
     def _residues(self) -> tuple[tuple[int, ...], ...]:  # for element(), on its first call
         return tuple(self.group.torsion_residues())

@@ -204,9 +204,11 @@ def _classes(ctx: GradedContext) -> list[tuple[tuple[int, ...], int]]:
     return sorted(classes)
 
 
-def _class_nodes(ctx: GradedContext, classes) -> tuple[TranslationClass, ...]:
-    element = ctx.codes.element
-    return tuple(TranslationClass(Rim(tuple(map(element, rim))), stab) for rim, stab in classes)
+def _class_nodes(ctx: GradedContext, classes):
+    """The classes as values, and the element of each code they share, by code."""
+    element = ctx.codes.elements(c for rim, _ in classes for c in rim).__getitem__
+    nodes = tuple(TranslationClass(Rim(tuple(map(element, rim))), stab) for rim, stab in classes)
+    return nodes, element
 
 
 def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
@@ -244,9 +246,9 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
        stabilizer order is the number of zero translates equal to ``R``.
 
     The work runs on integer codes, where rims sort as their serializations;
-    elements are built only for the classes returned.
+    elements are built once per distinct code of the classes returned.
     """
-    return _class_nodes(ctx, _classes(ctx))
+    return _class_nodes(ctx, _classes(ctx))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +300,10 @@ def exchange_graph(ctx: GradedContext) -> ExchangeGraph:
     """
     classes = _classes(ctx)
     index = {rim: i for i, (rim, _) in enumerate(classes)}
-    nodes = _class_nodes(ctx, classes)
+    nodes, element = _class_nodes(ctx, classes)
     edges = [
-        (i, _class_of(ctx, index, _swap_up(ctx, rim, c)), ctx.codes.element(c))
-        for i, (rim, _) in enumerate(classes)
-        for c in _minimal_codes(ctx, rim)
+        (i, _class_of(ctx, index, _swap_up(ctx, rim, c)), element(c))
+        for i, (rim, _) in enumerate(classes) for c in _minimal_codes(ctx, rim)
     ]
     graph = ExchangeGraph(nodes, tuple(edges))
     if not graph.connected:

@@ -26,10 +26,12 @@ from toricnccr import (
     grading_context,
     minimal_elements,
     mutate,
+    preimage_summands,
     rim_status,
     sign_pattern_witness,
     smith_normal_form,
     sufficient_window,
+    translation_classes,
     validate,
 )
 import toricnccr.nccr
@@ -275,6 +277,25 @@ def rim_status_by_elements(ctx, elements):
     if len(elems) == ctx.orbit_count:
         return RimStatus.COMPLETE, None
     return RimStatus.PARTIAL, None
+
+
+# -- class reports on elements, oracle for the class reports on codes -----
+
+
+def classify_classes_by_elements(ctx):
+    """The ``classes`` of a ``classify`` report as they were built on elements:
+    a ``translation_classes`` value per class, its ``preimage_summands``, and
+    ``str`` of every rim and summand entry."""
+    report = []
+    for i, cls in enumerate(translation_classes(ctx)):
+        summands = preimage_summands(ctx, cls.rim)
+        report.append({
+            "index": i,
+            "rim": [str(h) for h in cls.rim],
+            "summand_degrees": [str(g) for g in summands],
+            "vertex_count": len(summands),
+        })
+    return report
 
 
 # -- the crosscheck on elements, oracle for the crosscheck on codes --------

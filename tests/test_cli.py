@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricnccr.oracle
-from toricnccr import FGGroup, exchange_graph, is_nccr, parse_element
-from toricnccr.cli import COMMANDS, cmd_mutate, load_document, main, parse_args
+from toricnccr import FGGroup, exchange_graph, grading_context, is_nccr, parse_element
+from toricnccr.cli import COMMANDS, cmd_classify, cmd_mutate, load_document, main, parse_args
 from toricnccr.uppersets import _classes
 from toricnccr.weights import validate
 from conftest import (
@@ -26,7 +26,9 @@ from conftest import (
     SYSTEM_SPECS,
     TORSION_LADDER,
     build_context,
+    classify_classes_by_elements,
     count_element_constructions,
+    kernel_systems,
     ladder_context,
     torsion_ladder_context,
 )
@@ -280,6 +282,42 @@ class TestClassify:
         _, second = run(capsys, "classify", INPUTS / "z3.json")
         assert first == second
 
+    @pytest.mark.parametrize("key", [*SYSTEM_SPECS, *LADDER, "torsion"])
+    def test_classes_match_the_element_route(self, key):
+        if key == "torsion":
+            ctx = torsion_ladder_context()
+        else:
+            ctx = ladder_context(key) if key in LADDER else build_context(key)
+        report = cmd_classify(SimpleNamespace(), ctx.weights)
+        assert report["classes"] == classify_classes_by_elements(ctx)
+        assert report["count"] == len(report["classes"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel_systems())
+    def test_classes_match_the_element_route_with_a_kernel(self, ws):
+        report = cmd_classify(SimpleNamespace(), ws)
+        ctx = grading_context(ws)
+        assert ctx.q.kernel_order > 1
+        assert report["classes"] == classify_classes_by_elements(ctx)
+
+    @pytest.mark.parametrize("command", ["classify", "exchange-graph"])
+    def test_one_element_per_distinct_code(self, capsys, monkeypatch, tmp_path, command):
+        # on the 146-class system, beyond what validate builds, only one
+        # element per distinct code printed: none per class or per entry
+        path = write_doc(tmp_path, TORSION_LADDER)
+        built = count_element_constructions(monkeypatch)
+        assert run(capsys, "validate", path)[0] == 0
+        baseline = len(built)
+        built.clear()
+        code, report = run_json(capsys, command, path)
+        assert code == 0
+        if command == "classify":
+            texts = [{t for c in report["classes"] for t in c[field]}
+                     for field in ("rim", "summand_degrees")]
+        else:
+            texts = [{t for node in report["nodes"] for t in node["rim"]}]
+        assert len(built) <= baseline + sum(map(len, texts))
+
 
 class TestQuiver:
     def test_class_json(self, capsys):
@@ -330,6 +368,11 @@ class TestQuiver:
         )
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_empty_free_coordinate_exit_2(self, capsys):
+        code, report = run_json(capsys, "quiver", INPUTS / "z3.json", "--degrees", "(;0) (0;1)")
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("bound", ["10", "11", "64"])
     def test_bound_at_or_above_proven_matches_default(self, capsys, bound):
@@ -400,6 +443,12 @@ class TestMutate:
         assert code == 3
         assert "InternalInconsistency" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("at", ["()", "(;)"])
+    def test_empty_free_coordinate_exit_2(self, capsys, at):
+        code, report = run_json(capsys, "mutate", INPUTS / "ca4.json", "--class", 0, "--at", at)
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
 
     def test_bad_at_refused_before_enumeration(self, capsys, monkeypatch):
         import toricnccr.cli

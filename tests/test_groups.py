@@ -305,6 +305,15 @@ class TestSerialization:
         g = FGGroup(1, ())
         assert parse_element(g, "-7") == g.element(-7)
 
+    @pytest.mark.parametrize(
+        "group,text",
+        [(FGGroup(1, ()), "()"), (FGGroup(1, ()), "(;)"), (FGGroup(1, (3,)), "(;1)")],
+    )
+    def test_parse_refuses_empty_free_coordinate(self, group, text):
+        # an empty free coordinate is no element, not (0)
+        with pytest.raises(ParseError):
+            parse_element(group, text)
+
     def test_parse_rejects_wrong_shape(self):
         with pytest.raises(ParseError):
             parse_element(FGGroup(1, (2,)), "(1;2,3)")
