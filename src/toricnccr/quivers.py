@@ -9,11 +9,14 @@ vectors (componentwise order) whose degree shifts ``u`` back into the set.
 
 Irreducible monomials have bounded total degree: :func:`degree_bound` proves
 ``(span + 2M)·|T|`` from the vertex free parts, the weights and the torsion
-order, so one depth-first search to that bound finds every arrow.  Two exact
-prunes keep it small (see :func:`_minimal_hits`): a branch stops once a
-sub-vector of it lands on a vertex, so every hit is minimal as found, and
-once its free part can no longer reach the vertex free parts within the
-remaining degree.  A caller may cap the search lower; a
+order, so one depth-first search to that bound finds every arrow.  Three
+exact prunes keep it small (see :func:`_minimal_hits`): no branch goes past
+a vector with a sub-vector that lands on a vertex, so every hit is minimal
+as found; a coordinate is dead, and never raised again below a node, once
+some sub-vector plus one unit of it lands, that unit step being the one hit
+it can still give; and a branch stops once its free part can no longer
+reach the vertex free parts within the remaining degree, counting live
+coordinates only.  A caller may cap the search lower; a
 :class:`BoundTooSmall` warning then says that arrows may be missing.
 """
 
@@ -70,55 +73,77 @@ def default_search_bound(ctx: GradedContext) -> int:
     return (ws.positives + ws.negatives) * (1 + ctx.max_conductor + ctx.p.free)
 
 
-def _minimal_hits(steps, order, vertex_codes, source: int, bound: int):
+def _minimal_hits(steps, order, pred, vertex_codes, source: int, bound: int):
     """Minimal nonzero exponent vectors whose degree lands ``source`` in the set.
 
     Degrees are integer codes ``free·|T| + r`` (:class:`~.poset.IntegerCodes`),
     with ``0 <= r < |T|`` the index of the torsion part and ``order`` =
     ``|T|``, so ``q // order`` is the free part of code ``q`` and adding
-    weight ``i`` adds ``steps[i][q % order]``.  The search raises the
-    coordinates in turn, depth first, to total degree ``bound``, and maps
-    each hit to its target.
+    weight ``j`` adds ``steps[j][q % order]``; ``pred[j]`` holds the codes
+    ``q`` with ``q + w_j`` a vertex.  The search raises the coordinates in
+    turn, depth first, to total degree ``bound``, and maps each hit to its
+    target.
 
-    Sub-vector prune.  Alongside the degree of the current prefix vector the
-    search carries the set of degrees of its proper sub-vectors (the zero
-    vector among them once some coordinate is positive).  Raising coordinate
-    ``i`` to ``c`` creates exactly the new sub-vectors that use exponent
-    ``c`` at ``i``: the full vector, and the proper ones ``{q + c·w_i}`` over
-    that set.  If any of them lands on a vertex, coordinate ``i`` stops rising
-    and the branch is cut: every extension contains that vector, so none is
-    minimal.  By induction no proper nonzero sub-vector of a vector reached
-    lands on a vertex, so each hit is minimal when it is recorded.
+    Dead coordinates.  Alongside the degree of the current prefix vector
+    ``a`` the search carries the set of degrees of its proper sub-vectors.
+    Coordinate ``j`` (not yet fixed) is dead once the degree of some
+    sub-vector ``b <= a`` lies in ``pred[j]``: every ``a'`` below with
+    ``a'_j >= 1`` contains ``b + e_j``, which lands.  If ``b`` is proper,
+    ``b + e_j`` is a proper sub-vector of ``a + e_j`` and of every such
+    ``a'``, so none is minimal.  If only ``b = a`` qualifies, ``a + e_j`` is
+    minimal: its proper nonzero sub-vectors are those of ``a``, which do not
+    land, and ``b' + e_j`` for proper ``b' < a``, which do not either; every
+    other ``a'`` contains it.  So the search records ``a + e_j`` as a hit,
+    if it fits the bound, and never raises ``j`` below ``a``.  Raising
+    coordinate ``i`` to ``c`` creates exactly the new sub-vectors that use
+    exponent ``c`` at ``i``: ``a`` itself and the proper ones ``{q + c·w_i}``
+    over the old set, so each raise tests only those, against the ``pred``
+    of each live coordinate from ``i`` on.  By induction no nonzero
+    sub-vector of a vector reached lands, and every minimal hit ``h`` is
+    recorded from ``h - e_m``, ``m`` its last nonzero coordinate, which the
+    search reaches with ``m`` live.  At the root this records the unit hits.
 
-    Free-range prune.  Let ``hi[i]``, ``lo[i]`` be the largest and smallest
-    free part among weights ``i..n-1``, clamped through 0.  With free part
+    Free-range prune.  Let ``hi``, ``lo`` be the largest and smallest free
+    part among the live coordinates, clamped through 0.  With free part
     ``f`` and ``r`` degrees of budget left, every extension that raises only
-    coordinates ``>= i`` has free part in ``[f + r·lo[i], f + r·hi[i]]``; if
-    that misses the vertex free parts, no hit lies below.  The test runs on
+    live coordinates has free part in ``[f + r·lo, f + r·hi]``; if that
+    misses the vertex free parts, no hit lies below.  The test runs on
     entering a coordinate and after each raise of it; the next raise's range
-    ``f + f_i + (r-1)·[lo[i], hi[i]]`` lies inside this one, so a cut there
-    ends the coordinate.  Neither prune depends on the order of the weights.
+    lies inside this one, since coordinates only die, so a cut there ends
+    the coordinate.  Neither rule depends on the order of the weights.
     """
-    n = len(steps)
-    hi = [0] * (n + 1)
-    lo = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        free = steps[i][0] // order  # the step from residue 0 is the weight's own code
-        hi[i] = max(hi[i + 1], free)
-        lo[i] = min(lo[i + 1], free)
+    free = [step[0] // order for step in steps]  # the step from residue 0 is the weight's own code
     vmin = min(vertex_codes) // order
     vmax = max(vertex_codes) // order
     hits = {}
-    vec = [0] * n
+    vec = [0] * len(steps)
 
-    def in_reach(i, q, r):
+    def in_reach(live, q, r):
         f = q // order
-        return f + r * lo[i] <= vmax and f + r * hi[i] >= vmin
+        reach = [0] + [free[j] for j in live]
+        return f + r * min(reach) <= vmax and f + r * max(reach) >= vmin
 
-    def explore(i, used, acc, proper):
-        if i == n or not in_reach(i, acc, bound - used):
+    def settle(live, shifted, cur, room):
+        """The coordinates of ``live`` still live once ``a`` (degree ``cur``)
+        and its proper sub-vectors of degrees ``shifted`` exist."""
+        keep = []
+        for j in live:
+            if not pred[j].isdisjoint(shifted):
+                continue
+            if cur in pred[j]:
+                if room:
+                    vec[j] += 1
+                    hits[tuple(vec)] = cur + steps[j][cur % order]
+                    vec[j] -= 1
+                continue
+            keep.append(j)
+        return keep
+
+    def explore(live, used, acc, proper):
+        if not live or not in_reach(live, acc, bound - used):
             return
-        explore(i + 1, used, acc, proper)
+        i = live[0]
+        explore(live[1:], used, acc, proper)
         step = steps[i]
         cur = acc
         shifted = proper
@@ -128,18 +153,18 @@ def _minimal_hits(steps, order, vertex_codes, source: int, bound: int):
             cur += step[cur % order]
             shifted = {q + step[q % order] for q in shifted}
             vec[i] = c
-            if not shifted.isdisjoint(vertex_codes):
-                break  # a proper sub-vector lands
-            if cur in vertex_codes:
-                hits[tuple(vec)] = cur
-                break
-            if not in_reach(i, cur, bound - used - c):
+            live = settle(live, shifted, cur, used + c < bound)
+            if not in_reach(live, cur, bound - used - c):
                 break
             below |= shifted
-            explore(i + 1, used + c, cur, below)
+            if live and live[0] == i:
+                explore(live[1:], used + c, cur, below)
+            else:
+                explore(live, used + c, cur, below)
+                break
         vec[i] = 0
 
-    explore(0, 0, source, set())
+    explore(settle(range(len(steps)), (), source, True), 0, source, set())
     return hits
 
 
@@ -147,9 +172,10 @@ def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
     codes = IntegerCodes(ws.group)
     steps = [codes.steps(w) for w in ws.weights]
     vertex_index = {codes.code(v): s for s, v in enumerate(vertices)}
+    pred = [{codes.sub(v, codes.code(w)) for v in vertex_index} for w in ws.weights]
     arrows = []
     for s, src in enumerate(vertices):
-        found = _minimal_hits(steps, codes.order, vertex_index, codes.code(src), bound)
+        found = _minimal_hits(steps, codes.order, pred, vertex_index, codes.code(src), bound)
         for exps, target in found.items():
             arrows.append(Arrow(s, vertex_index[target], exps))
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))

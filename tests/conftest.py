@@ -37,6 +37,8 @@ from toricnccr import (
 import toricnccr.nccr
 from toricnccr.groups import GroupElement
 from toricnccr.oracle import CrosscheckReport, _witness_table
+from toricnccr.poset import IntegerCodes
+from toricnccr.quivers import Arrow
 from toricnccr.uppersets import _least_shift
 
 SYSTEM_SPECS = {
@@ -349,6 +351,98 @@ def crosscheck_by_elements(ctx, degrees, window):
     if mismatches:
         raise OracleMismatch(report)
     return report
+
+
+# -- the arrow search before dead coordinates, oracle for _arrow_set -------
+
+
+def minimal_hits_without_dead_coordinates(steps, order, vertex_codes, source: int, bound: int):
+    """Minimal nonzero exponent vectors whose degree lands ``source`` in the set.
+
+    Degrees are integer codes ``free·|T| + r`` (:class:`~.poset.IntegerCodes`),
+    with ``0 <= r < |T|`` the index of the torsion part and ``order`` =
+    ``|T|``, so ``q // order`` is the free part of code ``q`` and adding
+    weight ``i`` adds ``steps[i][q % order]``.  The search raises the
+    coordinates in turn, depth first, to total degree ``bound``, and maps
+    each hit to its target.
+
+    Sub-vector prune.  Alongside the degree of the current prefix vector the
+    search carries the set of degrees of its proper sub-vectors (the zero
+    vector among them once some coordinate is positive).  Raising coordinate
+    ``i`` to ``c`` creates exactly the new sub-vectors that use exponent
+    ``c`` at ``i``: the full vector, and the proper ones ``{q + c·w_i}`` over
+    that set.  If any of them lands on a vertex, coordinate ``i`` stops rising
+    and the branch is cut: every extension contains that vector, so none is
+    minimal.  By induction no proper nonzero sub-vector of a vector reached
+    lands on a vertex, so each hit is minimal when it is recorded.
+
+    Free-range prune.  Let ``hi[i]``, ``lo[i]`` be the largest and smallest
+    free part among weights ``i..n-1``, clamped through 0.  With free part
+    ``f`` and ``r`` degrees of budget left, every extension that raises only
+    coordinates ``>= i`` has free part in ``[f + r·lo[i], f + r·hi[i]]``; if
+    that misses the vertex free parts, no hit lies below.  The test runs on
+    entering a coordinate and after each raise of it; the next raise's range
+    ``f + f_i + (r-1)·[lo[i], hi[i]]`` lies inside this one, so a cut there
+    ends the coordinate.  Neither prune depends on the order of the weights.
+    """
+    n = len(steps)
+    hi = [0] * (n + 1)
+    lo = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        free = steps[i][0] // order  # the step from residue 0 is the weight's own code
+        hi[i] = max(hi[i + 1], free)
+        lo[i] = min(lo[i + 1], free)
+    vmin = min(vertex_codes) // order
+    vmax = max(vertex_codes) // order
+    hits = {}
+    vec = [0] * n
+
+    def in_reach(i, q, r):
+        f = q // order
+        return f + r * lo[i] <= vmax and f + r * hi[i] >= vmin
+
+    def explore(i, used, acc, proper):
+        if i == n or not in_reach(i, acc, bound - used):
+            return
+        explore(i + 1, used, acc, proper)
+        step = steps[i]
+        cur = acc
+        shifted = proper
+        below = set(proper)  # degrees of the proper sub-vectors once i is raised
+        for c in range(1, bound - used + 1):
+            below.add(cur)
+            cur += step[cur % order]
+            shifted = {q + step[q % order] for q in shifted}
+            vec[i] = c
+            if not shifted.isdisjoint(vertex_codes):
+                break  # a proper sub-vector lands
+            if cur in vertex_codes:
+                hits[tuple(vec)] = cur
+                break
+            if not in_reach(i, cur, bound - used - c):
+                break
+            below |= shifted
+            explore(i + 1, used + c, cur, below)
+        vec[i] = 0
+
+    explore(0, 0, source, set())
+    return hits
+
+
+def arrow_set_without_dead_coordinates(ws, vertices, bound):
+    """``quivers._arrow_set`` on the search above: the same arrows, found
+    with the sub-vector and free-range prunes alone."""
+    codes = IntegerCodes(ws.group)
+    steps = [codes.steps(w) for w in ws.weights]
+    vertex_index = {codes.code(v): s for s, v in enumerate(vertices)}
+    arrows = []
+    for s, src in enumerate(vertices):
+        found = minimal_hits_without_dead_coordinates(
+            steps, codes.order, vertex_index, codes.code(src), bound
+        )
+        for exps, target in found.items():
+            arrows.append(Arrow(s, vertex_index[target], exps))
+    return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
 
 
 # -- rims and orbits on elements, for the tests only -----------------------

@@ -14,6 +14,7 @@ from toricnccr import (
     InfiniteGroup,
     InputError,
     MismatchedGroup,
+    Rim,
     SummandSet,
     WeightSystem,
     emit_dot,
@@ -22,11 +23,18 @@ from toricnccr import (
     mckay_quiver,
     monomial_label,
     nccr_classes,
+    preimage_summands,
     validate,
 )
 from toricnccr.groups import GroupElement
 from toricnccr.quivers import Arrow, _arrow_set, degree_bound
-from conftest import build_class_quiver, ladder_context, rank_one_systems
+from toricnccr.uppersets import _classes
+from conftest import (
+    arrow_set_without_dead_coordinates,
+    build_class_quiver,
+    ladder_context,
+    rank_one_systems,
+)
 
 
 def quiver_of_class(key, k, bound=None):
@@ -377,6 +385,59 @@ class TestDegreeBound:
             "x2*x3",
             "x2^4*x4^4",
         ]
+
+
+class TestDeadCoordinates:
+    # classes 0, 1, 100, 2000 and 5682 of the 5,683-class Z + Z/3 system and
+    # all 10 classes of a Z + Z/12 system whose projection has a kernel of
+    # order 4, with their vertex and arrow counts; the search without dead
+    # coordinates took 107 s on these
+    SLOW_QUIVERS = [
+        ((3,), [(5, 2), (5, 2), (3, 1), (-7, 2), (-6, 2)], 5683, (0, 1, 100, 2000, 5682), 39,
+         (117, 121, 119, 125, 141)),
+        ((12,), [(2, 0), (1, 1), (-2, 0), (-1, 11), (0, 3), (0, 9)], 10, range(10), 36,
+         (156, 156, 164, 156, 164, 156, 164, 164, 164, 172)),
+    ]
+
+    def test_quivers_slow_without_dead_coordinates(self):
+        elapsed = 0.0
+        for torsion, vecs, class_count, picks, vertex_count, arrow_counts in self.SLOW_QUIVERS:
+            G = FGGroup(1, torsion)
+            ws = validate(G, [G.from_vector(v) for v in vecs])
+            ctx = grading_context(ws)
+            classes = _classes(ctx)
+            assert len(classes) == class_count
+            for k, arrow_count in zip(picks, arrow_counts):
+                rim = Rim(tuple(map(ctx.codes.element, classes[k][0])))
+                V = tuple(sorted(set(preimage_summands(ctx, rim)), key=GroupElement.key))
+                bound = degree_bound(ws, V)
+                start = time.perf_counter()
+                arrows = _arrow_set(ws, V, bound)
+                elapsed += time.perf_counter() - start
+                assert (len(V), len(arrows)) == (vertex_count, arrow_count)
+                assert arrows == _arrow_set(ws, V, 2 * bound)
+                vertex_set = set(V)
+                for a in arrows:
+                    for b in _proper_subvectors(a.exponents):
+                        mid = sum((e * x for e, x in zip(b, ws.weights)), V[a.source])
+                        assert mid not in vertex_set
+        assert elapsed < 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((), (2,), (3,), (4,), (2, 2))), st.data())
+    def test_matches_the_search_without_them_random(self, ws, data):
+        # at the proven bound and at a cap below it, on a class or a subset
+        # of it, with the weights shuffled
+        ctx = grading_context(ws)
+        V = sorted(data.draw(st.sampled_from(nccr_classes(ctx))), key=GroupElement.key)
+        subset = data.draw(st.lists(st.sampled_from(V), min_size=1, unique=True))
+        order = data.draw(st.permutations(ws.weights))
+        ws = WeightSystem(ws.group, tuple(order), ws.positives, ws.negatives, ws.permutation)
+        for vertices in (V, sorted(subset, key=GroupElement.key)):
+            proven = degree_bound(ws, vertices)
+            for bound in (proven, data.draw(st.integers(1, proven - 1))):
+                expected = arrow_set_without_dead_coordinates(ws, vertices, bound)
+                assert _arrow_set(ws, vertices, bound) == expected
 
 
 class TestForeignDegrees:
