@@ -31,11 +31,11 @@ from .errors import (
     ParseError,
     UnknownClass,
 )
-from .groups import FGGroup, parse_element
+from .groups import FGGroup, indented_json, parse_element
 from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_range
 from .poset import grading_context
-from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, monomial_label
+from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, quiver_payload
 from .uppersets import Rim, _class_of, _classes, exchange_graph
 from .weights import validate
 
@@ -92,10 +92,6 @@ def _validation_summary(ws, ctx=None):
     return summary
 
 
-def _emit(report):
-    _write(json.dumps(report, indent=2) + "\n")
-
-
 def _write(text):
     # once the reader has gone, the rest goes to the null device, and the
     # command still ends with its own exit code
@@ -104,23 +100,6 @@ def _write(text):
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _quiver_payload(quiver):
-    return {
-        "vertices": [str(v) for v in quiver.vertices],
-        "arrows": [
-            {
-                "source": str(quiver.vertices[a.source]),
-                "target": str(quiver.vertices[a.target]),
-                "monomial": monomial_label(a.exponents),
-                "exponents": list(a.exponents),
-            }
-            for a in quiver.arrows
-        ],
-        "arrow_count": len(quiver.arrows),
-        "loop_count": len(quiver.loops()),
-    }
 
 
 def _class_summands(ctx, classes, k):
@@ -176,7 +155,7 @@ def cmd_quiver(args, ws):
         "validation": _validation_summary(ws, ctx),
         "is_modifying": modifying,
         "is_nccr": bool(is_nccr(ctx, summands)),
-        "quiver": _quiver_payload(quiver),
+        "quiver": quiver_payload(quiver),
     }
     if args.klass is not None:
         payload["class"] = args.klass
@@ -212,21 +191,24 @@ def cmd_mutate(args, ws):
 def cmd_exchange_graph(args, ws):
     ctx = grading_context(ws)
     graph = exchange_graph(ctx)
+    # the nodes and edges share one element object per code: one text per object
+    elements = {id(h): h for node in graph.nodes for h in node.rim}
+    text = dict(zip(elements, map(str, elements.values()))).__getitem__
     if args.format == "dot":
         lines = ["digraph exchange {"]
         for i, node in enumerate(graph.nodes):
-            lines.append(f'  "class{i}" [label="{node.rim}"];')
+            lines.append(f'  "class{i}" [label="{{{", ".join(map(text, map(id, node.rim)))}}}"];')
         for a, b, m in graph.edges:
-            lines.append(f'  "class{a}" -> "class{b}" [label="{m}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            lines.append(f'  "class{a}" -> "class{b}" [label="{text(id(m))}"];')
+        lines.append("}\n")
+        return "\n".join(lines)
     return {
         "validation": _validation_summary(ws, ctx),
         "nodes": [
-            {"index": i, "rim": [str(h) for h in node.rim]}
+            {"index": i, "rim": list(map(text, map(id, node.rim)))}
             for i, node in enumerate(graph.nodes)
         ],
-        "edges": [{"from": a, "to": b, "at": str(m)} for a, b, m in graph.edges],
+        "edges": [{"from": a, "to": b, "at": text(id(m))} for a, b, m in graph.edges],
         # exchange_graph raised DisconnectedGraph (exit 3) if it was not
         "connected": True,
         "verdict": "CONNECTED",
@@ -261,7 +243,7 @@ def cmd_mckay(args, ws):
     return {
         "group": str(ws.group),
         "weights": [str(w) for w in ws.weights],
-        "quiver": _quiver_payload(quiver),
+        "quiver": quiver_payload(quiver),
     }
 
 
@@ -377,13 +359,14 @@ def main(argv=None) -> int:
                 print(f"warning: {note}", file=sys.stderr)
             _write(output)
         else:
-            _emit({"format": REPORT_FORMAT, "command": command, **output, "warnings": notes})
+            _write(indented_json({"format": REPORT_FORMAT, "command": command, **output,
+                                  "warnings": notes}) + "\n")
             if output.get("mismatches"):  # an oracle disagreement, reported in full above
                 raise InternalCheckError(output["summary"])
         return 0
     except InputError as exc:
         error = {"type": type(exc).__name__, "detail": str(exc)}
-        _emit({"format": REPORT_FORMAT, "command": command, "error": error})
+        _write(indented_json({"format": REPORT_FORMAT, "command": command, "error": error}) + "\n")
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -108,5 +108,9 @@ class DisconnectedGraph(InternalCheckError):
     """The mutation exchange graph came out disconnected."""
 
 
+class UnencodableReport(InternalCheckError, TypeError):
+    """A report holds a value or key the JSON writer has no text for."""
+
+
 class BoundTooSmall(UserWarning):
     """The quiver search was capped below the proven degree bound; arrows may be missing."""

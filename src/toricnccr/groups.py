@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -31,6 +32,7 @@ from .errors import (
     NonTorsionGenerator,
     ParseError,
     RankZeroGroup,
+    UnencodableReport,
 )
 
 _setattr = object.__setattr__  # how a Value's ``__init__`` sets a field
@@ -344,6 +346,44 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
     if group.free_rank == 0:
         return group.element(0, tors)
     return group.element(free, tors)
+
+
+# the text of each JSON scalar, by exact type (bool is no int here)
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def indented_json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, str, int,
+    bool and None, where any other value raises :class:`UnencodableReport`
+    and any other key a ``TypeError``; with an indent, ``json`` encodes in
+    pure Python.  ``indent`` is the newline and indent ``obj`` starts on.
+
+    >>> indented_json({"a": [1, 2], "b": []})
+    '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": []\\n}'
+    """
+    text = _SCALAR_TEXT.get(type(obj))
+    if text:
+        return text(obj)
+    inner = indent + "  "
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(text, obj) if text else [indented_json(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if type(obj) is not dict:
+        raise UnencodableReport(f"no JSON text for {type(obj).__name__} {obj!r}")
+    if not obj:
+        return "{}"
+    items = [f"{encode_basestring_ascii(k)}: "  # a TypeError for a key that is no str
+             f"{_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT else indented_json(v, inner)}"
+             for k, v in obj.items()]
+    # the braces join the end items, so one join builds the text of a report
+    items[0] = "{" + inner + items[0]
+    items[-1] += indent + "}"
+    return (',' + inner).join(items)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ for the summand sets and rims returned.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import NotMinimal, NotNCCR
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext
-from .uppersets import Rim, _minimal_codes, _rim_witness, _swap_up, translation_classes
+from .uppersets import Rim, _classes, _minimal_codes, _rim_witness, _swap_up
 
 
 class SummandSet(Value, fields=("degrees",)):
@@ -127,8 +129,10 @@ def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
 
 
 def nccr_classes(ctx: GradedContext) -> tuple[SummandSet, ...]:
-    """One summand set per translation class, in canonical class order."""
-    return tuple(preimage_summands(ctx, c.rim) for c in translation_classes(ctx))
+    """One summand set per class, in canonical class order; equal degrees share one element."""
+    summands = [ctx.preimage_codes(rim) for rim, _ in _classes(ctx)]
+    element = ctx.source_codes.elements(chain.from_iterable(summands)).__getitem__
+    return tuple(SummandSet(tuple(map(element, codes))) for codes in summands)
 
 
 def mutate_nccr(

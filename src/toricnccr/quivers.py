@@ -1,4 +1,4 @@
-"""Quivers of endomorphism algebras of summand sets, and DOT output.
+"""Quivers of endomorphism algebras of summand sets, and their JSON and DOT texts.
 
 Morphisms between divisorial modules of degrees ``u`` and ``v`` are spanned
 by the monomials of degree ``v - u``, so the quiver of the endomorphism
@@ -25,10 +25,20 @@ from __future__ import annotations
 import warnings
 from operator import mul
 
-from .errors import BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency
+from .errors import (BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency,
+                     SearchBudgetExceeded)
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
+
+# The arrow search runs from each vertex to the search bound, over degrees
+# whose torsion part takes |T| values, so its work grows with bound x
+# vertices x |T|.  ``endomorphism_quiver`` refuses a search above this fixed
+# cap before it starts.  On Z + Z/d with (1;0), (1;1), (-1;0), (-1;-1), the
+# quiver of (0;0), (1;0) has bound 3d, so the product is 6d^2.  On a 2-vCPU
+# VM the whole command takes about 3 s at d = 211 (267,126) and 7.6 s at
+# d = 307 (565,362, over the cap); at d = 100003 it ran for 90 s unfinished.
+QUIVER_WORK_CAP = 1 << 19
 
 
 class Arrow(Value, fields=("source", "target", "exponents")):
@@ -222,13 +232,20 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     arrow search runs once, to :func:`degree_bound`.  ``search_bound`` caps
     it: a cap at or above the proven bound changes nothing, and a cap below
     it emits :class:`BoundTooSmall`, since arrows may then be missing.  A
-    degree outside the grading group raises :class:`MismatchedGroup`.
+    search whose bound x vertices x |T| exceeds :data:`QUIVER_WORK_CAP`
+    raises :class:`SearchBudgetExceeded` before it starts.  A degree outside
+    the grading group raises :class:`MismatchedGroup`.
     """
     vertices = tuple(sorted(set(summands), key=GroupElement.key))
     if search_bound is not None and search_bound < 1:
         raise InputError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)
     bound = proven if search_bound is None else min(search_bound, proven)
+    order = ctx.weights.group.torsion_order()
+    if (work := bound * len(vertices) * order) > QUIVER_WORK_CAP:
+        raise SearchBudgetExceeded(
+            f"the quiver search needs bound x vertices x |T| = {bound} x {len(vertices)} x "
+            f"{order} = {work}, over the cap of {QUIVER_WORK_CAP}")
     if bound < proven:
         warnings.warn(
             f"search bound {bound} is below the proven degree bound {proven}; "
@@ -272,14 +289,33 @@ def _check_degree_coherence(ws: WeightSystem, quiver: Quiver) -> None:
             )
 
 
+def quiver_payload(quiver: Quiver) -> dict:
+    """The ``quiver`` entry of a JSON report: one text per vertex, indexed per arrow."""
+    names = [str(v) for v in quiver.vertices]
+    return {
+        "vertices": names,
+        "arrows": [
+            {
+                "source": names[a.source],
+                "target": names[a.target],
+                "monomial": monomial_label(a.exponents),
+                "exponents": list(a.exponents),
+            }
+            for a in quiver.arrows
+        ],
+        "arrow_count": len(quiver.arrows),
+        "loop_count": len(quiver.loops()),
+    }
+
+
 def emit_dot(quiver: Quiver) -> str:
     """Deterministic DOT text; vertex names are the serialized degree labels."""
+    names = [f'"{v}"' for v in quiver.vertices]  # one text per vertex, indexed per arrow
     lines = ["digraph quiver {"]
-    for v in quiver.vertices:
-        lines.append(f'  "{v}";')
+    for name in names:
+        lines.append(f"  {name};")
     for a in quiver.arrows:
-        src = quiver.vertices[a.source]
-        tgt = quiver.vertices[a.target]
-        lines.append(f'  "{src}" -> "{tgt}" [label="{monomial_label(a.exponents)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        label = monomial_label(a.exponents)
+        lines.append(f'  {names[a.source]} -> {names[a.target]} [label="{label}"];')
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -268,6 +268,12 @@ def preimage_by_fibers(ctx, rim):
     return SummandSet.of(g for h in rim for g in fiber(ctx.q, h))
 
 
+def nccr_classes_by_rims(ctx):
+    """``nccr_classes`` as it was built: ``preimage_summands`` of each
+    ``translation_classes`` rim, one source element per summand entry."""
+    return tuple(preimage_summands(ctx, c.rim) for c in translation_classes(ctx))
+
+
 def rim_status_by_elements(ctx, elements):
     """``rim_status`` on elements: INVALID at the first ``x >= y + p`` in
     sorted order, COMPLETE with one element per orbit, else PARTIAL."""

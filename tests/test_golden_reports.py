@@ -1,7 +1,9 @@
 """Byte-for-byte golden CLI reports on the seven systems in ``inputs/``.
 
 ``golden_reports.json`` holds, for each command line, its exit code and the
-sha256 of its stdout; any change to a report's bytes fails the test.  After an
+sha256 of its stdout; any change to a report's bytes fails the test.  The
+last lines are refused inputs, so the bytes of exit-2 error reports are
+pinned too, escapes in their detail text included.  After an
 intended report change, re-record with::
 
     PYTHONPATH=src python3 tests/test_golden_reports.py --record
@@ -23,6 +25,18 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).with_name("golden_reports.json")
 RANK_ONE = ("a1", "ca4", "z2", "z3", "z4")
 FINITE = ("mckay_z2", "mckay_z3")
+# exit 2: an unknown class, a finite group where a rank-one system is needed, a
+# non-minimal element, bad element texts (non-ASCII; a quote and a backslash),
+# an infinite group for the McKay quiver and an empty range
+ERROR_LINES = [
+    ["quiver", "inputs/z3.json", "--class", "99"],
+    ["classify", "inputs/mckay_z2.json"],
+    ["mutate", "inputs/z3.json", "--class", "0", "--at", "(9;9)"],
+    ["quiver", "inputs/z3.json", "--degrees", "(0;0) (1;\u00e9)"],
+    ["mutate", "inputs/z3.json", "--class", "0", "--at", '(0;"\\)'],
+    ["mckay", "inputs/z3.json"],
+    ["oracle", "inputs/z4.json", "--range", "5..1", "--window", "3"],
+]
 
 
 def run(argv):
@@ -51,7 +65,7 @@ def command_lines():
     for n in FINITE:
         f = f"inputs/{n}.json"
         lines += [["mckay", f], ["mckay", f, "--format", "dot"]]
-    return lines
+    return lines + ERROR_LINES
 
 
 def record():

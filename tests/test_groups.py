@@ -1,6 +1,7 @@
 """Group arithmetic, Smith normal form, quotients and serialization."""
 
 import doctest
+import json
 import math
 import random
 from itertools import product
@@ -29,8 +30,8 @@ from toricnccr import (
     smith_normal_form,
     subgroup_is_whole,
 )
-from toricnccr.errors import InternalInconsistency
-from toricnccr.groups import GroupElement, QuotientMap
+from toricnccr.errors import InternalCheckError, InternalInconsistency, UnencodableReport
+from toricnccr.groups import GroupElement, QuotientMap, indented_json
 from toricnccr.nccr import MutationCertificate
 from toricnccr.oracle import CrosscheckReport, HomotopyType
 from toricnccr.quivers import Arrow
@@ -389,3 +390,46 @@ class TestValueClasses:
         with pytest.raises(ValueError, match=r"^invariant chain broken: \(2, 3\)$"):
             FGGroup(0, [2, 3])
         assert FGGroup(0, [2, "4"]).torsion == (2, 4)
+
+
+# JSON trees: quotes, backslashes, control and non-ASCII characters (astral
+# ones included, which json writes as surrogate pairs), huge and negative ints,
+# lists of one scalar type and lists mixing True and 1
+_TRICKY = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 300), 10 ** 300)
+            | st.text() | _TRICKY)
+_UNIFORM_LISTS = (st.lists(st.integers()) | st.lists(st.text()) | st.lists(st.booleans())
+                  | st.lists(st.none()) | st.lists(st.sampled_from([True, 1, False, 0, None])))
+JSON_TREES = st.recursive(
+    _SCALARS | _UNIFORM_LISTS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text() | _TRICKY, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    """``indented_json`` writes what ``json.dumps(obj, indent=2)`` writes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_TREES)
+    @example([[]])
+    @example({"a": {}, "b": [[], {}], "": [{}]})
+    @example([True, 1, False, 0])
+    @example({"\u00e9\"\\": [-(10 ** 80), 10 ** 80, 0]})
+    def test_same_bytes_as_json_dumps(self, tree):
+        assert indented_json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("bad", [1.5, (1, 2), [1, 2.0], {"a": [(0,)]}],
+                             ids=["float", "tuple", "float-in-list", "nested-tuple"])
+    def test_other_values_raise_a_type_error(self, bad):
+        with pytest.raises(UnencodableReport, match="no JSON text for (float|tuple)"):
+            indented_json(bad)
+        # a report that cannot be written is a bug: the CLI exits 3
+        assert issubclass(UnencodableReport, TypeError)
+        assert issubclass(UnencodableReport, InternalCheckError)
+
+    @pytest.mark.parametrize("bad", [{1: "one"}, {None: 0}, {"a": {2: []}}],
+                             ids=["int-key", "none-key", "nested-int-key"])
+    def test_other_keys_raise_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            indented_json(bad)

@@ -35,9 +35,11 @@ from conftest import (
     kernel_systems,
     ladder_context,
     leq,
+    nccr_classes_by_rims,
     preimage_by_fibers,
     rank_one_systems,
     rim_status_by_elements,
+    torsion_ladder_context,
 )
 
 
@@ -134,6 +136,37 @@ class TestNCCR:
     def test_nccr_implies_modifying(self, ctx):
         for cls in nccr_classes(ctx):
             assert is_modifying(ctx, cls)
+
+
+def assert_nccr_classes_match_rims(ctx):
+    """``nccr_classes`` on codes equals the per-rim route, and equal degrees
+    of different classes are one shared element."""
+    classes = nccr_classes(ctx)
+    assert classes == nccr_classes_by_rims(ctx)
+    entries = [g for summands in classes for g in summands]
+    assert len({id(g) for g in entries}) == len(set(entries))
+
+
+class TestNccrClassesOnCodes:
+    def test_fixtures(self, ctx):
+        assert_nccr_classes_match_rims(ctx)
+
+    @pytest.mark.parametrize("key", sorted(LADDER))
+    def test_ladder(self, key):
+        assert_nccr_classes_match_rims(ladder_context(key))
+
+    def test_torsion_ladder(self):
+        assert_nccr_classes_match_rims(torsion_ladder_context())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((), (2,), (3,), (4,), (2, 2))))
+    def test_random_systems(self, ws):
+        assert_nccr_classes_match_rims(grading_context(ws))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_random_kernels(self, ws):
+        assert_nccr_classes_match_rims(grading_context(ws))
 
 
 class TestIWMutation:

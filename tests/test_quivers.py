@@ -1,5 +1,8 @@
 """Quiver extraction: golden quivers, irreducibility, McKay, DOT output."""
 
+import contextlib
+import io
+import json
 import random
 import time
 import warnings
@@ -15,6 +18,7 @@ from toricnccr import (
     InputError,
     MismatchedGroup,
     Rim,
+    SearchBudgetExceeded,
     SummandSet,
     WeightSystem,
     emit_dot,
@@ -27,7 +31,8 @@ from toricnccr import (
     validate,
 )
 from toricnccr.groups import GroupElement
-from toricnccr.quivers import Arrow, _arrow_set, degree_bound
+from toricnccr.cli import main
+from toricnccr.quivers import QUIVER_WORK_CAP, Arrow, _arrow_set, degree_bound
 from toricnccr.uppersets import _classes
 from conftest import (
     arrow_set_without_dead_coordinates,
@@ -457,6 +462,56 @@ class TestStabilization:
             warnings.simplefilter("error", BoundTooSmall)
             for k in range(len(nccr_classes(ctx))):
                 quiver_of_class(system_key, k)
+
+
+def torsion_line(d):
+    """Z + Z/d with (1;0), (1;1), (-1;0), (-1;-1): the proven bound of the
+    quiver of (0;0), (1;0) is 3d."""
+    group = FGGroup(1, (d,))
+    return validate(group, [group.from_vector(v) for v in [(1, 0), (1, 1), (-1, 0), (-1, -1)]])
+
+
+class TestSearchBudget:
+    """bound x vertices x |T| over ``QUIVER_WORK_CAP`` is refused up front."""
+
+    def test_huge_torsion_exits_2_fast(self, tmp_path):
+        path = tmp_path / "z100003.json"
+        path.write_text(json.dumps({"group": {"free_rank": 1, "torsion": [100003]},
+                                    "weights": [[1, 0], [1, 1], [-1, 0], [-1, -1]]}))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["quiver", str(path), "--degrees", "(0;0) (1;0)"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        error = json.loads(out.getvalue())["error"]
+        assert error["type"] == "SearchBudgetExceeded"
+        for size in (300009, 2, 100003, QUIVER_WORK_CAP):
+            assert f" {size}" in error["detail"]
+
+    def test_the_cap_reads_the_bound_searched(self):
+        ctx = grading_context(torsion_line(100003))
+        G = ctx.weights.group
+        vertices = [G.element(0, (0,)), G.element(1, (0,))]
+        with pytest.raises(SearchBudgetExceeded, match=r"= 300009 x 2 x 100003 = 60003600054,"):
+            endomorphism_quiver(ctx, vertices)
+        with pytest.warns(BoundTooSmall):  # 1 x 2 x 100003 is under the cap
+            quiver = endomorphism_quiver(ctx, vertices, 1)
+        assert len(quiver.arrows) == 2
+
+    def test_cap_admits_d_211_and_refuses_d_307(self):
+        # the sizes timed beside QUIVER_WORK_CAP: about 3 s and 7.6 s whole process
+        for d, admitted in ((211, True), (307, False)):
+            ws = torsion_line(d)
+            vertices = (ws.group.element(0, (0,)), ws.group.element(1, (0,)))
+            assert degree_bound(ws, vertices) == 3 * d
+            assert (3 * d * 2 * d <= QUIVER_WORK_CAP) == admitted
+
+    def test_mckay_stays_outside(self):
+        # all of G, bound 1: 1000 x 1000 is over the cap, yet the search is one step deep
+        G = FGGroup(0, (1000,))
+        q = mckay_quiver(validate(G, [G.element(0, (1,)), G.element(0, (1,)), G.element(0, (998,))]))
+        assert (len(q.vertices), len(q.arrows)) == (1000, 3000)
 
 
 class TestMcKay:
