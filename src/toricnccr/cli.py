@@ -92,11 +92,11 @@ def _validation_summary(ws, ctx=None):
     return summary
 
 
-def _write(text):
-    # once the reader has gone, the rest goes to the null device, and the
-    # command still ends with its own exit code
+def _write(*parts):
+    # parts are written apart, not joined into a copy; once the reader has
+    # gone, the rest goes to the null device, and the exit code is kept
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -360,13 +360,13 @@ def main(argv=None) -> int:
             _write(output)
         else:
             _write(indented_json({"format": REPORT_FORMAT, "command": command, **output,
-                                  "warnings": notes}) + "\n")
+                                  "warnings": notes}), "\n")
             if output.get("mismatches"):  # an oracle disagreement, reported in full above
                 raise InternalCheckError(output["summary"])
         return 0
     except InputError as exc:
         error = {"type": type(exc).__name__, "detail": str(exc)}
-        _write(indented_json({"format": REPORT_FORMAT, "command": command, "error": error}) + "\n")
+        _write(indented_json({"format": REPORT_FORMAT, "command": command, "error": error}), "\n")
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,14 +4,13 @@ A degree fails to be maximal Cohen-Macaulay exactly when some integer vector
 ``a`` with ``sum a_i * x_i = g`` matches one of two sign patterns: nonnegative
 on the positive block and negative everywhere else, or nonnegative on the
 negative block and negative everywhere else.  The oracle searches for such
-witnesses inside a finite window and cross-checks the order criterion: per
-sign pattern and weight position, one int per torsion residue (in code order,
-see :class:`~.poset.IntegerCodes`) has bit ``|free|`` set for each sum of the
-remaining weights up to the largest free part checked.  A weight's residue
-maps are built once per class of coefficients mod the order of its torsion
-part.  The crosscheck runs on source codes (:func:`crosscheck_range` walks a
-free-part range in code order): a degree's witness test is one bit, and an
-element and its lexicographically first witness are built only for a mismatch.
+witnesses inside a finite window and cross-checks the order criterion on
+bitsets, one int per torsion residue (in :class:`~.poset.IntegerCodes` order)
+with bit ``|free|`` per degree: witness tables of the sums of the remaining
+weights, per sign pattern and weight, built by doubling over each weight's
+coefficients, and MCM sets per sign of the free part, read off the least-code
+table as combs.  A range of degrees is checked one XOR per residue and sign,
+and only a mismatch builds an element and its lexicographically first witness.
 
 The topological side: each sign vector ``a`` selects a subcomplex of the face
 complex of the weight polytope, whose homotopy type is one of empty, a point,
@@ -28,7 +27,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
-from . import nccr
 from .errors import InputError, OracleMismatch, SearchBudgetExceeded
 from .groups import GroupElement, Value, _setattr
 from .poset import GradedContext, IntegerCodes
@@ -39,10 +37,11 @@ from .weights import WeightSystem
 # Sign-pattern witnesses
 
 
-# Building a witness table shifts one (cap+1)-bit set per coefficient and
-# residue.  Its work, the shifts times the 64-bit words per set, is refused
-# above this fixed cap before the build: inputs/z4.json with --range -N..N
-# needs about N²/4, so the cap admits N up to 23,000.
+# A witness table's work, one shift of a (cap+1)-bit set per coefficient and
+# residue times the 64-bit words per set, is refused above this fixed cap
+# before the build.  The figure bounds the steps _witness walks and
+# over-counts the doubled build.  inputs/z4.json with --range -N..N needs
+# about N²/4, so the cap admits N up to 23,000.
 WITNESS_WORK_CAP = 1 << 27
 
 
@@ -53,25 +52,27 @@ WITNESS_WORK_CAP = 1 << 27
 # complexes (64 for six).
 @lru_cache(maxsize=4)
 def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
-    """Suffix reachability tables of one sign pattern, as ``(steps, suffix)``.
+    """Suffix reachability tables of one sign pattern, as ``(coefficients, suffix)``.
 
     A vector matches the pattern when ``a_i`` is in [0, window] on its nonneg
     block and in [-window, -1] elsewhere.  In pattern 6 every term ``a_i x_i``
     has free part >= 0 (``a_i >= 0`` on positive weights, ``a_i < 0`` on
     negative ones, torsion weights add 0), in pattern 7 <= 0.  So partial sums
-    from either end are monotone in free part, and within the cap if the sum is.
+    from either end are monotone in free part, and within the cap if the sum
+    is: ``coefficients[i]`` keeps weight ``i``'s ``c`` with ``|c * free| <=
+    cap`` (one period of a torsion weight).  ``suffix[i][r]``, ``r`` a residue
+    in code order, has bit ``|f|`` set iff ``(f; r)`` is a sum of weights
+    ``i..n-1``: the OR over those ``c`` of ``suffix[i + 1][back_c(r)] << |c *
+    free|``, masked to the cap, where ``back_c(r) = r - c * tors``.
 
-    Residues are indexed in code order (:class:`~.poset.IntegerCodes`), so a
-    source code ``c`` has residue ``c % |T|``.  ``suffix[i][r]`` has bit
-    ``|f|`` set iff ``(f, residue r)`` is a sum of weights ``i..n-1`` in the
-    pattern's ranges with ``|f| <= cap``: by monotonicity, ``suffix[i + 1]``
-    shifted by each step of weight ``i``, ORed and masked to the cap.
-    ``steps[i]`` holds weight ``i``'s coefficients in increasing order with
-    shift ``|c * free|`` and residue map ``r -> r - c * tors``; only those with
-    ``|c * free| <= cap``, and one period of a torsion weight, whose steps
-    repeat.  The map depends only on ``c`` mod ``ord(tors)``, so each class
-    builds one, shared by its coefficients; a torsion-free weight has one, the
-    identity.
+    Doubling: walk the range away from 0, ``c_t = c_0 + σt``, so the shift is
+    ``|c_0 * free| + t·|free|``; let ``A_m[r] = OR_{t<m} suffix[i +
+    1][back_{σt}(r)] << t·|free|``.  As ``back_a ∘ back_b = back_{a+b}``,
+    ``A_{2m}[r] = A_m[r] | A_m[back_{σm}(r)] << m·|free|`` (the terms ``t = m
+    .. 2m-1``) and ``A_{m+1}[r] = A_1[r] | A_m[back_σ(r)] << |free|``.  From
+    ``A_0 = 0``, ``n``'s bits, top down, give ``A_n`` in O(log n) shift-ORs
+    per residue; ``suffix[i][r] = A_n[back_{c_0}(r)] << |c_0 * free|``.
+    Masking each step drops nothing: shifts only move bits up.
     """
     codes = IntegerCodes(ws.group)
     order = codes.order
@@ -90,23 +91,27 @@ def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
         raise SearchBudgetExceeded(
             f"the witness table needs {work} word operations, over the cap of {WITNESS_WORK_CAP}"
         )
-    steps = []
-    for x, coefficients in zip(ws.weights, ranges):
-        period = ws.group.element(0, x.tors).order()
-        maps = {}
-        for j in {c % period for c in coefficients}:
-            jt = codes.encode(0, [j * t for t in x.tors])
-            maps[j] = tuple(codes.sub(r, jt) for r in range(order))
-        steps.append(tuple((c, abs(c * x.free), maps[c % period]) for c in coefficients))
+
+    def back(x, c):  # the residue map r -> r - c * tors
+        ct = codes.encode(0, [c * t for t in x.tors])
+        return [codes.sub(r, ct) for r in range(order)]
+
     mask = (1 << cap + 1) - 1
     suffix = [[1] + [0] * (order - 1)]  # the empty sum: only 0
-    for options in reversed(steps):
-        table = [0] * order
-        for _, shift, back in options:
-            for r, s in enumerate(back):
-                table[r] |= suffix[-1][s] << shift
-        suffix.append([bits & mask for bits in table])
-    return tuple(steps), tuple(reversed(suffix))
+    for x, coefficients in zip(reversed(ws.weights), reversed(ranges)):
+        if coefficients.start < 0:
+            coefficients = coefficients[::-1]
+        f, one, base = abs(x.free), back(x, coefficients.step), suffix[-1]
+        a, move, m = [0] * order, list(range(order)), 0  # A_m and back_{σm}
+        for bit in bin(len(coefficients))[2:]:
+            a = [(t | a[s] << m * f) & mask for t, s in zip(a, move)]
+            move, m = [move[s] for s in move], 2 * m
+            if bit == "1":
+                a = [(t | a[s] << f) & mask for t, s in zip(base, one)]
+                move, m = [move[s] for s in one], m + 1
+        c = coefficients.start  # c_0, or any c when there is none and A_0 is empty
+        suffix.append([a[s] << abs(c * x.free) & mask for s in back(x, c)])
+    return tuple(ranges), tuple(reversed(suffix))
 
 
 def _witness(ws: WeightSystem, code: int, window: int, cap: int):
@@ -117,18 +122,20 @@ def _witness(ws: WeightSystem, code: int, window: int, cap: int):
     The sign of the free part picks the pattern: a sum of free part 0 has all
     terms 0, impossible in a rank-one system, and without free weights the two
     patterns coincide."""
-    free, r = divmod(code, ws.group.torsion_order())
-    steps, suffix = _witness_table(ws, 6 if free >= 0 else 7, window, cap)
+    codes = IntegerCodes(ws.group)
+    free, r = divmod(code, codes.order)
+    ranges, suffix = _witness_table(ws, 6 if free >= 0 else 7, window, cap)
     u = abs(free)
     if not suffix[0][r] >> u & 1:
         return None
     a = []
-    for options, after in zip(steps, suffix[1:]):
-        for c, shift, back in options:
-            if shift <= u and after[back[r]] >> u - shift & 1:
+    for x, coefficients, after in zip(ws.weights, ranges, suffix[1:]):
+        for c in coefficients:
+            shift, s = abs(c * x.free), codes.sub(r, codes.encode(0, [c * t for t in x.tors]))
+            if shift <= u and after[s] >> u - shift & 1:
                 break
         a.append(c)
-        u, r = u - shift, back[r]
+        u, r = u - shift, s
     return tuple(a)
 
 
@@ -176,25 +183,58 @@ class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "wi
         return f"agree: {self.agreements}/{self.checked}, mismatches: {len(self.mismatches)}"
 
 
+def _mcm_sets(ctx: GradedContext, cap: int):
+    """Per torsion residue ``r`` of G, bit ``u <= cap`` set iff ``(u; r)`` is
+    MCM, and in a second list iff ``(-u; r)`` is.  For ``h = q(f; r) = (f;
+    s)`` that is iff neither ``h - p`` nor ``-p - h`` is in the monoid, whose
+    members have free part >= 0: for ``f = u`` only ``h - p``, coded ``u·|T|
+    + k``, can be, and for ``f = -u`` only ``-p - h``, coded ``u·|T| + k'``.
+    Adding ``E`` to ``u`` adds ``N = E·|T|`` to such a code, so the members
+    with ``u ≡ j (mod E)`` are those from the least code of their class mod
+    ``N`` up (:class:`~.poset.GradedContext`): a comb of period ``E`` cut
+    below a threshold, and at most ``min(E, cap + 1)`` combs per set."""
+    least, n, order, sub = ctx.least, len(ctx.least), ctx.codes.order, ctx.codes.sub
+    e, full = n // order, (1 << cap + 1) - 1
+    top = cap // e
+    comb = ((1 << e * (top + 1)) - 1) // ((1 << e) - 1)  # bits 0, E, ..., E·top
+
+    def mcm(k):  # bit u set iff k + u·|T| is not in the monoid
+        members = 0
+        for j in range(min(e, cap + 1)):
+            c = k + j * order
+            m = max((least[c % n] - c) // n, 0)  # the threshold is u = j + E·m
+            if m <= top:
+                members |= comb >> e * m << j + e * m
+        return full & ~members
+
+    above = [mcm(sub(s, ctx.p_code)) for s in range(order)]  # h - p
+    below = [mcm(sub(0, s + ctx.plus_p[s])) for s in range(order)]  # -p - h
+    return tuple([half[s] for s in ctx._torsion_image] for half in (above, below))
+
+
 def _crosscheck(ctx: GradedContext, codes, cap: int, window: int) -> CrosscheckReport:
     """:func:`crosscheck_mcm` on source codes of largest ``|free|`` ``cap``.
 
-    A code's free part is ``c // |T|`` and its residue ``c % |T|``; its
-    witness test is one bit of the first suffix table of its sign pattern.
-    An element, and its witness, is built only for a mismatch."""
+    A code's free part is ``c // |T|`` and its residue ``c % |T|``; its MCM
+    test and its witness test are one bit each, of :func:`_mcm_sets` and of
+    the first suffix table of its sign pattern, compared first one XOR per
+    residue and sign.  An element, and its witness, is built only for a
+    mismatch."""
     need = _window_bound(ctx, cap)
     if window < need:
         raise InputError(f"window {window} below the sufficiency bound {need}")
-    ws, order = ctx.weights, ctx.source_codes.order
+    ws, order, element = ctx.weights, ctx.source_codes.order, ctx.source_codes.element
     # one cap for all degrees, so both patterns' tables are built once; the
     # sign of the free part picks the pattern, as in _witness
     first = [_witness_table(ws, pattern, window, cap)[1][0] for pattern in (6, 7)]
-    mismatches = []
-    for c in codes:
-        free, r = divmod(c, order)
-        mcm = nccr.is_mcm_code(ctx, c)
-        if mcm == first[free < 0][r] >> abs(free) & 1:  # MCM iff no witness
-            mismatches.append((ctx.source_codes.element(c), mcm, _witness(ws, c, window, cap)))
+    mcm, full, mismatches = _mcm_sets(ctx, cap), (1 << cap + 1) - 1, []
+    # MCM iff no witness: the codes are walked only if a bit of -cap..cap disagrees
+    if any(~(m ^ w) & full for half, wits in zip(mcm, first) for m, w in zip(half, wits)):
+        for c in codes:
+            free, r = divmod(c, order)
+            is_mcm = mcm[free < 0][r] >> abs(free) & 1
+            if is_mcm == first[free < 0][r] >> abs(free) & 1:
+                mismatches.append((element(c), bool(is_mcm), _witness(ws, c, window, cap)))
     report = CrosscheckReport(len(codes), len(codes) - len(mismatches), tuple(mismatches), window)
     if mismatches:
         raise OracleMismatch(report)

@@ -337,6 +337,59 @@ def witness_bit(ws, key, window, cap):
     return bool(suffix[0][index[key[1:]]] >> abs(key[0]) & 1)
 
 
+def witness_table_by_coefficients(ws, pattern, window, cap):
+    """``_witness_table`` built one shift-OR per coefficient and residue, as the
+    crosscheck once built it: ``suffix[i + 1]`` shifted by each step of weight
+    ``i``, with shift ``|c * free|`` and residue map ``r -> r - c * tors``,
+    ORed and masked to the cap.  A weight's residue maps are built once per
+    class of ``c`` mod the order of its torsion part."""
+    codes = IntegerCodes(ws.group)
+    order = codes.order
+    l, lp = ws.positives, ws.negatives
+    nonneg = range(l) if pattern == 6 else range(l, l + lp)
+    steps = []
+    for i, x in enumerate(ws.weights):
+        lo, hi = (0, window) if i in nonneg else (-window, -1)
+        if x.free:
+            k = cap // abs(x.free)
+            coefficients = range(max(lo, -k), min(hi, k) + 1)
+        else:
+            coefficients = range(lo, hi + 1)[: x.order()]
+        period = ws.group.element(0, x.tors).order()
+        maps = {}
+        for j in {c % period for c in coefficients}:
+            jt = codes.encode(0, [j * t for t in x.tors])
+            maps[j] = tuple(codes.sub(r, jt) for r in range(order))
+        steps.append([(abs(c * x.free), maps[c % period]) for c in coefficients])
+    mask = (1 << cap + 1) - 1
+    suffix = [[1] + [0] * (order - 1)]  # the empty sum: only 0
+    for options in reversed(steps):
+        table = [0] * order
+        for shift, back in options:
+            for r, s in enumerate(back):
+                table[r] |= suffix[-1][s] << shift
+        suffix.append([bits & mask for bits in table])
+    return tuple(reversed(suffix))
+
+
+def mcm_sets_by_degrees(ctx, cap):
+    """``_mcm_sets`` one degree at a time, as the crosscheck once read it:
+    ``is_mcm_code`` on the code ``f·|T| + r`` of every ``(f; r)`` with ``|f|
+    <= cap``, one bit each; bit ``u`` of the second list is ``f = -u``."""
+    order = ctx.source_codes.order
+    halves = ([0] * order, [0] * order)
+    for u in range(cap + 1):
+        for r in range(order):
+            for half, f in zip(halves, (u, -u)):
+                half[r] |= toricnccr.nccr.is_mcm_code(ctx, f * order + r) << u
+    return halves
+
+
+def mcm_everywhere(ctx, cap):
+    """A stand-in for ``oracle._mcm_sets`` that calls every degree MCM."""
+    return ([(1 << cap + 1) - 1] * ctx.source_codes.order,) * 2
+
+
 def crosscheck_by_elements(ctx, degrees, window):
     """``crosscheck_mcm`` as it ran on elements: ``is_mcm`` on each degree, then
     a lookup of its raw key; a mismatch carries ``sign_pattern_witness``."""

@@ -30,6 +30,7 @@ from conftest import (
     count_element_constructions,
     kernel_systems,
     ladder_context,
+    mcm_everywhere,
     torsion_ladder_context,
 )
 
@@ -589,8 +590,8 @@ class TestOracle:
         assert "witness table needs" in report["error"]["detail"]
 
     def test_no_element_per_degree(self, capsys, monkeypatch):
-        # elements are built per job and per weight of a witness table, never
-        # per degree checked; each run builds its own two tables
+        # elements are built per job, never per degree checked; each run
+        # builds its own two witness tables
         built = count_element_constructions(monkeypatch)
         counts = []
         for span in ("-6..6", "-60..60"):
@@ -602,9 +603,7 @@ class TestOracle:
         assert counts[0] == counts[1]
 
     def test_internal_mismatch_exit_3(self, capsys, monkeypatch):
-        import toricnccr.nccr
-
-        monkeypatch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
+        monkeypatch.setattr(toricnccr.oracle, "_mcm_sets", mcm_everywhere)
         code = main(["oracle", str(INPUTS / "a1.json"), "--range=-5..5", "--window", "12"])
         captured = capsys.readouterr()
         assert code == 3
@@ -888,7 +887,8 @@ class TestClosedStdout:
     def test_failed_check_exits_3(self):
         done = self.run_with_closed_stdout(
             self.ORACLE,
-            code="import sys, toricnccr.nccr; toricnccr.nccr.is_mcm_code = lambda ctx, c: True; "
+            code="import sys, toricnccr.oracle; toricnccr.oracle._mcm_sets = "
+            "lambda ctx, cap: ([(1 << cap + 1) - 1] * ctx.source_codes.order,) * 2; "
             "from toricnccr.cli import main; sys.exit(main(sys.argv[1:]))",
         )
         assert done.returncode == 3

@@ -3,7 +3,8 @@
 ``golden_reports.json`` holds, for each command line, its exit code and the
 sha256 of its stdout; any change to a report's bytes fails the test.  The
 last lines are refused inputs, so the bytes of exit-2 error reports are
-pinned too, escapes in their detail text included.  After an
+pinned too, escapes in their detail text included.  Two oracle lines
+before them check every degree of free part -2000..2000.  After an
 intended report change, re-record with::
 
     PYTHONPATH=src python3 tests/test_golden_reports.py --record
@@ -37,6 +38,10 @@ ERROR_LINES = [
     ["mckay", "inputs/z3.json"],
     ["oracle", "inputs/z4.json", "--range", "5..1", "--window", "3"],
 ]
+# wide oracle ranges, whose MCM and witness sets span thousands of bits
+WIDE_LINES = [
+    ["oracle", f"inputs/{n}.json", "--range", "-2000..2000", "--window", "2001"] for n in ("z3", "z4")
+]
 
 
 def run(argv):
@@ -65,7 +70,7 @@ def command_lines():
     for n in FINITE:
         f = f"inputs/{n}.json"
         lines += [["mckay", f], ["mckay", f, "--format", "dot"]]
-    return lines + ERROR_LINES
+    return lines + WIDE_LINES + ERROR_LINES
 
 
 def record():

@@ -13,6 +13,7 @@ import toricnccr.nccr
 from toricnccr import (
     CONTRACTIBLE,
     EMPTY,
+    FGGroup,
     MismatchedGroup,
     OracleMismatch,
     SearchBudgetExceeded,
@@ -28,19 +29,31 @@ from toricnccr import (
     sphere,
     sufficient_window,
     support_complex,
+    validate,
 )
 import toricnccr.oracle
-from toricnccr.oracle import _matrix_rank, _witness, crosscheck_range, reduced_homology
+from toricnccr.oracle import (
+    _matrix_rank,
+    _mcm_sets,
+    _witness,
+    _witness_table,
+    crosscheck_range,
+    reduced_homology,
+)
 from toricnccr.poset import IntegerCodes
 from conftest import (
+    LADDER,
     SYSTEM_SPECS,
     build_context,
     build_system,
     crosscheck_by_elements,
     kernel_systems,
     ladder_context,
+    mcm_everywhere,
+    mcm_sets_by_degrees,
     rank_one_systems,
     witness_bit,
+    witness_table_by_coefficients,
 )
 
 
@@ -398,7 +411,7 @@ class TestCrosscheck:
             crosscheck_mcm(z2, degrees, 12)
 
     def test_mismatch_raises(self, a1, monkeypatch):
-        monkeypatch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
+        monkeypatch.setattr(toricnccr.oracle, "_mcm_sets", mcm_everywhere)
         degrees = [a1.weights.group.element(f) for f in range(-6, 7)]
         with pytest.raises(OracleMismatch) as err:
             crosscheck_mcm(a1, degrees, 12)
@@ -419,7 +432,8 @@ class TestRandomCrosscheck:
 def assert_routes_agree(ctx, lo, hi):
     """``crosscheck_mcm`` and ``crosscheck_range`` return the report of the
     crosscheck on elements, field for field, and raise the same report when
-    ``is_mcm_code`` is forced to say MCM everywhere."""
+    ``is_mcm_code`` (which the crosscheck on elements calls) and the MCM
+    bitsets are forced to say MCM everywhere."""
     G = ctx.weights.group
     degrees = [G.element(f, t) for f in range(lo, hi + 1) for t in G.torsion_residues()]
     window = sufficient_window(ctx, degrees)
@@ -434,6 +448,7 @@ def assert_routes_agree(ctx, lo, hi):
     forced = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(toricnccr.nccr, "is_mcm_code", lambda ctx, c: True)
+        patch.setattr(toricnccr.oracle, "_mcm_sets", mcm_everywhere)
         for route in routes:
             with pytest.raises(OracleMismatch) as err:
                 route()
@@ -461,6 +476,62 @@ class TestCrosscheckRoutes:
     def test_kernel_systems(self, ws):
         ctx = grading_context(ws)
         assert_routes_agree(ctx, -ctx.p.free - 2, ctx.p.free + 2)
+
+
+def assert_bitsets_match_oracles(ctx):
+    """``_mcm_sets`` equals ``is_mcm_code`` per degree, and the doubled witness
+    tables the per-coefficient build, at caps below, at and above ``free(p)``
+    and at windows below and above the caps."""
+    ws, pf = ctx.weights, ctx.p.free
+    for cap in sorted({0, 1, pf // 2, pf - 1, pf, pf + 1, 2 * pf + 3, 5 * pf + 7}):
+        assert tuple(map(list, _mcm_sets(ctx, cap))) == mcm_sets_by_degrees(ctx, cap), cap
+        for window in (1, 2, cap // 2 + 1, cap + 3):
+            for pattern in (6, 7):
+                expected = witness_table_by_coefficients(ws, pattern, window, cap)
+                assert _witness_table(ws, pattern, window, cap)[1] == expected, (cap, window, pattern)
+
+
+class TestBitsets:
+    """The MCM bitsets and the doubled witness tables against the routes they
+    replaced.  The kernel family has torsion weights whose order is below
+    their invariant factor."""
+
+    def test_fixtures(self, ctx):
+        assert_bitsets_match_oracles(ctx)
+
+    @pytest.mark.parametrize("key", sorted(LADDER))
+    def test_ladder(self, key):
+        assert_bitsets_match_oracles(ladder_context(key))
+
+    # E, the comb period, exceeds free(p), so most caps tried are below E:
+    # E = 7 with free(p) = 3, and E = 13 with free(p) = 2
+    @pytest.mark.parametrize("torsion, vecs", [
+        ((7,), [(1, 1), (2, 1), (-1, 3), (-2, 2)]),
+        ((13,), [(1, 1), (1, 5), (-1, 6), (-1, 1)]),
+    ])
+    def test_period_above_the_cap(self, torsion, vecs):
+        G = FGGroup(1, torsion)
+        ctx = grading_context(validate(G, [G.from_vector(v) for v in vecs]))
+        assert len(ctx.least) // ctx.codes.order > ctx.p.free
+        assert_bitsets_match_oracles(ctx)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
+    def test_random_systems(self, ws):
+        assert_bitsets_match_oracles(grading_context(ws))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_kernel_systems(self, ws):
+        assert_bitsets_match_oracles(grading_context(ws))
+
+    def test_wide_range_is_fast(self, z4):
+        # every degree of free part -20000..20000: the per-degree MCM loop and
+        # the per-coefficient tables took 1.6 s; the bitsets take about 2 ms
+        start = time.perf_counter()
+        report = crosscheck_range(z4, -20000, 20000, 20001)
+        assert time.perf_counter() - start < 0.5
+        assert report.agreements == report.checked == 40001 * 4
 
 
 class TestWitnessBudget:
@@ -577,6 +648,28 @@ class TestReducedHomology:
             expected = classify_sign_vector(ctx.weights, a).betti_profile()
             betti = betti_numbers(support_complex(ctx.weights, a))
             assert {k: v for k, v in betti.items() if v} == expected
+
+
+def assert_every_mask_classified(ws):
+    """Homology equals the classification on all 2^n nonneg masks: both read
+    only the signs, so the vectors with entries 0 (nonneg) and -1 cover every
+    sign vector of the system."""
+    for a in product((-1, 0), repeat=len(ws.weights)):
+        betti = betti_numbers(support_complex(ws, a))
+        expected = classify_sign_vector(ws, a).betti_profile()
+        assert {k: v for k, v in betti.items() if v} == expected, a
+
+
+class TestEveryMask:
+    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    def test_fixtures_and_ladder(self, key):
+        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        assert_every_mask_classified(ws)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_random_systems(self, ws):
+        assert_every_mask_classified(ws)
 
 
 class TestMatrixRank:
