@@ -143,17 +143,29 @@ class Value:
     """Base of the immutable value classes; unlike ``@dataclass``, it generates no code.
 
     Subclasses name their fields in the class statement (``class Rim(Value,
-    fields=("elements",))``) and set them in an explicit ``__init__``
-    with ``_setattr``.  Instances equal same-class ones with equal fields, hash
-    as the tuple of their fields and refuse assignment and deletion.
+    fields=("elements",))``), with a class attribute of a field's name as its
+    default, and ``__init__`` takes them in field order or by name.  Instances
+    equal same-class ones with equal fields, hash as the tuple of their fields
+    and refuse assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...]):
         cls._fields = fields
+        cls._defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
         get = attrgetter(*fields)
         cls._key = get if len(fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __init__(self, *args, **named):
+        fields = self._fields
+        if named or len(args) != len(fields):  # bind names and defaults as a call would
+            rest, values = fields[len(args):], {**self._defaults, **named}
+            if len(args) > len(fields) or not named.keys() <= set(rest) <= values.keys():
+                raise InternalInconsistency(f"{type(self).__name__} takes the fields {fields}")
+            args += tuple(map(values.__getitem__, rest))
+        for i, name in enumerate(fields):
+            _setattr(self, name, args[i])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -397,11 +409,6 @@ class QuotientMap(Value, fields=("source", "target", "matrix")):
     source to those of the target.  Images and preimages in bulk are read off
     codes (:meth:`~.poset.GradedContext.image_code`, ``preimage_codes``).
     """
-
-    def __init__(self, source: FGGroup, target: FGGroup, matrix: tuple[tuple[int, ...], ...]):
-        _setattr(self, "source", source)
-        _setattr(self, "target", target)
-        _setattr(self, "matrix", matrix)
 
     @property
     def kernel_order(self) -> int:

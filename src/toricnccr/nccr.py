@@ -19,16 +19,13 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import NotMinimal, NotNCCR
-from .groups import GroupElement, Value, _setattr
+from .groups import GroupElement, Value
 from .poset import GradedContext
 from .uppersets import Rim, _classes, _minimal_codes, _rim_witness, _swap_up
 
 
 class SummandSet(Value, fields=("degrees",)):
     """Degrees of the direct summands of a candidate module, sorted."""
-
-    def __init__(self, degrees: tuple[GroupElement, ...]):
-        _setattr(self, "degrees", degrees)
 
     @staticmethod
     def of(degrees) -> "SummandSet":
@@ -53,13 +50,6 @@ class MutationCertificate(Value,
     mutations), with ``plus_steps = negatives - 1`` and
     ``minus_steps = positives - 1`` for the ambient weight system.
     """
-
-    def __init__(self, fixed_part: SummandSet, removed_orbit: GroupElement, plus_steps: int,
-                 minus_steps: int):
-        _setattr(self, "fixed_part", fixed_part)
-        _setattr(self, "removed_orbit", removed_orbit)
-        _setattr(self, "plus_steps", plus_steps)
-        _setattr(self, "minus_steps", minus_steps)
 
 
 def is_mcm(ctx: GradedContext, g: GroupElement) -> bool:

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import InputError, OracleMismatch, SearchBudgetExceeded
-from .groups import GroupElement, Value, _setattr
+from .groups import GroupElement, Value
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
@@ -173,12 +173,6 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
 
 
 class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "window")):
-    def __init__(self, checked: int, agreements: int, mismatches: tuple, window: int):
-        _setattr(self, "checked", checked)
-        _setattr(self, "agreements", agreements)
-        _setattr(self, "mismatches", mismatches)
-        _setattr(self, "window", window)
-
     def summary(self) -> str:
         return f"agree: {self.agreements}/{self.checked}, mismatches: {len(self.mismatches)}"
 
@@ -277,9 +271,7 @@ def face_test(ws: WeightSystem, indices) -> bool:
 
 
 class HomotopyType(Value, fields=("kind", "dim")):
-    def __init__(self, kind: str, dim: int | None = None):
-        _setattr(self, "kind", kind)  # "empty" | "contractible" | "sphere"
-        _setattr(self, "dim", dim)
+    dim = None  # kind is "empty", "contractible" or "sphere"; a sphere has a dim
 
     def betti_profile(self) -> dict[int, int]:
         if self.kind == "empty":
@@ -317,10 +309,6 @@ def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
 
 class SimplicialComplex(Value, fields=("vertex_count", "facets")):
     """Finite abstract complex given by its facets (downward closure implied)."""
-
-    def __init__(self, vertex_count: int, facets: tuple[tuple[int, ...], ...]):
-        _setattr(self, "vertex_count", vertex_count)
-        _setattr(self, "facets", facets)
 
     @cached_property
     def _hash(self) -> int:

@@ -37,7 +37,7 @@ from .weights import WeightSystem
 
 # The least-code table has N = E·|T| entries, quadratic in |T| when every
 # generator of least E has torsion of full order (Z/10007 then needs about
-# 10^8); the context is refused before the build above this fixed cap,
+# 10^8); the context is refused above this fixed cap before it builds a table,
 # classification refuses k x k orbit tables above it, and the quotient on
 # codes refuses its |T_G| tables above it.
 LEAST_CODES_CAP = 1 << 24
@@ -151,15 +151,15 @@ class GradedContext:
 
         _setattr(self, "codes", IntegerCodes(self.group))
         _setattr(self, "source_codes", IntegerCodes(ws.group))
-        _setattr(self, "p_code", self.codes.code(self.p))
-        _setattr(self, "plus_p", self.codes.steps(self.p))  # translation by p on codes
         order = self.codes.order
         e = min(g.free * self.element(0, g.tors).order() for g in self.generators)
-        if e * order > LEAST_CODES_CAP:
+        if e * order > LEAST_CODES_CAP:  # N >= |T|, so this covers plus_p too
             raise SearchBudgetExceeded(
                 f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} "
                 f"entries, over the cap of {LEAST_CODES_CAP}"
             )
+        _setattr(self, "p_code", self.codes.code(self.p))
+        _setattr(self, "plus_p", self.codes.steps(self.p))  # translation by p on codes
         _setattr(self, "least", self._least_codes(e * order))
         # a residue's last gap sits one step of N below its largest least code;
         # floor division is monotone, so the largest code gives the maximum
@@ -261,10 +261,6 @@ def grading_context(ws: WeightSystem) -> GradedContext:
 class AxiomReport(Value, fields=("period", "conductor")):
     """The certificate of the order/action axioms: the period ``p`` and the
     conductor that witnesses (A3)."""
-
-    def __init__(self, period: GroupElement, conductor: int):
-        _setattr(self, "period", period)
-        _setattr(self, "conductor", conductor)
 
 
 def check_axioms(ctx: GradedContext) -> AxiomReport:

@@ -27,36 +27,28 @@ from operator import mul
 
 from .errors import (BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency,
                      SearchBudgetExceeded)
-from .groups import GroupElement, Value, _setattr
+from .groups import GroupElement, Value
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
 # The arrow search runs from each vertex to the search bound, over degrees
 # whose torsion part takes |T| values, so its work grows with bound x
 # vertices x |T|.  ``endomorphism_quiver`` refuses a search above this fixed
-# cap before it starts.  On Z + Z/d with (1;0), (1;1), (-1;0), (-1;-1), the
-# quiver of (0;0), (1;0) has bound 3d, so the product is 6d^2.  On a 2-vCPU
+# cap before it starts, and ``mckay_quiver`` an arrow count |G| x weights.  On
+# Z + Z/d with (1;0), (1;1), (-1;0), (-1;-1), the quiver of (0;0), (1;0) has
+# bound 3d, so the product is 6d^2.  On a 2-vCPU
 # VM the whole command takes about 3 s at d = 211 (267,126) and 7.6 s at
 # d = 307 (565,362, over the cap); at d = 100003 it ran for 90 s unfinished.
 QUIVER_WORK_CAP = 1 << 19
 
 
 class Arrow(Value, fields=("source", "target", "exponents")):
-    def __init__(self, source: int, target: int, exponents: tuple[int, ...]):
-        _setattr(self, "source", source)
-        _setattr(self, "target", target)
-        _setattr(self, "exponents", exponents)
-
     def is_loop(self) -> bool:
         return self.source == self.target
 
 
 class Quiver(Value, fields=("vertices", "arrows")):
     """Vertices labeled by degrees, arrows labeled by exponent vectors."""
-
-    def __init__(self, vertices: tuple[GroupElement, ...], arrows: tuple[Arrow, ...]):
-        _setattr(self, "vertices", vertices)
-        _setattr(self, "arrows", arrows)
 
     def loops(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.is_loop())
@@ -83,16 +75,16 @@ def default_search_bound(ctx: GradedContext) -> int:
     return (ws.positives + ws.negatives) * (1 + ctx.max_conductor + ctx.p.free)
 
 
-def _minimal_hits(steps, order, pred, vertex_codes, source: int, bound: int):
+def _minimal_hits(steps, order, pred, vmin: int, vmax: int, source: int, bound: int):
     """Minimal nonzero exponent vectors whose degree lands ``source`` in the set.
 
     Degrees are integer codes ``free·|T| + r`` (:class:`~.poset.IntegerCodes`),
     with ``0 <= r < |T|`` the index of the torsion part and ``order`` =
     ``|T|``, so ``q // order`` is the free part of code ``q`` and adding
     weight ``j`` adds ``steps[j][q % order]``; ``pred[j]`` holds the codes
-    ``q`` with ``q + w_j`` a vertex.  The search raises the coordinates in
-    turn, depth first, to total degree ``bound``, and maps each hit to its
-    target.
+    ``q`` with ``q + w_j`` a vertex, and vertex free parts span ``vmin..vmax``.
+    The search raises the coordinates in turn, depth first, to total degree
+    ``bound``, and maps each hit to its target.
 
     Dead coordinates.  Alongside the degree of the current prefix vector
     ``a`` the search carries the set of degrees of its proper sub-vectors.
@@ -123,8 +115,6 @@ def _minimal_hits(steps, order, pred, vertex_codes, source: int, bound: int):
     the coordinate.  Neither rule depends on the order of the weights.
     """
     free = [step[0] // order for step in steps]  # the step from residue 0 is the weight's own code
-    vmin = min(vertex_codes) // order
-    vmax = max(vertex_codes) // order
     hits = {}
     vec = [0] * len(steps)
 
@@ -183,9 +173,11 @@ def _arrow_set(ws: WeightSystem, vertices, bound: int) -> tuple[Arrow, ...]:
     steps = [codes.steps(w) for w in ws.weights]
     vertex_index = {codes.code(v): s for s, v in enumerate(vertices)}
     pred = [{codes.sub(v, codes.code(w)) for v in vertex_index} for w in ws.weights]
+    frees = [v.free for v in vertices]  # the free range of the set, once for every source
+    vmin, vmax = min(frees, default=0), max(frees, default=0)
     arrows = []
     for s, src in enumerate(vertices):
-        found = _minimal_hits(steps, codes.order, pred, vertex_index, codes.code(src), bound)
+        found = _minimal_hits(steps, codes.order, pred, vmin, vmax, codes.code(src), bound)
         for exps, target in found.items():
             arrows.append(Arrow(s, vertex_index[target], exps))
     return tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.exponents)))
@@ -264,10 +256,14 @@ def mckay_quiver(ws: WeightSystem) -> Quiver:
     These are exactly the arrows of the search at bound 1.  The vertex set
     is all of G, so every unit vector lands on a vertex, and every longer
     exponent vector has a unit sub-vector that lands, so it is not
-    irreducible.
+    irreducible.  Over :data:`QUIVER_WORK_CAP` arrows it builds no element.
     """
     if ws.group.free_rank:
         raise InfiniteGroup(f"{ws.group} is infinite")
+    order, n = ws.group.torsion_order(), len(ws.weights)
+    if order * n > QUIVER_WORK_CAP:
+        raise SearchBudgetExceeded(f"the McKay quiver has |G| x weights = {order} x {n} = "
+                                   f"{order * n} arrows, over the cap of {QUIVER_WORK_CAP}")
     vertices = tuple(sorted(ws.group.elements(), key=GroupElement.key))
     quiver = Quiver(vertices, _arrow_set(ws, vertices, 1))
     _check_degree_coherence(ws, quiver)

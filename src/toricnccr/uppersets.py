@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 
 from .errors import DisconnectedGraph, InternalInconsistency, NotMinimal, SearchBudgetExceeded
-from .groups import GroupElement, Value, _setattr
+from .groups import GroupElement, Value
 from .poset import LEAST_CODES_CAP, GradedContext
 
 
@@ -40,17 +40,12 @@ class RimStatus(enum.Enum):
 
 
 class RimCheck(Value, fields=("status", "witness")):
-    def __init__(self, status: RimStatus, witness: tuple[GroupElement, GroupElement] | None = None):
-        _setattr(self, "status", status)
-        _setattr(self, "witness", witness)
+    witness = None
 
 
 class Rim(Value, fields=("elements",)):
     """A finite rim, held by its elements alone: it is complete iff it has
     one element per p-orbit, ``ctx.orbit_count`` of them."""
-
-    def __init__(self, elements: tuple[GroupElement, ...]):
-        _setattr(self, "elements", elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -140,9 +135,7 @@ def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
 class TranslationClass(Value, fields=("rim", "stabilizer_order")):
     """A translation class of complete rims, held by its canonical member."""
 
-    def __init__(self, rim: Rim, stabilizer_order: int = 1):
-        _setattr(self, "rim", rim)
-        _setattr(self, "stabilizer_order", stabilizer_order)
+    stabilizer_order = 1
 
     def __str__(self):
         return str(self.rim)
@@ -256,12 +249,8 @@ def translation_classes(ctx: GradedContext) -> tuple[TranslationClass, ...]:
 
 
 class ExchangeGraph(Value, fields=("nodes", "edges")):
-    """Mutation moves between translation classes; connected by theorem."""
-
-    def __init__(self, nodes: tuple[TranslationClass, ...],
-                 edges: tuple[tuple[int, int, GroupElement], ...]):
-        _setattr(self, "nodes", nodes)
-        _setattr(self, "edges", edges)  # (from, to, minimal element)
+    """Mutation moves between translation classes, connected by theorem;
+    ``edges`` holds (from, to, minimal element) triples."""
 
     @property
     def connected(self) -> bool:

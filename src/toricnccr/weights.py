@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import NotGorenstein, GenerationFailure, SignCountFailure
-from .groups import FGGroup, GroupElement, Value, _setattr, subgroup_is_whole
+from .groups import FGGroup, GroupElement, Value, subgroup_is_whole
 
 
 class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", "permutation")):
@@ -27,14 +27,6 @@ class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", 
     ``permutation[i]`` is the index the ``i``-th stored weight had in the raw
     input.
     """
-
-    def __init__(self, group: FGGroup, weights: tuple[GroupElement, ...], positives: int,
-                 negatives: int, permutation: tuple[int, ...]):
-        _setattr(self, "group", group)
-        _setattr(self, "weights", weights)
-        _setattr(self, "positives", positives)
-        _setattr(self, "negatives", negatives)
-        _setattr(self, "permutation", permutation)
 
     @cached_property
     def _hash(self) -> int:

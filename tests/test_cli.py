@@ -97,6 +97,19 @@ class TestValidate:
         assert "100140049" in report["error"]["detail"]
         assert str(1 << 24) in report["error"]["detail"]
 
+    def test_huge_invariant_factor_exit_2(self, capsys, tmp_path):
+        # Z + Z/2^27: the cap is checked before the |T|-entry step table of p is built
+        doc = {
+            "group": {"free_rank": 1, "torsion": [1 << 27]},
+            "weights": [[1, 0], [1, 1], [-1, 0], [-1, -1]],
+        }
+        start = time.perf_counter()
+        code, report = run_json(capsys, "validate", write_doc(tmp_path, doc))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert report["error"]["type"] == "SearchBudgetExceeded"
+        assert str(1 << 27) in report["error"]["detail"]
+
     def test_least_code_table_under_budget_exit_0(self, capsys, tmp_path):
         # same weights over Z/1009: N = 1009^2 = 1,018,081 entries still build
         doc = {
@@ -249,6 +262,22 @@ class TestLoaderFuzz:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main([argv[0], str(path), *argv[1:]])
                 assert code in (0, 2), argv
+
+    @pytest.mark.parametrize("factor", [1 << 25, 1 << 31, 10 ** 12])
+    @pytest.mark.parametrize("free_rank", [0, 1])
+    def test_huge_invariant_factor_exits_0_or_2_fast(self, tmp_path, free_rank, factor):
+        # one invariant factor above every cap; factors from 10^6 to 2^24 are
+        # admitted and take seconds, so they stay out of this test
+        weights = ([[1, 0], [1, 1], [-1, 0], [-1, -1]] if free_rank
+                   else [[0, 1], [0, 1], [0, factor - 2]])
+        path = write_doc(tmp_path, {"group": {"free_rank": free_rank, "torsion": [factor]},
+                                    "weights": weights})
+        for argv in FUZZED_COMMANDS:
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert time.perf_counter() - start < 1, argv
+            assert code in (0, 2), argv
 
 
 FUZZED_COMMANDS = [

@@ -382,6 +382,30 @@ class TestValueClasses:
         assert RimCheck(RimStatus.COMPLETE).witness is None
         assert TranslationClass(self.rim).stabilizer_order == 1
 
+    def test_cases_are_every_value_class(self):
+        found, stack = set(), [toricnccr.groups.Value]
+        while stack:
+            for sub in stack.pop().__subclasses__():
+                found.add(sub)
+                stack.append(sub)
+        assert found == {case[0] for case in self.CASES}
+
+    @pytest.mark.parametrize("cls, names, values", CASES, ids=[c[0].__name__ for c in CASES])
+    def test_one_constructor(self, cls, names, values):
+        # only the validating group and the hot element type keep an __init__ of their own
+        own = "__init__" in vars(cls)
+        assert own == (cls in (FGGroup, GroupElement))
+        refusal = TypeError if own else InternalInconsistency
+        with pytest.raises(refusal):
+            cls(*values, values[0])
+        with pytest.raises(refusal):
+            cls(**dict(zip(names[1:], values[1:])))  # the first field, which has no default
+        with pytest.raises(refusal):
+            cls(*values[:-1], **{names[-1]: values[-1], "unknown": 1})
+        with pytest.raises(refusal):
+            cls(*values, **{names[0]: values[0]})  # the first field twice
+        assert cls(*values[:-1], **{names[-1]: values[-1]}) == cls(*values)
+
     def test_group_rejects(self):
         with pytest.raises(ValueError, match=r"^free rank must be 0 or 1, got 2$"):
             FGGroup(2)

@@ -508,10 +508,29 @@ class TestSearchBudget:
             assert (3 * d * 2 * d <= QUIVER_WORK_CAP) == admitted
 
     def test_mckay_stays_outside(self):
-        # all of G, bound 1: 1000 x 1000 is over the cap, yet the search is one step deep
+        # all of G, bound 1: bound x vertices x |T| would be 1000 x 1000, but
+        # the search is one step deep, so McKay counts |G| x weights = 3000
         G = FGGroup(0, (1000,))
         q = mckay_quiver(validate(G, [G.element(0, (1,)), G.element(0, (1,)), G.element(0, (998,))]))
         assert (len(q.vertices), len(q.arrows)) == (1000, 3000)
+
+    def test_mckay_is_linear_in_the_group(self):
+        # the vertex free range is taken once, not once per source vertex
+        G = FGGroup(0, (10 ** 4,))
+        start = time.perf_counter()
+        q = mckay_quiver(validate(G, [G.element(0, (1,)), G.element(0, (-1,))]))
+        assert time.perf_counter() - start < 1.5
+        assert (len(q.vertices), len(q.arrows)) == (10 ** 4, 2 * 10 ** 4)
+
+    @pytest.mark.parametrize("order", [10 ** 6, QUIVER_WORK_CAP // 2 + 1])
+    def test_mckay_over_the_cap_is_refused_fast(self, order):
+        # with two weights, Z/2^18 sits at the cap and is admitted; one more element is not
+        G = FGGroup(0, (order,))
+        start = time.perf_counter()
+        message = rf"= {order} x 2 = {2 * order} arrows, over the cap of {QUIVER_WORK_CAP}$"
+        with pytest.raises(SearchBudgetExceeded, match=message):
+            mckay_quiver(validate(G, [G.element(0, (1,)), G.element(0, (-1,))]))
+        assert time.perf_counter() - start < 1
 
 
 class TestMcKay:
