@@ -14,10 +14,10 @@ and only a mismatch builds an element and its lexicographically first witness.
 
 The topological side: each sign vector ``a`` selects a subcomplex of the face
 complex of the weight polytope, whose homotopy type is one of empty, a point,
-or a sphere of dimension ``positives - 2`` or ``negatives - 2``.  A small
-exact simplicial homology engine (boundary-matrix ranks by fraction-free
-integer elimination) verifies the classification numerically, and the
-windowed local cohomology counts windowed sign vectors by meeting two
+or a sphere of dimension ``positives - 2`` or ``negatives - 2``, read off the
+vector's nonneg mask.  A small exact homology engine on face bitmasks (ranks
+over Q by sparse fraction-free elimination) verifies the classification, and
+the windowed local cohomology counts windowed sign vectors by meeting two
 half-tables in the middle.
 """
 
@@ -37,12 +37,35 @@ from .weights import WeightSystem
 # Sign-pattern witnesses
 
 
-# A witness table's work, one shift of a (cap+1)-bit set per coefficient and
-# residue times the 64-bit words per set, is refused above this fixed cap
-# before the build.  The figure bounds the steps _witness walks and
-# over-counts the doubled build.  inputs/z4.json with --range -N..N needs
-# about N²/4, so the cap admits N up to 23,000.
+# Work in 64-bit words of a (cap+1)-bit set, refused above this fixed cap
+# before it starts: a witness table's build, at most two shift-ORs per
+# residue and bit of each weight's coefficient count plus its n + 1 tables,
+# or a witness walk, one shift per coefficient.  inputs/z4.json with --range
+# -N..N needs about N·log₂N/2, so the cap admits N up to 10,631,103.
 WITNESS_WORK_CAP = 1 << 27
+
+
+def _ranges(ws: WeightSystem, pattern: int, window: int, cap: int, walk=False):
+    """Each weight's coefficients in the sign pattern (see :func:`_witness_table`)
+    whose term stays within the cap, in increasing order; refused if the table
+    on them, or with ``walk`` a witness walk through them, is over the cap."""
+    l, lp = ws.positives, ws.negatives
+    nonneg = range(l) if pattern == 6 else range(l, l + lp)
+    ranges = []
+    for i, x in enumerate(ws.weights):
+        lo, hi = (0, window) if i in nonneg else (-window, -1)
+        if x.free:
+            k = cap // abs(x.free)
+            ranges.append(range(max(lo, -k), min(hi, k) + 1))
+        else:
+            ranges.append(range(lo, hi + 1)[: x.order()])
+    doublings = sum(2 * len(c).bit_length() for c in ranges) + len(ranges) + 1
+    steps = sum(map(len, ranges)) if walk else IntegerCodes(ws.group).order * doublings
+    if (work := steps * (cap // 64 + 1)) > WITNESS_WORK_CAP:
+        raise SearchBudgetExceeded(
+            f"the witness table needs {work} word operations, over the cap of {WITNESS_WORK_CAP}"
+        )
+    return tuple(ranges)
 
 
 # Each cache holds one job's working set and is bounded so that it cannot grow
@@ -75,22 +98,7 @@ def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
     Masking each step drops nothing: shifts only move bits up.
     """
     codes = IntegerCodes(ws.group)
-    order = codes.order
-    l, lp = ws.positives, ws.negatives
-    nonneg = range(l) if pattern == 6 else range(l, l + lp)
-    ranges = []
-    for i, x in enumerate(ws.weights):
-        lo, hi = (0, window) if i in nonneg else (-window, -1)
-        if x.free:
-            k = cap // abs(x.free)
-            ranges.append(range(max(lo, -k), min(hi, k) + 1))
-        else:
-            ranges.append(range(lo, hi + 1)[: x.order()])
-    work = order * sum(map(len, ranges)) * (cap // 64 + 1)
-    if work > WITNESS_WORK_CAP:
-        raise SearchBudgetExceeded(
-            f"the witness table needs {work} word operations, over the cap of {WITNESS_WORK_CAP}"
-        )
+    order, ranges = codes.order, _ranges(ws, pattern, window, cap)
 
     def back(x, c):  # the residue map r -> r - c * tors
         ct = codes.encode(0, [c * t for t in x.tors])
@@ -111,7 +119,7 @@ def _witness_table(ws: WeightSystem, pattern: int, window: int, cap: int):
                 move, m = [move[s] for s in one], m + 1
         c = coefficients.start  # c_0, or any c when there is none and A_0 is empty
         suffix.append([a[s] << abs(c * x.free) & mask for s in back(x, c)])
-    return tuple(ranges), tuple(reversed(suffix))
+    return ranges, tuple(reversed(suffix))
 
 
 def _witness(ws: WeightSystem, code: int, window: int, cap: int):
@@ -153,7 +161,9 @@ def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     if window < 1:
         raise InputError("window must be at least 1")
     # any cap >= |free(g)| is exact; a power of two lets calls share tables
-    return _witness(ws, IntegerCodes(ws.group).code(g), window, 1 << abs(g.free).bit_length())
+    code, cap = IntegerCodes(ws.group).code(g), 1 << abs(g.free).bit_length()
+    _ranges(ws, 6 if g.free >= 0 else 7, window, cap, walk=True)
+    return _witness(ws, code, window, cap)
 
 
 def _window_bound(ctx: GradedContext, max_free: int) -> int:
@@ -276,9 +286,7 @@ class HomotopyType(Value, fields=("kind", "dim")):
     def betti_profile(self) -> dict[int, int]:
         if self.kind == "empty":
             return {-1: 1}
-        if self.kind == "contractible":
-            return {}
-        return {self.dim: 1}
+        return {} if self.dim is None else {self.dim: 1}
 
     def __str__(self):
         return f"S^{self.dim}" if self.kind == "sphere" else self.kind
@@ -288,23 +296,32 @@ EMPTY = HomotopyType("empty")
 CONTRACTIBLE = HomotopyType("contractible")
 
 
+@lru_cache(maxsize=16)
 def sphere(dim: int) -> HomotopyType:
     return HomotopyType("sphere", dim)
 
 
+def _nonneg_mask(ws: WeightSystem, a) -> int:
+    """The sign vector's nonnegative positions, bit ``i`` for weight ``i``."""
+    a, mask = tuple(a), 0
+    if len(a) != len(ws.weights):
+        raise InputError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
+    for i, v in enumerate(a):
+        if v >= 0:
+            mask |= 1 << i
+    return mask
+
+
 def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
-    """Homotopy type of the support subcomplex selected by the sign vector."""
-    n = len(ws.weights)
-    a = tuple(a)
-    if len(a) != n:
-        raise InputError(f"sign vector length {len(a)}, expected {n}")
-    l, lp = ws.positives, ws.negatives
-    pos, neg = {c >= 0 for c in a[:l]}, {c >= 0 for c in a[l:l + lp]}
-    if any(c >= 0 for c in a[l + lp:]) or len(pos) > 1 or len(neg) > 1 or pos == neg == {True}:
-        return CONTRACTIBLE
-    if pos == neg:  # every coordinate negative
-        return EMPTY
-    return sphere(l - 2 if True in pos else lp - 2)
+    """Homotopy type of the support subcomplex selected by the sign vector:
+    empty if no coordinate is nonnegative, the sphere ``S^{l-2}`` (``S^{l'-2}``)
+    if exactly the positive (negative) block is, contractible otherwise."""
+    mask, l, lp = _nonneg_mask(ws, a), ws.positives, ws.negatives
+    if mask == (1 << l) - 1:
+        return sphere(l - 2)
+    if mask == (1 << lp) - 1 << l:
+        return sphere(lp - 2)
+    return CONTRACTIBLE if mask else EMPTY
 
 
 class SimplicialComplex(Value, fields=("vertex_count", "facets")):
@@ -317,36 +334,17 @@ class SimplicialComplex(Value, fields=("vertex_count", "facets")):
     def __hash__(self):  # hashed once, not on every lookup in the homology cache
         return self._hash
 
-    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        seen = set()
-        for facet in self.facets:
-            for k in range(1, len(facet) + 1):
-                seen.update(combinations(facet, k))
-        out: dict[int, list] = {}
-        for face in seen:
-            out.setdefault(len(face) - 1, []).append(face)
-        for k in out:
-            out[k].sort()
-        return out
-
 
 @lru_cache(maxsize=8)
 def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     n = len(ws.weights)
-    out = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if face_test(ws, subset):
-                out.append((sum(1 << i for i in subset), subset))
-    return tuple(out)
+    faces = (s for k in range(1, n + 1) for s in combinations(range(n), k) if face_test(ws, s))
+    return tuple((sum(1 << i for i in s), s) for s in faces)
 
 
 def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
     """The complex of faces whose vertices all have nonnegative sign."""
-    a = tuple(a)
-    if len(a) != len(ws.weights):
-        raise InputError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
-    return _support_complex(ws, sum(1 << i for i, v in enumerate(a) if v >= 0))
+    return _support_complex(ws, _nonneg_mask(ws, a))
 
 
 @lru_cache(maxsize=64)
@@ -368,54 +366,56 @@ def _support_complex(ws: WeightSystem, nonneg_mask: int) -> SimplicialComplex:
 # Exact simplicial homology
 
 
-def _matrix_rank(rows) -> int:
-    """Rank over the rationals by fraction-free elimination: a row below the
-    pivot becomes ``pv*row - row[col]*pivot_row`` over the gcd of its entries."""
-    m = [list(row) for row in rows if any(row)]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < cols:
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if factor := m[r][col]:
-                row = [pv * a - factor * b for a, b in zip(m[r], m[rank])]
-                d = gcd(*row) or 1
-                m[r] = [a // d for a in row]
-        rank += 1
-        col += 1
-    return rank
+def _rank(columns) -> dict[int, dict[int, int]]:
+    """Sparse exact elimination over Q of columns ``{row: nonzero entry}``:
+    the kept columns by pivot row, as many as the rank.  A column ``v`` with
+    ``a`` in the pivot row of a kept ``p`` holding ``b`` there becomes ``b·v -
+    a·p`` over its content, against the kept columns in the order kept; each
+    is zero in earlier pivot rows, so one pass clears them all.  What is
+    left, if anything, is kept, pivoting on a ±1 entry if it has one."""
+    pivots = {}
+    for v in columns:
+        for row, p in pivots.items():
+            if a := v.get(row):
+                b = p[row]
+                v = {r: b * e for r, e in v.items()}
+                for r, e in p.items():
+                    v[r] = v.get(r, 0) - a * e
+                d = gcd(*v.values()) or 1
+                v = {r: e // d for r, e in v.items() if e}
+        if v:
+            pivots[next((r for r, e in v.items() if e in (1, -1)), next(iter(v)))] = v
+    return pivots
+
+
+def _boundary(s: int) -> dict[int, int]:  # (-1)^(bits of s below v) on s ^ v, per bit v of s
+    column, rest = {}, s
+    while rest:
+        v = rest & -rest
+        column[s ^ v] = -1 if (s & v - 1).bit_count() & 1 else 1
+        rest ^= v
+    return column
 
 
 @lru_cache(maxsize=128)
 def reduced_homology(complex_: SimplicialComplex) -> tuple[tuple[int, int], ...]:
     """Reduced Betti numbers over Q as ``((degree, rank), ...)`` for degrees
-    -1 .. dim; the empty face is always part of the chain complex, so the
-    empty complex has a single unit in degree -1."""
-    faces = complex_.faces_by_dim()
-    top = max(faces, default=-1)
-    dims = {-1: 1}
-    for k in range(top + 1):
-        dims[k] = len(faces[k])
-
-    ranks = {}  # rank of boundary C_k -> C_{k-1}
-    if 0 in faces:
-        ranks[0] = _matrix_rank([[1] * len(faces[0])])
-    for k in range(1, top + 1):
-        lower = {f: i for i, f in enumerate(faces[k - 1])}
-        rows = [[0] * len(faces[k]) for _ in range(len(faces[k - 1]))]
-        for j, face in enumerate(faces[k]):
-            for omit in range(len(face)):
-                sub = face[:omit] + face[omit + 1 :]
-                rows[lower[sub]][j] = (-1) ** omit
-        ranks[k] = _matrix_rank(rows)
-
-    return tuple((k, dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)) for k in range(-1, top + 1))
+    -1 .. dim, the empty face included (the empty complex has a unit in -1).
+    ``faces[k + 1]`` holds the ``k``-faces as bitmasks, the nonempty submasks
+    of the facets; ranks of ``C_k -> C_{k-1}`` are taken top down, leaving out
+    of ``C_k`` the pivot rows of ``C_{k+1} -> C_k``, on which its kept columns
+    are invertible: every chain is a boundary plus one zero on them."""
+    faces = [{0}] + [set() for _ in range(max(map(len, complex_.facets), default=0))]
+    for facet in complex_.facets:
+        s = top = sum(1 << v for v in facet)
+        while s:
+            faces[s.bit_count()].add(s)
+            s = s - 1 & top
+    ranks, pivots = [0] * (len(faces) + 1), {}
+    for k in range(len(faces) - 1, 0, -1):
+        pivots = _rank(_boundary(s) for s in faces[k] if s not in pivots)
+        ranks[k] = len(pivots)
+    return tuple((k - 1, len(layer) - ranks[k] - ranks[k + 1]) for k, layer in enumerate(faces))
 
 
 def betti_numbers(complex_: SimplicialComplex) -> dict[int, int]:

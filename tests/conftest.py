@@ -8,12 +8,16 @@ two-element kernel.
 
 import random
 from functools import cache
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricnccr import (
+    CONTRACTIBLE,
+    EMPTY,
     AxiomViolation,
     FGGroup,
     InputError,
@@ -30,6 +34,7 @@ from toricnccr import (
     rim_status,
     sign_pattern_witness,
     smith_normal_form,
+    sphere,
     sufficient_window,
     translation_classes,
     validate,
@@ -410,6 +415,89 @@ def crosscheck_by_elements(ctx, degrees, window):
     if mismatches:
         raise OracleMismatch(report)
     return report
+
+
+# -- homology on dense matrices and classification on sets, oracles for the
+# -- face-bitmask engine ----------------------------------------------------
+
+
+def faces_by_dim(complex_):
+    """``{k: sorted k-faces as vertex tuples}``, every subset of a facet."""
+    seen = set()
+    for facet in complex_.facets:
+        for k in range(1, len(facet) + 1):
+            seen.update(combinations(facet, k))
+    out = {}
+    for face in seen:
+        out.setdefault(len(face) - 1, []).append(face)
+    for k in out:
+        out[k].sort()
+    return out
+
+
+def matrix_rank_by_elimination(rows) -> int:
+    """Rank over the rationals by fraction-free elimination: a row below the
+    pivot becomes ``pv*row - row[col]*pivot_row`` over the gcd of its entries."""
+    m = [list(row) for row in rows if any(row)]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    col = 0
+    while rank < len(m) and col < cols:
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if factor := m[r][col]:
+                row = [pv * a - factor * b for a, b in zip(m[r], m[rank])]
+                d = gcd(*row) or 1
+                m[r] = [a // d for a in row]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reduced_homology_by_dense_ranks(complex_):
+    """``oracle.reduced_homology`` as the package once computed it: faces as
+    sorted vertex tuples, one dense boundary matrix per dimension, each
+    ranked by :func:`matrix_rank_by_elimination`."""
+    faces = faces_by_dim(complex_)
+    top = max(faces, default=-1)
+    dims = {-1: 1}
+    for k in range(top + 1):
+        dims[k] = len(faces[k])
+
+    ranks = {}  # rank of boundary C_k -> C_{k-1}
+    if 0 in faces:
+        ranks[0] = matrix_rank_by_elimination([[1] * len(faces[0])])
+    for k in range(1, top + 1):
+        lower = {f: i for i, f in enumerate(faces[k - 1])}
+        rows = [[0] * len(faces[k]) for _ in range(len(faces[k - 1]))]
+        for j, face in enumerate(faces[k]):
+            for omit in range(len(face)):
+                sub = face[:omit] + face[omit + 1 :]
+                rows[lower[sub]][j] = (-1) ** omit
+        ranks[k] = matrix_rank_by_elimination(rows)
+
+    return tuple((k, dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)) for k in range(-1, top + 1))
+
+
+def classify_sign_vector_by_sets(ws, a):
+    """``oracle.classify_sign_vector`` by the rule the package once used: the
+    sets of signs seen on the positive and the negative block."""
+    n = len(ws.weights)
+    a = tuple(a)
+    if len(a) != n:
+        raise InputError(f"sign vector length {len(a)}, expected {n}")
+    l, lp = ws.positives, ws.negatives
+    pos, neg = {c >= 0 for c in a[:l]}, {c >= 0 for c in a[l:l + lp]}
+    if any(c >= 0 for c in a[l + lp:]) or len(pos) > 1 or len(neg) > 1 or pos == neg == {True}:
+        return CONTRACTIBLE
+    if pos == neg:  # every coordinate negative
+        return EMPTY
+    return sphere(l - 2 if True in pos else lp - 2)
 
 
 # -- the arrow search before dead coordinates, oracle for _arrow_set -------

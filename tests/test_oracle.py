@@ -7,7 +7,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toricnccr.nccr
 from toricnccr import (
@@ -33,8 +34,8 @@ from toricnccr import (
 )
 import toricnccr.oracle
 from toricnccr.oracle import (
-    _matrix_rank,
     _mcm_sets,
+    _rank,
     _witness,
     _witness_table,
     crosscheck_range,
@@ -46,12 +47,15 @@ from conftest import (
     SYSTEM_SPECS,
     build_context,
     build_system,
+    classify_sign_vector_by_sets,
     crosscheck_by_elements,
     kernel_systems,
     ladder_context,
+    matrix_rank_by_elimination,
     mcm_everywhere,
     mcm_sets_by_degrees,
     rank_one_systems,
+    reduced_homology_by_dense_ranks,
     witness_bit,
     witness_table_by_coefficients,
 )
@@ -535,10 +539,18 @@ class TestBitsets:
 
 
 class TestWitnessBudget:
+    """The cap charges the doubled build and the walk, not one shift per
+    coefficient."""
+
+    def test_wide_range_is_admitted(self, z4):
+        report = crosscheck_range(z4, -100000, 100000, 100001)
+        assert report.agreements == report.checked == 200001 * 4
+
     def test_oversized_table_is_refused(self, z4):
         start = time.perf_counter()
         with pytest.raises(SearchBudgetExceeded, match="witness table needs"):
-            crosscheck_range(z4, -100000, 100000, 100001)
+            crosscheck_range(z4, -10**8, 10**8, 10**8 + 1)
+        # the table for 10⁶ fits, but the walk tries 10⁶ coefficients per weight
         with pytest.raises(SearchBudgetExceeded):
             sign_pattern_witness(z4.weights, z4.weights.group.element(10**6, (0,)), 10**6)
         assert time.perf_counter() - start < 1
@@ -672,8 +684,15 @@ class TestEveryMask:
         assert_every_mask_classified(ws)
 
 
+def dense_matrix(columns):
+    """Sparse ``{row: entry}`` columns as dense rows, in sorted row order."""
+    rows = sorted({r for column in columns for r in column})
+    return [[column.get(r, 0) for column in columns] for r in rows]
+
+
 class TestMatrixRank:
-    """The fraction-free elimination against elimination over ``Fraction``."""
+    """The sparse elimination, and the dense one it replaced, against
+    elimination over ``Fraction``."""
 
     def test_random_matrices(self):
         rng = random.Random("matrix-rank")
@@ -684,23 +703,145 @@ class TestMatrixRank:
                 if rng.random() < 0.3:
                     i, j, k = rng.randrange(r), rng.randrange(r), rng.randint(-2, 2)
                     m[r] = [a + k * b for a, b in zip(m[i], m[j])]
-            assert _matrix_rank(m) == matrix_rank_by_fractions(m), m
+            columns = [{r: row[j] for r, row in enumerate(m) if row[j]} for j in range(cols)]
+            assert len(_rank(columns)) == matrix_rank_by_fractions(m), m
+            assert matrix_rank_by_elimination(m) == matrix_rank_by_fractions(m), m
+
+    def test_random_sparse_columns(self):
+        rng = random.Random("sparse-rank")
+        for _ in range(1000):
+            rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+            columns = []
+            for j in range(cols):
+                if j > 1 and rng.random() < 0.3:  # some columns dependent, so ranks vary
+                    u, v, k = rng.choice(columns), rng.choice(columns), rng.randint(-2, 2)
+                    column = {r: u.get(r, 0) + k * v.get(r, 0) for r in u.keys() | v.keys()}
+                else:
+                    support = rng.sample(range(rows), rng.randint(0, min(rows, 3)))
+                    column = {r: rng.randint(-3, 3) for r in support}
+                columns.append({r: e for r, e in column.items() if e})
+            assert len(_rank(columns)) == matrix_rank_by_fractions(dense_matrix(columns)), columns
+
+    def test_non_unit_pivot(self):
+        # the first column has no entry ±1, so it is kept on a pivot of 2
+        assert _rank([{1: 2, 2: 3}, {1: 1, 2: 1}]) == {1: {1: 2, 2: 3}, 2: {2: -1}}
+        assert len(_rank([{1: 2, 2: 3}, {1: -4, 2: -6}, {0: 5}])) == 2
 
     @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6"])
     def test_boundary_matrices(self, key, monkeypatch):
         ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
         seen = []
 
-        def spy(rows):
-            seen.append(rows)
-            return _matrix_rank(rows)
+        def spy(columns):
+            columns = list(columns)
+            seen.append(columns)
+            return _rank(columns)
 
-        monkeypatch.setattr(toricnccr.oracle, "_matrix_rank", spy)
+        monkeypatch.setattr(toricnccr.oracle, "_rank", spy)
         for c in {support_complex(ws, a) for a in product((-1, 0), repeat=len(ws.weights))}:
             reduced_homology.__wrapped__(c)
         assert seen
-        for rows in seen:
-            assert _matrix_rank(rows) == matrix_rank_by_fractions(rows), rows
+        for columns in seen:
+            assert len(_rank(columns)) == matrix_rank_by_fractions(dense_matrix(columns)), columns
+
+
+# The 6-vertex real projective plane: over Q every reduced Betti number is 0,
+# over GF(2) b_1 = b_2 = 1.
+RP2 = SimplicialComplex(6, tuple(sorted(tuple(sorted(t)) for t in [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+])))
+
+
+def disks_on_words(*words):
+    """Disks glued along ``words`` onto a wedge of loops, one per letter, each
+    three edges through vertex 0: per disk, its boundary cycle, a ring of
+    fresh vertices inside it and a cone on the ring."""
+    index = {}
+
+    def vertex(name):
+        return index.setdefault(name, len(index))
+
+    triangles = []
+    for j, word in enumerate(words):
+        cycle = [name for letter in word for name in ("base", (letter, 1), (letter, 2))]
+        for i, name in enumerate(cycle):
+            v, w = vertex(name), vertex(cycle[(i + 1) % len(cycle)])
+            r, s = vertex(("ring", j, i)), vertex(("ring", j, (i + 1) % len(cycle)))
+            triangles += [(v, w, r), (w, r, s), (vertex(("centre", j)), r, s)]
+    return SimplicialComplex(len(index), tuple(sorted(tuple(sorted(t)) for t in triangles)))
+
+
+# a^3 b^5 and a^5 b^2 leave H_1 = Z^2 / <(3, 5), (5, 2)> = Z/19, so every
+# reduced Betti number over Q is 0.  The elimination of its triangles keeps a
+# column with no entry ±1 and reduces later ones against it: an elimination
+# that took every pivot for a unit reads b_0 = b_1 = 1 here.
+NINETEEN = disks_on_words("aaabbbbb", "aaaaabb")
+
+
+@st.composite
+def complexes(draw, max_vertices=7):
+    """Complexes on up to ``max_vertices`` vertices, by up to ten facets each
+    of any nonempty vertex set (not necessarily maximal)."""
+    n = draw(st.integers(0, max_vertices))
+    facet = st.frozensets(st.integers(0, n - 1), min_size=1)
+    facets = draw(st.lists(facet, max_size=10)) if n else []
+    return SimplicialComplex(n, tuple(sorted({tuple(sorted(f)) for f in facets})))
+
+
+class TestHomologyRoutes:
+    """The face-bitmask homology against the dense boundary matrices it
+    replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(complexes())
+    @example(RP2)
+    @example(NINETEEN)
+    def test_random_complexes(self, complex_):
+        assert reduced_homology.__wrapped__(complex_) == reduced_homology_by_dense_ranks(complex_)
+
+    def test_projective_plane_over_q(self):
+        assert betti_numbers(RP2) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+    def test_non_unit_pivot(self):
+        assert betti_numbers(NINETEEN) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert betti_numbers(disks_on_words("aaaaabb")) == {-1: 0, 0: 0, 1: 1, 2: 0}
+
+    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    def test_support_complexes(self, key):
+        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        for a in product((-1, 0), repeat=len(ws.weights)):
+            c = support_complex(ws, a)
+            assert reduced_homology(c) == reduced_homology_by_dense_ranks(c), a
+
+
+def assert_classification_matches_sets(ws):
+    """The mask rule equals the set rule on every vector in {-1, 0, 1}^n."""
+    for a in product((-1, 0, 1), repeat=len(ws.weights)):
+        assert classify_sign_vector(ws, a) == classify_sign_vector_by_sets(ws, a), a
+
+
+class TestClassificationRoutes:
+    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    def test_fixtures_and_ladder(self, key):
+        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        assert_classification_matches_sets(ws)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
+    def test_random_systems(self, ws):
+        assert_classification_matches_sets(ws)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_torsion_weights(self, ws):
+        assert ws.torsion_weights
+        assert_classification_matches_sets(ws)
+
+    def test_shared_instances(self, z4):
+        ws = z4.weights
+        a, b = (0, 0, -1, -1, -1), (1, 2, -3, -1, -1)
+        assert classify_sign_vector(ws, a) is classify_sign_vector(ws, b) == sphere(0)
 
 
 class TestLocalCohomologyWindow:
