@@ -12,20 +12,18 @@ coefficients, and MCM sets per sign of the free part, read off the least-code
 table as combs.  A range of degrees is checked one XOR per residue and sign,
 and only a mismatch builds an element and its lexicographically first witness.
 
-The topological side: each sign vector ``a`` selects a subcomplex of the face
-complex of the weight polytope, whose homotopy type is one of empty, a point,
-or a sphere of dimension ``positives - 2`` or ``negatives - 2``, read off the
-vector's nonneg mask.  A small exact homology engine on face bitmasks (ranks
-over Q by sparse fraction-free elimination) verifies the classification, and
-the windowed local cohomology counts windowed sign vectors by meeting two
-half-tables in the middle.
+The topological side: a sign vector's nonneg mask selects a subcomplex of the
+weight polytope's face complex, empty, a cone or a sphere.  An exact homology
+engine on face bitmasks checks which: a vertex shared by all facets proves a
+cone, and the rest are ranked over Q by sparse fraction-free elimination.
+Windowed local cohomology counts sign vectors by meeting two half-tables.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
 from math import gcd
+from operator import and_
 
 from .errors import InputError, OracleMismatch, SearchBudgetExceeded
 from .groups import GroupElement, Value
@@ -267,17 +265,20 @@ def crosscheck_range(ctx: GradedContext, lo: int, hi: int, window: int) -> Cross
 # The face complex of a sign vector
 
 
-def face_test(ws: WeightSystem, indices) -> bool:
-    """Is the vertex subset (0-based weight positions) a face of the polytope?
+def _is_face(ws: WeightSystem, mask: int) -> bool:
+    """Is the vertex mask a face?  Iff some ``sum s_i x_i = 0`` has ``s`` zero
+    on it and positive off it: iff its complement is empty, holds a positive
+    and a negative weight, or holds only torsion weights (killed by order)."""
+    rest, l = ~mask & (1 << len(ws.weights)) - 1, ws.positives
+    return bool(rest & (1 << l) - 1) == bool(rest >> l & (1 << ws.negatives) - 1)
 
-    A subset is a face iff a relation ``sum s_i x_i = 0`` exists with ``s``
-    zero on it and positive off it: possible iff the complement is empty,
-    mixes both free-part signs, or consists of torsion weights only (whose
-    contribution dies after scaling by the torsion exponent).
-    """
-    complement = set(range(len(ws.weights))) - set(indices)
-    l, lp = ws.positives, ws.negatives
-    return any(i < l for i in complement) == any(l <= i < l + lp for i in complement)
+
+def face_test(ws: WeightSystem, indices) -> bool:
+    """Is the vertex subset (0-based weight positions) a face of the polytope?"""
+    n, indices = len(ws.weights), tuple(indices)
+    if bad := [i for i in indices if not (isinstance(i, int) and 0 <= i < n)]:
+        raise InputError(f"vertex index {bad[0]} outside 0..{n - 1}")
+    return _is_face(ws, sum({1 << i for i in indices}))
 
 
 class HomotopyType(Value, fields=("kind", "dim")):
@@ -314,14 +315,22 @@ def _nonneg_mask(ws: WeightSystem, a) -> int:
 
 def classify_sign_vector(ws: WeightSystem, a) -> HomotopyType:
     """Homotopy type of the support subcomplex selected by the sign vector:
-    empty if no coordinate is nonnegative, the sphere ``S^{l-2}`` (``S^{l'-2}``)
-    if exactly the positive (negative) block is, contractible otherwise."""
+    empty if no coordinate is nonnegative, else ``S^{l-2}`` (``S^{l'-2}``) if
+    exactly the positive (negative) block ``P`` (``N``) is, else contractible.
+
+    Apex lemma: a nonneg mask ``m`` other than ∅, ``P``, ``N`` holds an apex
+    ``v``: a face inside ``m`` plus ``v`` is a face, as its complement loses
+    ``v`` yet meets the same blocks if ``v`` is torsion or another weight of
+    ``v``'s sign lies outside ``m``.  Else ``m`` has no torsion and each block
+    whole or not at all, so ``m = P ∪ N``, a face.  Either way the complex is
+    a cone.  Inside ``P`` every complement meets ``N``, so the faces are the
+    proper subsets, a sphere; likewise ``N`` (both ∅ on rank-zero systems)."""
     mask, l, lp = _nonneg_mask(ws, a), ws.positives, ws.negatives
+    if not mask:
+        return EMPTY
     if mask == (1 << l) - 1:
         return sphere(l - 2)
-    if mask == (1 << lp) - 1 << l:
-        return sphere(lp - 2)
-    return CONTRACTIBLE if mask else EMPTY
+    return sphere(lp - 2) if mask == (1 << lp) - 1 << l else CONTRACTIBLE
 
 
 class SimplicialComplex(Value, fields=("vertex_count", "facets")):
@@ -336,10 +345,10 @@ class SimplicialComplex(Value, fields=("vertex_count", "facets")):
 
 
 @lru_cache(maxsize=8)
-def _face_masks(ws: WeightSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    n = len(ws.weights)
-    faces = (s for k in range(1, n + 1) for s in combinations(range(n), k) if face_test(ws, s))
-    return tuple((sum(1 << i for i in s), s) for s in faces)
+def _face_masks(ws: WeightSystem) -> tuple[int, ...]:
+    """The nonempty faces as vertex masks, largest first."""
+    faces = [m for m in range(1, 1 << len(ws.weights)) if _is_face(ws, m)]
+    return tuple(sorted(faces, key=int.bit_count, reverse=True))
 
 
 def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
@@ -349,17 +358,15 @@ def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
 
 @lru_cache(maxsize=64)
 def _support_complex(ws: WeightSystem, nonneg_mask: int) -> SimplicialComplex:
-    """:func:`support_complex` by its mask of nonnegative positions.
-
-    Its facets are the maximal member faces.  Walking the members largest
-    first, a member is kept unless it lies in a facet already kept; that is
-    exact although the faces are not closed downward, since a member inside
-    a larger member lies inside some maximal one, which is larger still."""
-    kept = []
-    for mask, subset in reversed(_face_masks(ws)):  # decreasing size
-        if mask & ~nonneg_mask == 0 and all(mask & other != mask for other, _ in kept):
-            kept.append((mask, subset))
-    return SimplicialComplex(len(ws.weights), tuple(sorted(subset for _, subset in kept)))
+    """:func:`support_complex` by its mask of nonnegative positions.  Its
+    facets: the member faces, largest first, each kept unless inside one kept
+    (exact, as a member inside a larger one lies inside a maximal one)."""
+    kept, n, outside = [], len(ws.weights), ~nonneg_mask
+    for mask in _face_masks(ws):  # mask & other == mask: inside a kept facet
+        if not mask & outside and mask not in map(mask.__and__, kept):
+            kept.append(mask)
+    facets = sorted(tuple(v for v in range(n) if m >> v & 1) for m in kept)
+    return SimplicialComplex(n, tuple(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +408,24 @@ def _boundary(s: int) -> dict[int, int]:  # (-1)^(bits of s below v) on s ^ v, p
 def reduced_homology(complex_: SimplicialComplex) -> tuple[tuple[int, int], ...]:
     """Reduced Betti numbers over Q as ``((degree, rank), ...)`` for degrees
     -1 .. dim, the empty face included (the empty complex has a unit in -1).
-    ``faces[k + 1]`` holds the ``k``-faces as bitmasks, the nonempty submasks
-    of the facets; ranks of ``C_k -> C_{k-1}`` are taken top down, leaving out
-    of ``C_k`` the pivot rows of ``C_{k+1} -> C_k``, on which its kept columns
-    are invertible: every chain is a boundary plus one zero on them."""
-    faces = [{0}] + [set() for _ in range(max(map(len, complex_.facets), default=0))]
-    for facet in complex_.facets:
-        s = top = sum(1 << v for v in facet)
+    If the facet masks AND to nonzero, a vertex ``v`` lies in every facet, so
+    in one beside each face: the complex is a cone on ``v``, contractible to
+    it along straight lines, and every number is 0."""
+    masks = [sum(1 << v for v in facet) for facet in complex_.facets]
+    if masks and reduce(and_, masks):
+        return tuple((k, 0) for k in range(-1, max(map(len, complex_.facets))))
+    return _eliminate(masks)
+
+
+def _eliminate(masks) -> tuple[tuple[int, int], ...]:
+    """:func:`reduced_homology` of the facet masks: ``faces[k + 1]`` holds the
+    ``k``-faces as bitmasks, the nonempty submasks of the facets; ranks of
+    ``C_k -> C_{k-1}`` are taken top down, leaving out of ``C_k`` the pivot
+    rows of ``C_{k+1} -> C_k``, on which its kept columns are invertible:
+    every chain is a boundary plus one zero on them."""
+    faces = [{0}] + [set() for _ in range(max((m.bit_count() for m in masks), default=0))]
+    for top in masks:
+        s = top
         while s:
             faces[s.bit_count()].add(s)
             s = s - 1 & top

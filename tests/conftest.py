@@ -10,6 +10,7 @@ import random
 from functools import cache
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume
@@ -40,6 +41,7 @@ from toricnccr import (
     validate,
 )
 import toricnccr.nccr
+from toricnccr.cli import load_document
 from toricnccr.groups import GroupElement
 from toricnccr.oracle import CrosscheckReport, _witness_table
 from toricnccr.poset import IntegerCodes
@@ -102,6 +104,15 @@ def build_system(key):
 @cache
 def build_context(key):
     return grading_context(build_system(key))
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+
+
+@cache
+def input_system(name):
+    """The validated weight system of ``inputs/<name>.json``."""
+    return validate(*load_document(str(INPUTS / f"{name}.json")))
 
 
 @cache
@@ -417,7 +428,7 @@ def crosscheck_by_elements(ctx, degrees, window):
     return report
 
 
-# -- homology on dense matrices and classification on sets, oracles for the
+# -- homology on dense matrices, faces and classification on sets, oracles for the
 # -- face-bitmask engine ----------------------------------------------------
 
 
@@ -482,6 +493,25 @@ def reduced_homology_by_dense_ranks(complex_):
         ranks[k] = matrix_rank_by_elimination(rows)
 
     return tuple((k, dims[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)) for k in range(-1, top + 1))
+
+
+def face_test_by_sets(ws, indices):
+    """``oracle.face_test`` as the package once computed it, on the set of
+    the complement: a face iff the complement is empty, mixes both free-part
+    signs, or consists of torsion weights only."""
+    complement = set(range(len(ws.weights))) - set(indices)
+    l, lp = ws.positives, ws.negatives
+    return any(i < l for i in complement) == any(l <= i < l + lp for i in complement)
+
+
+def face_masks_by_subsets(ws):
+    """``oracle._face_masks`` as the package once built it: every nonempty
+    vertex subset by ``combinations``, smallest first, kept if a face, as
+    ``(mask, subset)`` pairs."""
+    n = len(ws.weights)
+    subsets = (s for k in range(1, n + 1) for s in combinations(range(n), k))
+    faces = (s for s in subsets if face_test_by_sets(ws, s))
+    return tuple((sum(1 << i for i in s), s) for s in faces)
 
 
 def classify_sign_vector_by_sets(ws, a):

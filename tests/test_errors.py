@@ -13,12 +13,13 @@ from toricnccr import (
     classify_sign_vector,
     crosscheck_mcm,
     endomorphism_quiver,
+    face_test,
     local_cohomology_window,
     nccr_classes,
     sign_pattern_witness,
     support_complex,
 )
-from conftest import build_context
+from conftest import build_context, build_system
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricnccr"
 
@@ -46,6 +47,18 @@ REFUSALS = {
     "support-vector-length": (
         lambda: support_complex(_ca4().weights, (0,) * 5),
         r"^sign vector length 5, expected 4$",
+    ),
+    "face-vertex-above": (
+        lambda: face_test(build_system("a1"), [7]),
+        r"^vertex index 7 outside 0\.\.3$",
+    ),
+    "face-vertex-below": (
+        lambda: face_test(build_system("a1"), [0, -1]),
+        r"^vertex index -1 outside 0\.\.3$",
+    ),
+    "face-vertex-fraction": (
+        lambda: face_test(build_system("a1"), [1.5]),
+        r"^vertex index 1\.5 outside 0\.\.3$",
     ),
     "cohomology-window": (
         lambda: local_cohomology_window(_ca4().weights, _ca4().group.element(2), -1),

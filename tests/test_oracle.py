@@ -34,6 +34,8 @@ from toricnccr import (
 )
 import toricnccr.oracle
 from toricnccr.oracle import (
+    _eliminate,
+    _face_masks,
     _mcm_sets,
     _rank,
     _witness,
@@ -49,6 +51,9 @@ from conftest import (
     build_system,
     classify_sign_vector_by_sets,
     crosscheck_by_elements,
+    face_masks_by_subsets,
+    face_test_by_sets,
+    input_system,
     kernel_systems,
     ladder_context,
     matrix_rank_by_elimination,
@@ -209,13 +214,14 @@ def local_cohomology_by_dfs(ws, g, window):
 
 def facets_by_pairs(ws, a):
     """The support complex's facets by the rule the package once used: every
-    member face compared with every other, members found by ``face_test``."""
+    member face compared with every other, members found by the set rule
+    ``face_test_by_sets``."""
     nonneg = [i for i, v in enumerate(a) if v >= 0]
     members = [
         set(subset)
         for size in range(1, len(nonneg) + 1)
         for subset in combinations(nonneg, size)
-        if face_test(ws, subset)
+        if face_test_by_sets(ws, subset)
     ]
     return tuple(sorted(tuple(sorted(m)) for m in members if not any(m < o for o in members)))
 
@@ -556,6 +562,43 @@ class TestWitnessBudget:
         assert time.perf_counter() - start < 1
 
 
+# every fixture, two ladder systems and both rank-zero (McKay) inputs
+MASK_KEYS = [*sorted(SYSTEM_SPECS), "w6", "w3535", "mckay_z2", "mckay_z3"]
+
+
+def system_of(key):
+    if key in SYSTEM_SPECS:
+        return build_system(key)
+    return ladder_context(key).weights if key in LADDER else input_system(key)
+
+
+def assert_face_masks_match_subsets(ws):
+    """The bitmask face table holds the faces the subset route finds, largest
+    first, and ``face_test`` agrees with the set rule on every subset."""
+    masks = _face_masks(ws)
+    assert sorted(masks) == sorted(mask for mask, _ in face_masks_by_subsets(ws))
+    assert [m.bit_count() for m in masks] == sorted((m.bit_count() for m in masks), reverse=True)
+    n = len(ws.weights)
+    for subset in (s for k in range(n + 1) for s in combinations(range(n), k)):
+        assert face_test(ws, subset) == face_test_by_sets(ws, subset), subset
+
+
+class TestFaceMasks:
+    @pytest.mark.parametrize("key", MASK_KEYS)
+    def test_fixtures_and_ladder(self, key):
+        assert_face_masks_match_subsets(system_of(key))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_random_systems(self, ws):
+        assert_face_masks_match_subsets(ws)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_torsion_weights(self, ws):
+        assert_face_masks_match_subsets(ws)
+
+
 class TestFaceTest:
     def test_everything_is_a_face_of_itself(self, ctx):
         n = len(ctx.weights.weights)
@@ -586,6 +629,15 @@ class TestClassifySignVector:
     def test_a1_sphere(self, a1):
         assert classify_sign_vector(a1.weights, (0, 0, -1, -1)) == sphere(0)
         assert classify_sign_vector(a1.weights, (-2, -1, -1, -1)) == EMPTY
+
+    @pytest.mark.parametrize("key", ["mckay_z2", "mckay_z3"])
+    def test_rank_zero_all_negative_is_empty(self, key):
+        # both sign blocks are empty there, so the empty mask equals each
+        ws = input_system(key)
+        a = (-1,) * len(ws.weights)
+        assert classify_sign_vector(ws, a) == EMPTY
+        assert support_complex(ws, a).facets == ()
+        assert classify_sign_vector(ws, (0,) + a[1:]) == CONTRACTIBLE
 
     def test_never_errors_on_random_vectors(self, ctx):
         rng = random.Random(f"exhaustive-{ctx.group}")
@@ -627,9 +679,9 @@ class TestSupportComplex:
         for name in ("_witness_table", "_face_masks", "_support_complex", "reduced_homology"):
             assert getattr(toricnccr.oracle, name).cache_info().maxsize is not None, name
 
-    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    @pytest.mark.parametrize("key", MASK_KEYS)
     def test_facets_match_pairwise_rule(self, key):
-        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        ws = system_of(key)
         for a in product((-1, 0), repeat=len(ws.weights)):
             assert support_complex(ws, a).facets == facets_by_pairs(ws, a), a
 
@@ -672,16 +724,43 @@ def assert_every_mask_classified(ws):
         assert {k: v for k, v in betti.items() if v} == expected, a
 
 
+def assert_apex_lemma(ws):
+    """A mask's support complex is a cone, its facets sharing a vertex,
+    exactly when the mask is not empty, the positive block or the negative
+    block (the apex lemma of ``classify_sign_vector``)."""
+    n, l, lp = len(ws.weights), ws.positives, ws.negatives
+    blocks = {0, (1 << l) - 1, (1 << lp) - 1 << l}
+    for mask in range(1 << n):
+        facets = support_complex(ws, [0 if mask >> i & 1 else -1 for i in range(n)]).facets
+        shared = set(facets[0]).intersection(*facets[1:]) if facets else set()
+        assert bool(shared) == (mask not in blocks), (mask, facets)
+
+
 class TestEveryMask:
-    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    @pytest.mark.parametrize("key", MASK_KEYS)
     def test_fixtures_and_ladder(self, key):
-        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
-        assert_every_mask_classified(ws)
+        assert_every_mask_classified(system_of(key))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank_one_systems())
     def test_random_systems(self, ws):
         assert_every_mask_classified(ws)
+
+    @pytest.mark.parametrize("key", MASK_KEYS)
+    def test_apex_lemma(self, key):
+        assert_apex_lemma(system_of(key))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_apex_lemma_random_systems(self, ws):
+        assert_apex_lemma(ws)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_apex_lemma_torsion_weights(self, ws):
+        # a torsion weight is an apex of every mask holding it
+        assert ws.torsion_weights
+        assert_apex_lemma(ws)
 
 
 def dense_matrix(columns):
@@ -738,8 +817,9 @@ class TestMatrixRank:
             return _rank(columns)
 
         monkeypatch.setattr(toricnccr.oracle, "_rank", spy)
+        # the elimination itself, since reduced_homology skips it on cones
         for c in {support_complex(ws, a) for a in product((-1, 0), repeat=len(ws.weights))}:
-            reduced_homology.__wrapped__(c)
+            eliminate(c)
         assert seen
         for columns in seen:
             assert len(_rank(columns)) == matrix_rank_by_fractions(dense_matrix(columns)), columns
@@ -779,6 +859,17 @@ def disks_on_words(*words):
 NINETEEN = disks_on_words("aaabbbbb", "aaaaabb")
 
 
+def cone(complex_):
+    """A new apex joined to every facet (the apex alone over the empty complex)."""
+    n = complex_.vertex_count
+    return SimplicialComplex(n + 1, tuple(facet + (n,) for facet in complex_.facets) or ((n,),))
+
+
+def eliminate(complex_):
+    """``reduced_homology`` by the elimination alone, with no cone shortcut."""
+    return _eliminate([sum(1 << v for v in facet) for facet in complex_.facets])
+
+
 @st.composite
 def complexes(draw, max_vertices=7):
     """Complexes on up to ``max_vertices`` vertices, by up to ten facets each
@@ -798,7 +889,18 @@ class TestHomologyRoutes:
     @example(RP2)
     @example(NINETEEN)
     def test_random_complexes(self, complex_):
-        assert reduced_homology.__wrapped__(complex_) == reduced_homology_by_dense_ranks(complex_)
+        expected = reduced_homology_by_dense_ranks(complex_)
+        assert reduced_homology.__wrapped__(complex_) == eliminate(complex_) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(complexes())
+    @example(RP2)
+    @example(NINETEEN)
+    def test_cones(self, complex_):
+        c = cone(complex_)
+        expected = reduced_homology_by_dense_ranks(c)
+        assert not any(rank for _, rank in expected)
+        assert reduced_homology.__wrapped__(c) == eliminate(c) == expected
 
     def test_projective_plane_over_q(self):
         assert betti_numbers(RP2) == {-1: 0, 0: 0, 1: 0, 2: 0}
@@ -807,12 +909,12 @@ class TestHomologyRoutes:
         assert betti_numbers(NINETEEN) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert betti_numbers(disks_on_words("aaaaabb")) == {-1: 0, 0: 0, 1: 1, 2: 0}
 
-    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    @pytest.mark.parametrize("key", MASK_KEYS)
     def test_support_complexes(self, key):
-        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
+        ws = system_of(key)
         for a in product((-1, 0), repeat=len(ws.weights)):
             c = support_complex(ws, a)
-            assert reduced_homology(c) == reduced_homology_by_dense_ranks(c), a
+            assert reduced_homology(c) == eliminate(c) == reduced_homology_by_dense_ranks(c), a
 
 
 def assert_classification_matches_sets(ws):
@@ -822,10 +924,9 @@ def assert_classification_matches_sets(ws):
 
 
 class TestClassificationRoutes:
-    @pytest.mark.parametrize("key", [*sorted(SYSTEM_SPECS), "w6", "w3535"])
+    @pytest.mark.parametrize("key", MASK_KEYS)
     def test_fixtures_and_ladder(self, key):
-        ws = build_system(key) if key in SYSTEM_SPECS else ladder_context(key).weights
-        assert_classification_matches_sets(ws)
+        assert_classification_matches_sets(system_of(key))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank_one_systems(torsions=((), (2,), (3,), (4,))))
@@ -872,6 +973,15 @@ class TestLocalCohomologyWindow:
         for g in (z3.weights.group.element(0, (1,)), a1.weights.group.element(2)):
             with pytest.raises(MismatchedGroup):
                 local_cohomology_window(z2.weights, g, 4)
+
+    @pytest.mark.parametrize("key", ["mckay_z2", "mckay_z3"])
+    def test_rank_zero_degrees_within_the_dimension(self, key):
+        # the all-negative vectors have an empty support complex, which counts
+        # in degree d + 1 = the ring dimension, never above it
+        ws = input_system(key)
+        table = local_cohomology_window(ws, ws.group.zero(), 1)
+        assert max(table) == ws.ring_dimension
+        assert table == local_cohomology_by_dfs(ws, ws.group.zero(), 1)
 
     def test_negative_window_raises(self, a1):
         with pytest.raises(ValueError):
