@@ -1,6 +1,6 @@
 """Batch command line: validate, classify, draw quivers, mutate, crosscheck.
 
-Input files are JSON documents::
+Input files are UTF-8 JSON documents (other bytes exit 2)::
 
     {"group": {"free_rank": 1, "torsion": [4]},
      "weights": [[1, 0], [1, 1], [-1, 0], [-1, 3], [0, 2]]}
@@ -43,14 +43,19 @@ REPORT_FORMAT = f"toricnccr-report/{__version__}"
 
 
 def load_document(path: str):
-    """Parse an input file into a group and its raw weight elements."""
+    """Parse an input file of UTF-8 JSON into a group and its raw weight elements."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        fd = os.open(path, os.O_RDONLY)  # raw reads: no file object, buffer or codec
+        try:
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(data.decode())  # strict UTF-8; given bytes, json.loads takes UTF-16 or a BOM
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ParseError(f"cannot parse {path} as UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or "group" not in doc or "weights" not in doc:
         raise ParseError(f"{path}: expected an object with 'group' and 'weights'")
     if not isinstance(doc["weights"], list):
@@ -99,7 +104,8 @@ def _write(*parts):
         sys.stdout.writelines(parts)
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(null)
 
 
 def _class_summands(ctx, classes, k):

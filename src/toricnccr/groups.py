@@ -50,6 +50,8 @@ def smith_normal_form(relations: list[list[int]], n: int):
     ``basis`` is a unimodular n x n matrix such that in the coordinates ``y =
     basis @ x`` the subgroup is exactly ``diag[0]*Z x diag[1]*Z x ...``.
     """
+    if n == 1:  # one coordinate: the subgroup is gcd·Z
+        return [math.gcd(*(row[0] for row in relations))], [[1]]
     m = len(relations)
     # columns of a are the relations
     a = [[relations[j][i] for j in range(m)] for i in range(n)]
@@ -235,6 +237,11 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
             )
         return self.element(vec[0], vec[1:])
 
+    def sum_key(self, elements) -> tuple[int, ...]:
+        """The ``key()`` of the sum of ``elements`` (at least one), from integer column sums."""
+        free, *tors = map(sum, zip(*(x.key() for x in elements)))
+        return (free, *(t % d for t, d in zip(tors, self.torsion)))
+
     def zero(self) -> "GroupElement":
         return self.element(0, (0,) * len(self.torsion))
 
@@ -418,23 +425,19 @@ class QuotientMap(Value, fields=("source", "target", "matrix")):
         return self.source.torsion_order() // self.target.torsion_order()
 
     def __call__(self, g: GroupElement) -> GroupElement:
-        if g.group != self.source:
+        if g.group is not self.source and g.group != self.source:
             raise MismatchedGroup(f"{g.group} is not the source {self.source}")
         return self.target.element(g.free, _matvec(self.matrix, g.tors))
 
 
 def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
     """The relation rows of ``g`` followed by the raw coordinates of each generator."""
-    n = g.coordinate_count
-    rels = []
-    for j, d in enumerate(g.torsion):
-        row = [0] * n
-        row[g.free_rank + j] = d
-        rels.append(row)
+    r = g.free_rank
+    rels = [[d * (i == r + j) for i in range(g.coordinate_count)] for j, d in enumerate(g.torsion)]
     for x in gens:
-        if x.group != g:
+        if x.group is not g and x.group != g:
             raise MismatchedGroup(f"generator {x!r} not in {g}")
-        rels.append(list(x.key()[1 - g.free_rank:]))
+        rels.append(list(x.key()[1 - r:]))
     return rels
 
 
@@ -451,6 +454,10 @@ def quotient_by_subgroup(
     carries only its order, :attr:`QuotientMap.kernel_order`.
     """
     gens = list(gens)
+    if not gens:  # the relations d_j·e_j alone: diag(d_1, ..., d_k) beside the free zero row,
+        # with d_j | d_{j+1} (FGGroup checks it), is its own Smith form, so H = G and q = id
+        k = len(g.torsion)
+        return g, QuotientMap(g, g, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
     rels = _relations(g, gens)
     for x in gens:
         if not x.is_torsion():

@@ -304,12 +304,15 @@ def sphere(dim: int) -> HomotopyType:
 
 def _nonneg_mask(ws: WeightSystem, a) -> int:
     """The sign vector's nonnegative positions, bit ``i`` for weight ``i``."""
-    a, mask = tuple(a), 0
-    if len(a) != len(ws.weights):
-        raise InputError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
-    for i, v in enumerate(a):
-        if v >= 0:
-            mask |= 1 << i
+    try:
+        a, mask = tuple(a), 0
+        if len(a) != len(ws.weights):
+            raise InputError(f"sign vector length {len(a)}, expected {len(ws.weights)}")
+        for i, v in enumerate(a):
+            if v >= 0:
+                mask |= 1 << i
+    except TypeError:  # no tuple, or an entry that has no order against 0
+        raise InputError(f"a sign vector is a sequence of numbers, got {a!r}") from None
     return mask
 
 

@@ -139,20 +139,20 @@ class GradedContext:
         _setattr(self, "q", q)
         pos_gens = [q(x) for x in ws.positive_block()]
         neg_gens = [-q(x) for x in ws.negative_block()]
-        p_from_pos = sum(pos_gens, group.zero())
-        p_from_neg = sum(neg_gens, group.zero())
-        if p_from_pos != p_from_neg:
-            raise InternalInconsistency(f"period mismatch: {p_from_pos} vs {p_from_neg}")
-        _setattr(self, "p", p_from_pos)
+        p_pos, p_neg = group.sum_key(pos_gens), group.sum_key(neg_gens)
+        if p_pos != p_neg:
+            raise InternalInconsistency(f"period mismatch: {p_pos} vs {p_neg}")
+        _setattr(self, "p", group.from_vector(p_pos))
         _setattr(self, "generators", tuple(pos_gens + neg_gens))
         for g in self.generators:
-            if g.free_part() <= 0:
+            if g.free <= 0:
                 raise InternalInconsistency(f"generator {g} has nonpositive free part")
 
         _setattr(self, "codes", IntegerCodes(self.group))
-        _setattr(self, "source_codes", IntegerCodes(ws.group))
+        _setattr(self, "source_codes", self.codes if group is ws.group else IntegerCodes(ws.group))
         order = self.codes.order
-        e = min(g.free * self.element(0, g.tors).order() for g in self.generators)
+        e = min(g.free * math.lcm(*(d // math.gcd(d, t) for d, t in zip(group.torsion, g.tors)))
+                for g in self.generators)
         if e * order > LEAST_CODES_CAP:  # N >= |T|, so this covers plus_p too
             raise SearchBudgetExceeded(
                 f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} "

@@ -65,18 +65,17 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     if not raw:
         raise NotGorenstein("no weights given")
     for w in raw:
-        if w.group != group:
+        if w.group is not group and w.group != group:
             raise NotGorenstein(f"weight {w!r} does not lie in {group}")
 
     if group.free_rank == 1:
-        pos = [i for i, w in enumerate(raw) if w.free_part() > 0]
-        neg = [i for i, w in enumerate(raw) if w.free_part() < 0]
+        pos = [i for i, w in enumerate(raw) if w.free > 0]
+        neg = [i for i, w in enumerate(raw) if w.free < 0]
         if len(pos) < 2 or len(neg) < 2:
             raise SignCountFailure(len(pos), len(neg))
 
-    total = sum(raw, group.zero())
-    if not total.is_zero():
-        raise NotGorenstein(f"weights sum to {total}, not zero")
+    if any(group.sum_key(raw)):  # the sum element is built for the message only
+        raise NotGorenstein(f"weights sum to {sum(raw, group.zero())}, not zero")
 
     # the weights sum to zero, so dropping any one leaves a family whose span
     # still holds it: every proper subfamily generates G iff all weights do
@@ -85,7 +84,7 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     if group.free_rank == 0:
         return WeightSystem(group, tuple(raw), 0, 0, tuple(range(len(raw))))
 
-    tors = [i for i, w in enumerate(raw) if w.free_part() == 0]
+    tors = [i for i, w in enumerate(raw) if w.free == 0]
     perm = tuple(pos + neg + tors)
     ordered = tuple(raw[i] for i in perm)
     return WeightSystem(group, ordered, len(pos), len(neg), perm)

@@ -42,7 +42,7 @@ from toricnccr import (
 )
 import toricnccr.nccr
 from toricnccr.cli import load_document
-from toricnccr.groups import GroupElement
+from toricnccr.groups import GroupElement, _relations, quotient_by_subgroup
 from toricnccr.oracle import CrosscheckReport, _witness_table
 from toricnccr.poset import IntegerCodes
 from toricnccr.quivers import Arrow
@@ -267,6 +267,37 @@ def quotient_by_full_snf(g, gens):
         return target.element(y[0], y[1:]) if rank else target.element(0, y)
 
     return target, image
+
+
+# -- element routes of validate and the context, oracles for integer rows --
+
+
+def sum_by_elements(group, elements):
+    """The sum ``validate`` tested for zero: ``GroupElement`` addition from zero."""
+    return sum(elements, group.zero())
+
+
+def context_by_elements(ws):
+    """H, the torsion block of q, p and E as ``GradedContext`` formed them on
+    elements.  q comes from the Smith elimination, which a zero generator
+    forces where ``quotient_by_subgroup`` takes the identity; ``p`` is
+    ``sum(pos_gens, zero)``, checked against the negated negative block, and
+    E the least ``free·element(0, t).order()`` over the generators."""
+    group, q = quotient_by_subgroup(ws.group, [*ws.torsion_weights, ws.group.zero()])
+    pos_gens = [q(x) for x in ws.positive_block()]
+    neg_gens = [-q(x) for x in ws.negative_block()]
+    p = sum(pos_gens, group.zero())
+    assert p == sum(neg_gens, group.zero())
+    e = min(g.free * group.element(0, g.tors).order() for g in pos_gens + neg_gens)
+    return group, q.matrix, p, e
+
+
+def whole_by_elimination(g, gens):
+    """``subgroup_is_whole`` by the general Smith elimination: the relations
+    padded with a zero coordinate, so the one-coordinate answer never runs."""
+    n = g.coordinate_count
+    diag, _ = smith_normal_form([row + [0] for row in _relations(g, gens)], n + 1)
+    return all(d == 1 for d in diag[:n])
 
 
 # -- element routes through the quotient, oracles for the code routes ------

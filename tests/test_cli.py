@@ -52,7 +52,7 @@ def run_json(capsys, *argv):
 
 def write_doc(tmp_path, doc):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -167,7 +167,7 @@ class TestValidate:
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         code, report = run_json(capsys, "validate", path)
         assert code == 2
         assert report["error"]["type"] == "ParseError"
@@ -257,7 +257,7 @@ class TestLoaderFuzz:
     def test_every_command_exits_0_or_2(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc), encoding="utf-8")
             for argv in FUZZED_COMMANDS:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main([argv[0], str(path), *argv[1:]])
@@ -278,6 +278,31 @@ class TestLoaderFuzz:
                 code = main([argv[0], str(path), *argv[1:]])
             assert time.perf_counter() - start < 1, argv
             assert code in (0, 2), argv
+
+    # a1 as JSON text; each entry below breaks only its bytes
+    A1_TEXT = '{"group": {"free_rank": 1, "torsion": []}, "weights": [[1], [1], [-1], [-1]], "name": "%s"}'
+    RAW_BYTES = {
+        "0xff-in-string": (A1_TEXT % "a1").encode().replace(b"a1", b"a\xff"),
+        "truncated-multibyte": (A1_TEXT % "a1").encode().replace(b"a1", "a\u20ac".encode()[:-1]),
+        "utf-16-with-bom": (A1_TEXT % "a1").encode("utf-16"),
+        "utf-8-with-bom": b"\xef\xbb\xbf" + (A1_TEXT % "a1").encode(),
+        # valid JSON, but nested deeper than the parser recurses
+        "nested-too-deep": (A1_TEXT % "a1").replace('"a1"', "[" * 100000 + "]" * 100000).encode(),
+    }
+
+    def test_the_unbroken_text_is_valid(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes((self.A1_TEXT % "a\u20ac").encode())
+        assert run_json(capsys, "validate", path)[0] == 0
+
+    @pytest.mark.parametrize("data", RAW_BYTES.values(), ids=RAW_BYTES.keys())
+    def test_files_that_cannot_be_parsed_exit_2(self, capsys, tmp_path, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        for argv in FUZZED_COMMANDS:
+            code, report = run_json(capsys, argv[0], path, *argv[1:])
+            assert (code, report["error"]["type"]) == (2, "ParseError"), argv
+            assert report["error"]["detail"].startswith(f"cannot parse {path} as UTF-8 JSON: "), argv
 
 
 FUZZED_COMMANDS = [
@@ -885,7 +910,7 @@ class TestOneParserPerProcess:
     def test_sequence_matches_separate_processes(self, capsys):
         in_process = [run(capsys, *argv) for argv in self.CALLS]
         for argv, (code, out) in zip(self.CALLS, in_process):
-            alone = run_in_subprocess([str(a) for a in argv], capture_output=True, text=True)
+            alone = run_in_subprocess([str(a) for a in argv], capture_output=True, encoding="utf-8")
             assert (code, out) == (alone.returncode, alone.stdout), argv
         assert {code for code, _ in in_process} == {0, 2}
 
@@ -900,7 +925,7 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE
         try:
-            return run_in_subprocess(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, **kwargs)
+            return run_in_subprocess(argv, stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8", **kwargs)
         finally:
             os.close(write_end)
 
@@ -925,13 +950,29 @@ class TestClosedStdout:
         assert "internal check failed" in done.stderr
         assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+    def test_in_process_keeps_the_exit_code_and_leaks_no_descriptor(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            code = main(self.ORACLE)
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            monkeypatch.undo()
+            stdout.close()  # write_end, which now holds the null device
+        assert code == 0
+        assert after == before
+
 
 def test_import_loads_no_dataclasses():
     # every CLI call pays its imports; `@dataclass` execs generated source per
     # class and imports `inspect`, so the value classes must not use it
     code = ("import sys; before = 'dataclasses' in sys.modules; import toricnccr.cli; "
             "print(before, 'dataclasses' in sys.modules)")
-    done = run_in_subprocess([], code=code, capture_output=True, text=True, check=True)
+    done = run_in_subprocess([], code=code, capture_output=True, encoding="utf-8", check=True)
     before, after = done.stdout.split()
     if before == "True":
         pytest.skip("dataclasses is loaded at interpreter start-up here")
@@ -943,7 +984,7 @@ def test_import_loads_no_random():
     # site hooks, some of which (certifi's) import random at start-up
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import toricnccr.cli; "
             "print('random' in sys.modules)")
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.split() == ["False"]
 
 
@@ -953,12 +994,12 @@ def test_cli_call_loads_no_argparse():
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import toricnccr.cli; "
             f"code = toricnccr.cli.main(['validate', {A1!r}]); "
             "print(code, 'argparse' in sys.modules)")
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
 def test_readme_usage_matches_command_table():
-    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
     lines = [line.split() for line in block.splitlines() if line.startswith("toricnccr ")]
     assert ["toricnccr", "--help"] in lines
     synopses = [line[1:] for line in lines if line[1] != "--help"]

@@ -24,7 +24,7 @@ def test_all_four_demos_found():
 def test_demo_runs_clean(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(script)], env=env, capture_output=True, encoding="utf-8", timeout=300
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""

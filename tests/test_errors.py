@@ -48,6 +48,18 @@ REFUSALS = {
         lambda: support_complex(_ca4().weights, (0,) * 5),
         r"^sign vector length 5, expected 4$",
     ),
+    "sign-vector-entries": (
+        lambda: classify_sign_vector(build_system("a1"), ("a",) * 4),
+        r"^a sign vector is a sequence of numbers, got \('a', 'a', 'a', 'a'\)$",
+    ),
+    "sign-vector-scalar": (
+        lambda: classify_sign_vector(build_system("a1"), 5),
+        r"^a sign vector is a sequence of numbers, got 5$",
+    ),
+    "support-vector-none": (
+        lambda: support_complex(build_system("a1"), (1, None, 0, 0)),
+        r"^a sign vector is a sequence of numbers, got \(1, None, 0, 0\)$",
+    ),
     "face-vertex-above": (
         lambda: face_test(build_system("a1"), [7]),
         r"^vertex index 7 outside 0\.\.3$",
@@ -82,7 +94,7 @@ def test_no_bare_value_or_type_error_is_raised():
     # a bare ValueError would escape the CLI's InputError handler as a traceback
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

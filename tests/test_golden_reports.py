@@ -81,10 +81,10 @@ def record():
         golden.append(
             {"argv": argv, "exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
         )
-    DATA.write_text(json.dumps(golden, indent=1) + "\n")
+    DATA.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
 
 
-GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else []
+GOLDEN = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])

@@ -149,6 +149,16 @@ class TestSmithNormalForm:
         diag, _ = smith_normal_form([[2, 0], [0, 2]], 2)
         assert sorted(d for d in diag if d) == [2, 2]
 
+    @given(st.lists(st.integers(-60, 60), max_size=6))
+    @example([])
+    @example([0, 0])
+    @example([-4, 6])
+    def test_one_coordinate_is_the_padded_elimination(self, values):
+        # a zero coordinate sends the same relations through the general route
+        diag, basis = smith_normal_form([[v] for v in values], 1)
+        padded, _ = smith_normal_form([[v, 0] for v in values], 2)
+        assert (diag, basis) == (padded[:1], [[1]])
+
 
 QUOTIENT_TORSIONS = [(2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (4, 8), (3, 9), (2, 2, 2), (2, 2, 4)]
 
@@ -178,6 +188,18 @@ class TestQuotient:
         e = g.element(5, (1,))
         assert q(e) == e
         assert q.kernel_order == 1
+
+    @pytest.mark.parametrize("g", [FGGroup(1), FGGroup(1, (4,)), FGGroup(1, (2, 4)), FGGroup(1, (3, 3)),
+                                   FGGroup(0, (5,)), FGGroup(0, (2, 6)), FGGroup(0, (2, 2, 4))])
+    def test_no_generator_is_the_identity_of_the_elimination(self, monkeypatch, g):
+        real, calls = toricnccr.groups.smith_normal_form, []
+        monkeypatch.setattr(toricnccr.groups, "smith_normal_form",
+                            lambda rels, n: calls.append(n) or real(rels, n))
+        h, q = quotient_by_subgroup(g, [])
+        assert calls == [] and h is g
+        # a zero generator spans the same subgroup and still runs the elimination
+        assert quotient_by_subgroup(g, [g.zero()]) == (h, q)
+        assert calls == [g.coordinate_count]
 
     def test_kill_whole_torsion(self):
         # Smith normal form of the 2x2 relation matrix, worked by hand:

@@ -477,7 +477,8 @@ class TestSearchBudget:
     def test_huge_torsion_exits_2_fast(self, tmp_path):
         path = tmp_path / "z100003.json"
         path.write_text(json.dumps({"group": {"free_rank": 1, "torsion": [100003]},
-                                    "weights": [[1, 0], [1, 1], [-1, 0], [-1, -1]]}))
+                                    "weights": [[1, 0], [1, 1], [-1, 0], [-1, -1]]}),
+                        encoding="utf-8")
         out = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out):

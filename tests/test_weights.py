@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from toricnccr import (
     FGGroup,
@@ -14,7 +15,20 @@ from toricnccr import (
     validate,
 )
 from toricnccr.groups import subgroup_is_whole
-from conftest import SYSTEM_SPECS, build_context, build_system
+from conftest import (
+    LADDER,
+    SYSTEM_SPECS,
+    build_context,
+    build_system,
+    context_by_elements,
+    input_system,
+    kernel_systems,
+    ladder_context,
+    rank_one_systems,
+    sum_by_elements,
+    torsion_ladder_context,
+    whole_by_elimination,
+)
 
 
 def first_leave_one_out_failure(group, raw):
@@ -154,3 +168,80 @@ class TestGradingContext:
         ws = validate(g, [g.element(0, (1,)), g.element(0, (1,))])
         with pytest.raises(RankZeroGroup):
             grading_context(ws)
+
+
+def keyed_system(key):
+    if key in SYSTEM_SPECS:
+        return build_system(key)
+    if key in LADDER:
+        return ladder_context(key).weights
+    return torsion_ladder_context().weights if key == "torsion" else input_system(key)
+
+
+RANK_ONE_KEYS = [*SYSTEM_SPECS, *LADDER, "torsion"]
+
+
+class TestIntegerRows:
+    """``validate`` and ``GradedContext`` on integer coordinates against the
+    ``GroupElement`` routes they replaced (oracles in ``conftest.py``)."""
+
+    @staticmethod
+    def assert_validation_matches(ws):
+        g, raw = ws.group, list(ws.weights)
+        # the system, each family without one weight and with one weight twice
+        families = [raw] + [raw[:i] + raw[i + 1:] for i in range(len(raw))]
+        families += [raw + [w] for w in raw]
+        for family in families:
+            assert g.sum_key(family) == sum_by_elements(g, family).key()
+            assert subgroup_is_whole(g, family) == whole_by_elimination(g, family)
+
+    @staticmethod
+    def assert_context_matches(ws):
+        ctx = grading_context(ws)
+        group, matrix, p, e = context_by_elements(ws)
+        assert (ctx.group, ctx.q.matrix, ctx.p, len(ctx.least) // ctx.codes.order) == (group, matrix, p, e)
+        assert ctx.p.group == ctx.group
+
+    @pytest.mark.parametrize("key", [*RANK_ONE_KEYS, "mckay_z2", "mckay_z3"])
+    def test_validation_matches_the_element_route(self, key):
+        self.assert_validation_matches(keyed_system(key))
+
+    @pytest.mark.parametrize("key", RANK_ONE_KEYS)
+    def test_context_matches_the_element_route(self, key):
+        self.assert_context_matches(keyed_system(key))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank_one_systems())
+    def test_random_systems(self, ws):
+        self.assert_validation_matches(ws)
+        self.assert_context_matches(ws)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_systems())
+    def test_kernel_systems(self, ws):
+        self.assert_validation_matches(ws)
+        self.assert_context_matches(ws)
+
+    @pytest.mark.parametrize("spec,error,message", [
+        ((1, (), [1, 1, 1, -1]), SignCountFailure,
+         "need at least 2 positive and 2 negative weights, got 3 and 1"),
+        ((1, (), [1, 2, -1, -1]), NotGorenstein, "weights sum to (1), not zero"),
+        ((1, (3,), [(1, 1), (1, 0), (-1, 1), (-1, 0)]), NotGorenstein, "weights sum to (0;2), not zero"),
+        ((0, (4,), [(1,), (1,)]), NotGorenstein, "weights sum to (2), not zero"),
+        ((1, (), [2, 2, -2, -2]), GenerationFailure, "weights without index 0 generate a proper subgroup"),
+        ((0, (4,), [(2,), (2,)]), GenerationFailure, "the weights generate a proper subgroup of Z/4"),
+    ])
+    def test_refusals_keep_their_messages(self, spec, error, message):
+        rank, torsion, weights = spec
+        g = FGGroup(rank, torsion)
+        raw = [g.from_vector([w] if isinstance(w, int) else (0,) * (1 - rank) + w) for w in weights]
+        with pytest.raises(error) as err:
+            validate(g, raw)
+        assert str(err.value) == message
+
+    def test_weights_of_an_equal_group_object(self):
+        # the identity test comes first; an equal group built apart still passes
+        g, twin = FGGroup(1, (2,)), FGGroup(1, (2,))
+        raw = [twin.from_vector(v) for v in [(1, 0), (1, 1), (-1, 0), (-1, 1)]]
+        ws = validate(g, raw)
+        assert grading_context(ws).q(twin.element(3, (1,))) == ws.weights[1] * 3
