@@ -35,7 +35,7 @@ from .groups import FGGroup, indented_json, parse_element
 from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_range
 from .poset import grading_context
-from .quivers import emit_dot, endomorphism_quiver, mckay_quiver, quiver_payload
+from .quivers import dot_text, emit_dot, endomorphism_quiver, mckay_quiver, quiver_payload
 from .uppersets import Rim, _class_of, _classes, exchange_graph
 from .weights import validate
 
@@ -61,24 +61,11 @@ def load_document(path: str):
     if not isinstance(doc["weights"], list):
         raise ParseError(f"{path}: 'weights' must be a list, got {doc['weights']!r}")
     gspec = doc["group"]
-    try:
-        free_rank, torsion = gspec["free_rank"], gspec.get("torsion", [])
-        if not _json_ints([free_rank, *torsion]):
-            raise ParseError("free_rank and torsion must be JSON integers")
-        group = FGGroup(free_rank, tuple(torsion))
+    try:  # FGGroup refuses a number that is no exact int
+        group = FGGroup(gspec["free_rank"], gspec.get("torsion", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad group spec {gspec!r}: {exc}") from exc
-    weights = []
-    for vec in doc["weights"]:
-        if not isinstance(vec, list) or not _json_ints(vec):
-            raise ParseError(f"{path}: weight {vec!r} is not a list of JSON integers")
-        weights.append(group.from_vector(vec))
-    return group, weights
-
-
-def _json_ints(values) -> bool:
-    # bool is a subclass of int, so test the exact type
-    return all(type(v) is int for v in values)
+    return group, [group.from_vector(vec) for vec in doc["weights"]]
 
 
 def _validation_summary(ws, ctx=None):
@@ -201,13 +188,11 @@ def cmd_exchange_graph(args, ws):
     elements = {id(h): h for node in graph.nodes for h in node.rim}
     text = dict(zip(elements, map(str, elements.values()))).__getitem__
     if args.format == "dot":
-        lines = ["digraph exchange {"]
-        for i, node in enumerate(graph.nodes):
-            lines.append(f'  "class{i}" [label="{{{", ".join(map(text, map(id, node.rim)))}}}"];')
-        for a, b, m in graph.edges:
-            lines.append(f'  "class{a}" -> "class{b}" [label="{text(id(m))}"];')
-        lines.append("}\n")
-        return "\n".join(lines)
+        return dot_text(
+            "exchange",
+            (f'"class{i}" [label="{{{", ".join(map(text, map(id, node.rim)))}}}"]'
+             for i, node in enumerate(graph.nodes)),
+            ((f'"class{a}"', f'"class{b}"', text(id(m))) for a, b, m in graph.edges))
     return {
         "validation": _validation_summary(ws, ctx),
         "nodes": [

@@ -16,7 +16,7 @@ class InputError(ValueError):
 
 
 class ParseError(InputError):
-    """Malformed input document or element text."""
+    """Malformed input document or element text, or a number that is no exact ``int``."""
 
 
 class MismatchedGroup(InputError):
@@ -79,6 +79,13 @@ class UnknownClass(InputError):
 
 class SearchBudgetExceeded(InputError):
     """A table or search is larger than its fixed cap; the message gives both sizes."""
+
+    @classmethod
+    def check(cls, size: int, cap: int, what: str) -> None:
+        """Refuse work of ``size`` over the fixed ``cap``, before it starts;
+        ``what`` names the work and how ``size`` was counted."""
+        if size > cap:
+            raise cls(f"{what}, over the cap of {cap}")
 
 
 class InternalCheckError(Exception):

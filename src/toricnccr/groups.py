@@ -3,7 +3,8 @@
 Groups are kept in invariant-factor form ``Z^r x Z/d_1 x ... x Z/d_k`` with
 ``r <= 1``, every ``d_j >= 2`` and ``d_j | d_{j+1}``.  Elements carry their
 group, store the free coordinate as a plain integer and torsion coordinates
-as reduced residues, and support ``+``, ``-`` and integer scaling.
+as reduced residues, and support ``+``, ``-`` and integer scaling.  Groups
+and elements take exact ``int`` numbers only (:func:`exact_int`).
 
 Quotients by finite subgroups are computed through the Smith normal form of
 the relation matrix.  The projection keeps the free coordinate, and the Smith
@@ -188,15 +189,23 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def exact_int(value, what: str) -> int:
+    """``value`` if it is an exact ``int``, else a :class:`ParseError` naming
+    ``what``: a bool, a float or a numeric string is no integer here."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class FGGroup(Value, fields=("free_rank", "torsion")):
     """``Z^free_rank x Z/d_1 x ... x Z/d_k`` in invariant-factor form."""
 
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
-        if free_rank not in (0, 1):
+        if exact_int(free_rank, "free rank") not in (0, 1):
             raise InputError(f"free rank must be 0 or 1, got {free_rank}")
-        torsion = tuple(int(d) for d in torsion)
+        torsion = tuple(exact_int(d, "invariant factor") for d in torsion)
         for i, d in enumerate(torsion):
             if d < 2:
                 raise InputError(f"invariant factor {d} < 2")
@@ -214,28 +223,33 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
         return self.free_rank + len(self.torsion)
 
     def element(self, free: int = 0, tors: Iterable[int] = ()) -> "GroupElement":
-        tors = tuple(tors)
+        free, tors = exact_int(free, "coordinate"), tuple(tors)
         if len(tors) != len(self.torsion):
             raise MismatchedGroup(
                 f"expected {len(self.torsion)} torsion coordinates, got {len(tors)}"
             )
         if self.free_rank == 0 and free:
             raise MismatchedGroup("nonzero free coordinate in a rank-zero group")
-        reduced = tuple(t % d for t, d in zip(tors, self.torsion))
-        return GroupElement(self, int(free), reduced)
+        reduced = tuple(exact_int(t, "coordinate") % d for t, d in zip(tors, self.torsion))
+        return GroupElement(self, free, reduced)
 
-    def from_vector(self, vec: Iterable[int]) -> "GroupElement":
-        """Build an element from raw coordinates ``(free, t_1, ..., t_k)``.
+    def from_vector(self, vec: list[int] | tuple[int, ...]) -> "GroupElement":
+        """Build an element from raw coordinates ``(free, t_1, ..., t_k)``, a
+        list or tuple whose entries :meth:`element` checks.
 
         The leading free coordinate is always present, and must be zero for
         rank-zero groups.
         """
-        vec = [int(v) for v in vec]
-        if len(vec) != 1 + len(self.torsion):
-            raise ParseError(
-                f"weight vector {vec} has length {len(vec)}, expected {1 + len(self.torsion)}"
-            )
+        if type(vec) not in (list, tuple) or len(vec) != 1 + len(self.torsion):
+            n = 1 + len(self.torsion)
+            raise ParseError(f"a weight vector of {self} is a list of length {n}, got {vec!r}")
         return self.element(vec[0], vec[1:])
+
+    def owns(self, x) -> None:
+        """Refuse with :class:`MismatchedGroup` anything that is not an element
+        of this group; an equal group built apart owns it too."""
+        if type(x) is not GroupElement or x.group is not self and x.group != self:
+            raise MismatchedGroup(f"{x!r} is not an element of {self}")
 
     def sum_key(self, elements) -> tuple[int, ...]:
         """The ``key()`` of the sum of ``elements`` (at least one), from integer column sums."""
@@ -255,7 +269,7 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
     def elements(self) -> list["GroupElement"]:
         if self.free_rank:
             raise InfiniteGroup(f"cannot enumerate {self}")
-        return [self.element(0, t) for t in self.torsion_residues()]
+        return [GroupElement(self, 0, t) for t in self.torsion_residues()]
 
 
 class GroupElement(Value, fields=("group", "free", "tors")):
@@ -268,18 +282,14 @@ class GroupElement(Value, fields=("group", "free", "tors")):
         _setattr(self, "free", free)
         _setattr(self, "tors", tors)
 
-    def _check(self, other):
-        if self.group is not other.group and self.group != other.group:
-            raise MismatchedGroup(f"{self.group} vs {other.group}")
-
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
+        self.group.owns(other)
         return self.group.element(
             self.free + other.free, tuple(a + b for a, b in zip(self.tors, other.tors))
         )
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
+        self.group.owns(other)
         return self.group.element(
             self.free - other.free, tuple(a - b for a, b in zip(self.tors, other.tors))
         )
@@ -338,6 +348,8 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
     and a bare integer for torsion-free rank-one groups.  Whitespace is
     ignored.
     """
+    if type(text) is not str:
+        raise ParseError(f"element text must be a string, got {text!r}")
     s = "".join(text.split())
     if not s:
         raise ParseError("empty element text")
@@ -425,8 +437,7 @@ class QuotientMap(Value, fields=("source", "target", "matrix")):
         return self.source.torsion_order() // self.target.torsion_order()
 
     def __call__(self, g: GroupElement) -> GroupElement:
-        if g.group is not self.source and g.group != self.source:
-            raise MismatchedGroup(f"{g.group} is not the source {self.source}")
+        self.source.owns(g)
         return self.target.element(g.free, _matvec(self.matrix, g.tors))
 
 
@@ -435,8 +446,7 @@ def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
     r = g.free_rank
     rels = [[d * (i == r + j) for i in range(g.coordinate_count)] for j, d in enumerate(g.torsion)]
     for x in gens:
-        if x.group is not g and x.group != g:
-            raise MismatchedGroup(f"generator {x!r} not in {g}")
+        g.owns(x)
         rels.append(list(x.key()[1 - r:]))
     return rels
 

@@ -26,7 +26,7 @@ from math import gcd
 from operator import and_
 
 from .errors import InputError, OracleMismatch, SearchBudgetExceeded
-from .groups import GroupElement, Value
+from .groups import GroupElement, Value, exact_int
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
@@ -59,10 +59,9 @@ def _ranges(ws: WeightSystem, pattern: int, window: int, cap: int, walk=False):
             ranges.append(range(lo, hi + 1)[: x.order()])
     doublings = sum(2 * len(c).bit_length() for c in ranges) + len(ranges) + 1
     steps = sum(map(len, ranges)) if walk else IntegerCodes(ws.group).order * doublings
-    if (work := steps * (cap // 64 + 1)) > WITNESS_WORK_CAP:
-        raise SearchBudgetExceeded(
-            f"the witness table needs {work} word operations, over the cap of {WITNESS_WORK_CAP}"
-        )
+    work = steps * (cap // 64 + 1)
+    SearchBudgetExceeded.check(
+        work, WITNESS_WORK_CAP, f"the witness table needs {work} word operations")
     return tuple(ranges)
 
 
@@ -156,7 +155,7 @@ def sign_pattern_witness(ws: WeightSystem, g: GroupElement, window: int):
     >>> sign_pattern_witness(a1, Z.element(2), 12)
     (0, 0, -1, -1)
     """
-    if window < 1:
+    if exact_int(window, "window") < 1:
         raise InputError("window must be at least 1")
     # any cap >= |free(g)| is exact; a power of two lets calls share tables
     code, cap = IntegerCodes(ws.group).code(g), 1 << abs(g.free).bit_length()
@@ -223,7 +222,7 @@ def _crosscheck(ctx: GradedContext, codes, cap: int, window: int) -> CrosscheckR
     residue and sign.  An element, and its witness, is built only for a
     mismatch."""
     need = _window_bound(ctx, cap)
-    if window < need:
+    if exact_int(window, "window") < need:
         raise InputError(f"window {window} below the sufficiency bound {need}")
     ws, order, element = ctx.weights, ctx.source_codes.order, ctx.source_codes.element
     # one cap for all degrees, so both patterns' tables are built once; the
@@ -363,9 +362,11 @@ def support_complex(ws: WeightSystem, a) -> SimplicialComplex:
 def _support_complex(ws: WeightSystem, nonneg_mask: int) -> SimplicialComplex:
     """:func:`support_complex` by its mask of nonnegative positions.  Its
     facets: the member faces, largest first, each kept unless inside one kept
-    (exact, as a member inside a larger one lies inside a maximal one)."""
+    (exact, as a member inside a larger one lies inside a maximal one).  A
+    nonempty mask that is a face holds every member, so it is the one facet."""
+    faces = [nonneg_mask] if nonneg_mask and _is_face(ws, nonneg_mask) else _face_masks(ws)
     kept, n, outside = [], len(ws.weights), ~nonneg_mask
-    for mask in _face_masks(ws):  # mask & other == mask: inside a kept facet
+    for mask in faces:  # mask & other == mask: inside a kept facet
         if not mask & outside and mask not in map(mask.__and__, kept):
             kept.append(mask)
     facets = sorted(tuple(v for v in range(n) if m >> v & 1) for m in kept)
@@ -471,7 +472,7 @@ def local_cohomology_window(ws: WeightSystem, g: GroupElement, window: int) -> d
     its sum and its nonneg mask, the halves are joined on ``g - sum``, and each
     mask is classified once (the classification reads only signs).
     """
-    if window < 0:
+    if exact_int(window, "window") < 0:
         raise InputError("window must be nonnegative")
     codes = IntegerCodes(ws.group)
     target = codes.code(g)

@@ -27,7 +27,6 @@ from operator import mul
 from .errors import (
     AxiomViolation,
     InternalInconsistency,
-    MismatchedGroup,
     RankZeroGroup,
     SearchBudgetExceeded,
 )
@@ -74,8 +73,7 @@ class IntegerCodes:
         return free * self.order + sum((t % d) * s for t, (d, s, _) in zip(tors, self.radix))
 
     def code(self, g: GroupElement) -> int:
-        if g.group is not self.group and g.group != self.group:
-            raise MismatchedGroup(f"{g.group} is not {self.group}")
+        self.group.owns(g)
         return g.free * self.order + sum(map(mul, g.tors, self.strides))
 
     def element(self, c: int) -> GroupElement:
@@ -153,11 +151,9 @@ class GradedContext:
         order = self.codes.order
         e = min(g.free * math.lcm(*(d // math.gcd(d, t) for d, t in zip(group.torsion, g.tors)))
                 for g in self.generators)
-        if e * order > LEAST_CODES_CAP:  # N >= |T|, so this covers plus_p too
-            raise SearchBudgetExceeded(
-                f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} "
-                f"entries, over the cap of {LEAST_CODES_CAP}"
-            )
+        SearchBudgetExceeded.check(  # N >= |T|, so this covers plus_p too
+            e * order, LEAST_CODES_CAP,
+            f"the least-code table needs N = E * |T| = {e} * {order} = {e * order} entries")
         _setattr(self, "p_code", self.codes.code(self.p))
         _setattr(self, "plus_p", self.codes.steps(self.p))  # translation by p on codes
         _setattr(self, "least", self._least_codes(e * order))
@@ -204,11 +200,9 @@ class GradedContext:
 
         This table and :attr:`_fibers` have ``|T_G|`` entries each, so ``|T_G|``
         is checked against the cap before either is built."""
-        if self.source_codes.order > LEAST_CODES_CAP:
-            raise SearchBudgetExceeded(
-                f"the quotient tables need |T_G| = {self.source_codes.order} entries, "
-                f"over the cap of {LEAST_CODES_CAP}"
-            )
+        order = self.source_codes.order
+        SearchBudgetExceeded.check(
+            order, LEAST_CODES_CAP, f"the quotient tables need |T_G| = {order} entries")
         matrix, residues = self.q.matrix, self.weights.group.torsion_residues()
         return [self.codes.encode(0, _matvec(matrix, t)) for t in residues]
 

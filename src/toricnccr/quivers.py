@@ -27,7 +27,7 @@ from operator import mul
 
 from .errors import (BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency,
                      SearchBudgetExceeded)
-from .groups import GroupElement, Value
+from .groups import GroupElement, Value, exact_int
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
@@ -229,15 +229,14 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     the grading group raises :class:`MismatchedGroup`.
     """
     vertices = tuple(sorted(set(summands), key=GroupElement.key))
-    if search_bound is not None and search_bound < 1:
+    if search_bound is not None and exact_int(search_bound, "search bound") < 1:
         raise InputError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)
     bound = proven if search_bound is None else min(search_bound, proven)
     order = ctx.weights.group.torsion_order()
-    if (work := bound * len(vertices) * order) > QUIVER_WORK_CAP:
-        raise SearchBudgetExceeded(
-            f"the quiver search needs bound x vertices x |T| = {bound} x {len(vertices)} x "
-            f"{order} = {work}, over the cap of {QUIVER_WORK_CAP}")
+    work = bound * len(vertices) * order
+    SearchBudgetExceeded.check(work, QUIVER_WORK_CAP, "the quiver search needs bound x vertices "
+                               f"x |T| = {bound} x {len(vertices)} x {order} = {work}")
     if bound < proven:
         warnings.warn(
             f"search bound {bound} is below the proven degree bound {proven}; "
@@ -261,9 +260,8 @@ def mckay_quiver(ws: WeightSystem) -> Quiver:
     if ws.group.free_rank:
         raise InfiniteGroup(f"{ws.group} is infinite")
     order, n = ws.group.torsion_order(), len(ws.weights)
-    if order * n > QUIVER_WORK_CAP:
-        raise SearchBudgetExceeded(f"the McKay quiver has |G| x weights = {order} x {n} = "
-                                   f"{order * n} arrows, over the cap of {QUIVER_WORK_CAP}")
+    SearchBudgetExceeded.check(order * n, QUIVER_WORK_CAP, "the McKay quiver has |G| x weights "
+                               f"= {order} x {n} = {order * n} arrows")
     vertices = tuple(sorted(ws.group.elements(), key=GroupElement.key))
     quiver = Quiver(vertices, _arrow_set(ws, vertices, 1))
     _check_degree_coherence(ws, quiver)
@@ -304,14 +302,17 @@ def quiver_payload(quiver: Quiver) -> dict:
     }
 
 
+def dot_text(name: str, nodes, edges) -> str:
+    """The DOT text of a directed graph: ``digraph name {``, one line per node
+    statement and per ``(source, target, label)`` edge, then ``}`` and a newline."""
+    lines = [f"digraph {name} {{", *(f"  {node};" for node in nodes)]
+    lines += (f'  {a} -> {b} [label="{label}"];' for a, b, label in edges)
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
 def emit_dot(quiver: Quiver) -> str:
     """Deterministic DOT text; vertex names are the serialized degree labels."""
     names = [f'"{v}"' for v in quiver.vertices]  # one text per vertex, indexed per arrow
-    lines = ["digraph quiver {"]
-    for name in names:
-        lines.append(f"  {name};")
-    for a in quiver.arrows:
-        label = monomial_label(a.exponents)
-        lines.append(f'  {names[a.source]} -> {names[a.target]} [label="{label}"];')
-    lines.append("}\n")
-    return "\n".join(lines)
+    return dot_text("quiver", names, ((names[a.source], names[a.target],
+                                       monomial_label(a.exponents)) for a in quiver.arrows))

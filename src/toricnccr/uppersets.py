@@ -157,7 +157,10 @@ def normalize(ctx: GradedContext, rim: Rim) -> Rim:
     and the translates that start with it are exactly the zero translates,
     so the winner is one of them.
     """
-    best = min(_zero_translates(ctx, tuple(sorted(ctx.codes.code(e) for e in rim))))
+    codes = tuple(sorted(ctx.codes.code(e) for e in rim))
+    if not codes:
+        raise NotMinimal("a canonical form needs a nonempty rim")
+    best = min(_zero_translates(ctx, codes))
     return Rim(tuple(map(ctx.codes.element, best)))
 
 
@@ -165,11 +168,8 @@ def _classes(ctx: GradedContext) -> list[tuple[tuple[int, ...], int]]:
     """The classes of :func:`translation_classes` on codes: ``(canonical
     rim, stabilizer order)`` pairs, sorted by the rim, a sorted code tuple."""
     k, order, sub, plus_p = ctx.orbit_count, ctx.codes.order, ctx.codes.sub, ctx.plus_p
-    if k * k > LEAST_CODES_CAP:
-        raise SearchBudgetExceeded(
-            f"the difference and tau tables need k^2 = {k}^2 = {k * k} entries, "
-            f"over the cap of {LEAST_CODES_CAP}"
-        )
+    SearchBudgetExceeded.check(
+        k * k, LEAST_CODES_CAP, f"the difference and tau tables need k^2 = {k}^2 = {k * k} entries")
     phi = [_least_shift(ctx, c) for c in range(k)]
     # r_a - r_b is r_c (code c >= 0) or r_c - p (c < 0): tau is phi(c) or phi(c) + 1
     diffs = [[sub(a, b) for b in range(k)] for a in range(k)]

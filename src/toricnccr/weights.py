@@ -58,15 +58,15 @@ class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", 
 def validate(group: FGGroup, raw_weights) -> WeightSystem:
     """Check the weight data and return it with the canonical sign ordering.
 
-    Raises :class:`SignCountFailure`, :class:`NotGorenstein` or
+    Raises :class:`MismatchedGroup` for a weight that is no element of
+    ``group``, then :class:`SignCountFailure`, :class:`NotGorenstein` or
     :class:`GenerationFailure` (with a witness index into the raw list).
     """
     raw = list(raw_weights)
     if not raw:
         raise NotGorenstein("no weights given")
     for w in raw:
-        if w.group is not group and w.group != group:
-            raise NotGorenstein(f"weight {w!r} does not lie in {group}")
+        group.owns(w)
 
     if group.free_rank == 1:
         pos = [i for i, w in enumerate(raw) if w.free > 0]

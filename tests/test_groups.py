@@ -435,7 +435,8 @@ class TestValueClasses:
             FGGroup(1, (1,))
         with pytest.raises(ValueError, match=r"^invariant chain broken: \(2, 3\)$"):
             FGGroup(0, [2, 3])
-        assert FGGroup(0, [2, "4"]).torsion == (2, 4)
+        with pytest.raises(ValueError, match=r"^invariant factor must be an integer, got '4'$"):
+            FGGroup(0, [2, "4"])
 
 
 # JSON trees: quotes, backslashes, control and non-ASCII characters (astral
