@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 from . import __version__
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     UnknownClass,
 )
-from .groups import FGGroup, indented_json, parse_element
+from .groups import FGGroup, indented_json, int_text, parse_element
 from .nccr import is_modifying, is_nccr, mutate_nccr, preimage_summands, rim_of
 from .oracle import crosscheck_range
 from .poset import grading_context
@@ -239,11 +240,7 @@ def cmd_mckay(args, ws):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise ParseError("expected LO..HI, like -10..10") from None
+    lo, hi = (int_text(t, "LO..HI, like -10..10") for t in text.partition("..")[::2])
     if lo > hi:
         raise ParseError("the range is empty")
     return lo, hi
@@ -263,6 +260,7 @@ def _format(text: str) -> str:
 
 
 _FORMAT = ("format", _format, False)
+_INTEGER = partial(int_text, what="integer (ASCII -?[0-9]+)")
 
 # command word -> (handler, help, {flag: (destination, converter, required)});
 # every command also takes one FILE, and an absent flag reads as None
@@ -270,13 +268,13 @@ COMMANDS = {
     "validate": (cmd_validate, "check a weight system file", {}),
     "classify": (cmd_classify, "enumerate NCCR translation classes", {}),
     "quiver": (cmd_quiver, "quiver of one class or a raw degree set", {
-        "--class": ("klass", int, False), "--degrees": ("degrees", _parse_degrees, False),
-        "--bound": ("bound", int, False), "--format": _FORMAT}),
+        "--class": ("klass", _INTEGER, False), "--degrees": ("degrees", _parse_degrees, False),
+        "--bound": ("bound", _INTEGER, False), "--format": _FORMAT}),
     "mutate": (cmd_mutate, "Iyama-Wemyss mutation of a class",
-               {"--class": ("klass", int, True), "--at": ("at", str, True)}),
+               {"--class": ("klass", _INTEGER, True), "--at": ("at", str, True)}),
     "exchange-graph": (cmd_exchange_graph, "mutation graph of all classes", {"--format": _FORMAT}),
     "oracle": (cmd_oracle, "crosscheck the Cohen-Macaulay criterion",
-               {"--range": ("range", _parse_range, True), "--window": ("window", int, True)}),
+               {"--range": ("range", _parse_range, True), "--window": ("window", _INTEGER, True)}),
     "mckay": (cmd_mckay, "McKay quiver for a finite grading group", {"--format": _FORMAT}),
 }
 
@@ -320,7 +318,7 @@ def parse_args(argv) -> SimpleNamespace:
                 raise ParseError(f"{flag} needs a value")
         try:
             setattr(args, dest, convert(value))
-        except ValueError as exc:  # int's, or the format check's ParseError
+        except ParseError as exc:
             raise ParseError(f"bad {flag} {value!r}: {exc}") from None
     if args.file is None:
         raise ParseError(f"{command} needs a FILE")

@@ -4,7 +4,8 @@ Groups are kept in invariant-factor form ``Z^r x Z/d_1 x ... x Z/d_k`` with
 ``r <= 1``, every ``d_j >= 2`` and ``d_j | d_{j+1}``.  Elements carry their
 group, store the free coordinate as a plain integer and torsion coordinates
 as reduced residues, and support ``+``, ``-`` and integer scaling.  Groups
-and elements take exact ``int`` numbers only (:func:`exact_int`).
+and elements take exact ``int`` numbers only (:func:`exact_int`), and integer
+text is ASCII ``-?[0-9]+`` only (:func:`int_text`).
 
 Quotients by finite subgroups are computed through the Smith normal form of
 the relation matrix.  The projection keeps the free coordinate, and the Smith
@@ -20,6 +21,7 @@ basis yields its torsion block as an explicit integer matrix.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -56,7 +58,7 @@ def smith_normal_form(relations: list[list[int]], n: int):
     m = len(relations)
     # columns of a are the relations
     a = [[relations[j][i] for j in range(m)] for i in range(n)]
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -197,15 +199,32 @@ def exact_int(value, what: str) -> int:
     return value
 
 
+def as_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple if it is a list or tuple, else a :class:`ParseError`."""
+    if type(values) not in (list, tuple):
+        raise ParseError(f"{what} must be a list or tuple, got {values!r}")
+    return tuple(values)
+
+
+def int_text(text: str, what: str) -> int:
+    """The integer that ``text`` writes as ASCII ``-?[0-9]+``, the form ``str`` gives;
+    other text (``+``, ``_``, non-ASCII digits) is a :class:`ParseError` ``bad <what>``."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        with suppress(ValueError):  # more digits than sys.get_int_max_str_digits()
+            return int(text)
+    raise ParseError(f"bad {what}")
+
+
 class FGGroup(Value, fields=("free_rank", "torsion")):
     """``Z^free_rank x Z/d_1 x ... x Z/d_k`` in invariant-factor form."""
 
     __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] | list[int] = ()):
         if exact_int(free_rank, "free rank") not in (0, 1):
             raise InputError(f"free rank must be 0 or 1, got {free_rank}")
-        torsion = tuple(exact_int(d, "invariant factor") for d in torsion)
+        torsion = tuple(exact_int(d, "invariant factor") for d in as_tuple(torsion, "torsion"))
         for i, d in enumerate(torsion):
             if d < 2:
                 raise InputError(f"invariant factor {d} < 2")
@@ -222,8 +241,8 @@ class FGGroup(Value, fields=("free_rank", "torsion")):
     def coordinate_count(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def element(self, free: int = 0, tors: Iterable[int] = ()) -> "GroupElement":
-        free, tors = exact_int(free, "coordinate"), tuple(tors)
+    def element(self, free: int = 0, tors: tuple[int, ...] | list[int] = ()) -> "GroupElement":
+        free, tors = exact_int(free, "coordinate"), as_tuple(tors, "torsion coordinates")
         if len(tors) != len(self.torsion):
             raise MismatchedGroup(
                 f"expected {len(self.torsion)} torsion coordinates, got {len(tors)}"
@@ -346,7 +365,7 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
 
     Accepts ``(n;t1,...,tk)``, ``(n)``, ``(t1,...,tk)`` for rank-zero groups,
     and a bare integer for torsion-free rank-one groups.  Whitespace is
-    ignored.
+    ignored, and each coordinate is read by :func:`int_text`.
     """
     if type(text) is not str:
         raise ParseError(f"element text must be a string, got {text!r}")
@@ -364,19 +383,15 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
             head, tail = s, ""
     else:
         head, tail = "0", s
-    try:
-        free = int(head)  # an empty free coordinate is refused, not read as 0
-        tors = tuple(int(t) for t in tail.split(",")) if tail else ()
-    except ValueError as exc:
-        raise ParseError(f"bad element text {text!r}") from exc
+    what = f"element text {text!r}"
+    free = int_text(head, what)  # an empty free coordinate is refused, not read as 0
+    tors = tuple(int_text(t, what) for t in tail.split(",")) if tail else ()
     if len(tors) != len(group.torsion):
         raise ParseError(
             f"element text {text!r} has {len(tors)} torsion coordinates, "
             f"expected {len(group.torsion)} for {group}"
         )
-    if group.free_rank == 0:
-        return group.element(0, tors)
-    return group.element(free, tors)
+    return group.element(free, tors)  # free is 0 in a rank-zero group
 
 
 # the text of each JSON scalar, by exact type (bool is no int here)
@@ -466,8 +481,8 @@ def quotient_by_subgroup(
     gens = list(gens)
     if not gens:  # the relations d_j·e_j alone: diag(d_1, ..., d_k) beside the free zero row,
         # with d_j | d_{j+1} (FGGroup checks it), is its own Smith form, so H = G and q = id
-        k = len(g.torsion)
-        return g, QuotientMap(g, g, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+        k = range(len(g.torsion))
+        return g, QuotientMap(g, g, tuple(tuple(1 if i == j else 0 for j in k) for i in k))
     rels = _relations(g, gens)
     for x in gens:
         if not x.is_torsion():

@@ -176,7 +176,8 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
     block entries at most ``(max |free(g)| - free(p)) / min generator free
     part + 1`` and torsion-weight entries at most the weight's order.
     """
-    return _window_bound(ctx, max((abs(g.free_part()) for g in degrees), default=0))
+    codes = ctx.source_codes  # code refuses a degree outside G
+    return _window_bound(ctx, max((abs(codes.code(g) // codes.order) for g in degrees), default=0))
 
 
 class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "window")):
@@ -275,7 +276,7 @@ def _is_face(ws: WeightSystem, mask: int) -> bool:
 def face_test(ws: WeightSystem, indices) -> bool:
     """Is the vertex subset (0-based weight positions) a face of the polytope?"""
     n, indices = len(ws.weights), tuple(indices)
-    if bad := [i for i in indices if not (isinstance(i, int) and 0 <= i < n)]:
+    if bad := [i for i in indices if not 0 <= exact_int(i, "vertex index") < n]:
         raise InputError(f"vertex index {bad[0]} outside 0..{n - 1}")
     return _is_face(ws, sum({1 << i for i in indices}))
 

@@ -228,7 +228,7 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     raises :class:`SearchBudgetExceeded` before it starts.  A degree outside
     the grading group raises :class:`MismatchedGroup`.
     """
-    vertices = tuple(sorted(set(summands), key=GroupElement.key))
+    vertices = tuple(sorted(set(summands), key=ctx.source_codes.code))  # codes sort as keys
     if search_bound is not None and exact_int(search_bound, "search bound") < 1:
         raise InputError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)

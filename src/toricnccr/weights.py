@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import NotGorenstein, GenerationFailure, SignCountFailure
-from .groups import FGGroup, GroupElement, Value, subgroup_is_whole
+from .groups import FGGroup, GroupElement, Value, as_tuple, subgroup_is_whole
 
 
 class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", "permutation")):
@@ -62,7 +62,7 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     ``group``, then :class:`SignCountFailure`, :class:`NotGorenstein` or
     :class:`GenerationFailure` (with a witness index into the raw list).
     """
-    raw = list(raw_weights)
+    raw = as_tuple(raw_weights, "weights")
     if not raw:
         raise NotGorenstein("no weights given")
     for w in raw:
@@ -82,7 +82,7 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     if not subgroup_is_whole(group, raw):
         raise GenerationFailure(0 if group.free_rank else None, group)
     if group.free_rank == 0:
-        return WeightSystem(group, tuple(raw), 0, 0, tuple(range(len(raw))))
+        return WeightSystem(group, raw, 0, 0, tuple(range(len(raw))))
 
     tors = [i for i, w in enumerate(raw) if w.free == 0]
     perm = tuple(pos + neg + tors)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import toricnccr.oracle
 from toricnccr import FGGroup, exchange_graph, grading_context, is_nccr, parse_element
-from toricnccr.cli import COMMANDS, cmd_classify, cmd_mutate, load_document, main, parse_args
+from toricnccr.cli import _INTEGER, COMMANDS, cmd_classify, cmd_mutate, load_document, main, parse_args
 from toricnccr.uppersets import _classes
 from toricnccr.weights import validate
 from conftest import (
@@ -208,6 +208,13 @@ class TestValidate:
         assert code == 2
         assert report["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("group", [5, {"free_rank": 1, "torsion": 5}, {"free_rank": 1, "torsion": None}])
+    def test_bad_group_spec_names_the_file(self, capsys, tmp_path, group):
+        path = write_doc(tmp_path, {"group": group, "weights": [[1], [1], [-1], [-1]]})
+        code, report = run_json(capsys, "validate", path)
+        assert (code, report["error"]["type"]) == (2, "ParseError")
+        assert report["error"]["detail"].startswith(f"{path}: bad group spec {group!r}: ")
+
 
 # values of the wrong JSON type for any slot of an input document
 JUNK = st.one_of(
@@ -347,7 +354,7 @@ class TestClassify:
         assert report["classes"] == classify_classes_by_elements(ctx)
         assert report["count"] == len(report["classes"])
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(kernel_systems())
     def test_classes_match_the_element_route_with_a_kernel(self, ws):
         report = cmd_classify(SimpleNamespace(), ws)
@@ -714,7 +721,7 @@ class TestMcKay:
         assert report["error"]["type"] == "RankZeroGroup"
 
 
-A1, CA4 = str(INPUTS / "a1.json"), str(INPUTS / "ca4.json")
+A1, CA4, Z3 = (str(INPUTS / f"{name}.json") for name in ("a1", "ca4", "z3"))
 
 # id -> (the report's command, argv)
 MALFORMED = {
@@ -774,6 +781,39 @@ class TestParser:
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError"
         assert flag in error["detail"] and "cannot read" not in error["detail"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", Z3, "--range", "-1_0..1_0", "--window", "\uff16\uff10"],
+            ["quiver", Z3, "--class", " +0 "],
+            ["quiver", CA4, "--class", "0", "--bound", "1_2"],
+            ["mutate", Z3, "--class", "0", "--at", "(\uff10;0)"],
+            ["oracle", Z3, "--range", "-10..10", "--window", "\uff16\uff10"],
+        ],
+        ids=["underscore-range", "spaced-plus-class", "underscore-bound", "full-width-at",
+             "full-width-window"],
+    )
+    def test_integer_text_other_than_ascii_digits_exits_2(self, argv):
+        # int() would read each of these as an integer; the grammar is ASCII -?[0-9]+
+        code, out, err = call(argv)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(-10**30, 10**30))
+    def test_every_integer_flag_reads_what_str_writes(self, n):
+        others = {"quiver": [], "mutate": ["--at", "(0)"], "oracle": ["--range", f"{n}..{n}"]}
+        seen = []
+        for command, (_, _, flags) in COMMANDS.items():
+            integer = [f for f, (_, convert, _) in flags.items() if convert is _INTEGER]
+            if integer:
+                args = parse_args([command, A1, *(t for f in integer for t in (f, str(n))),
+                                   *others[command]])
+                assert [getattr(args, flags[f][0]) for f in integer] == [n] * len(integer)
+                seen += [f"{command} {f}" for f in integer]
+        assert seen == ["quiver --class", "quiver --bound", "mutate --class", "oracle --window"]
+        assert parse_args(["oracle", A1, "--window", "1", *others["oracle"]]).range == (n, n)
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_prints_usage_exit_0(self, flag):

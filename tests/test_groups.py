@@ -149,6 +149,7 @@ class TestSmithNormalForm:
         diag, _ = smith_normal_form([[2, 0], [0, 2]], 2)
         assert sorted(d for d in diag if d) == [2, 2]
 
+    @settings(derandomize=True)
     @given(st.lists(st.integers(-60, 60), max_size=6))
     @example([])
     @example([0, 0])
@@ -309,7 +310,29 @@ class TestSubgroupSpan:
         assert not subgroup_is_whole(g, [g.element(1, (0,)), g.element(-1, (0,))])
 
 
+@st.composite
+def group_elements(draw):
+    """An element of free rank 0 or 1 over an invariant chain of 0-3 factors,
+    each a multiple of the one before, with coordinates of any size."""
+    torsion, d = [], draw(st.integers(2, 12))
+    for m in draw(st.lists(st.integers(1, 4), max_size=3)):
+        torsion.append(d)
+        d *= m
+    group, coordinate = FGGroup(draw(st.integers(0, 1)), torsion), st.integers(-10**30, 10**30)
+    tors = draw(st.lists(coordinate, min_size=len(torsion), max_size=len(torsion)))
+    return group.element(draw(coordinate) if group.free_rank else 0, tors)
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(group_elements(), st.sampled_from(["", " ", "\t", " \n "]))
+    def test_text_round_trip(self, g, space):
+        # parse_element inverts str, whitespace anywhere in the text included
+        assert parse_element(g.group, str(g)) == g
+        assert parse_element(g.group, space.join(str(g))) == g
+        if g.group.free_rank and not g.group.torsion:
+            assert parse_element(g.group, str(g.free)) == g
+
     @pytest.mark.parametrize(
         "group,element,text",
         [
