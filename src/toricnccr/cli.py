@@ -166,7 +166,7 @@ def cmd_mutate(args, ws):
     except NotNCCR as exc:  # mutation keeps the NCCR property: a bug, not bad input
         raise InternalInconsistency(f"mutation gave no NCCR: {exc}") from None
     index = {r: i for i, (r, _) in enumerate(classes)}
-    target_index = _class_of(ctx, index, tuple(sorted(map(ctx.codes.code, rim))))
+    target_index = _class_of(ctx, index, tuple(sorted(ctx.codes.codes_of(rim, "rim"))))
     return {
         "validation": _validation_summary(ws, ctx),
         "class": args.klass,

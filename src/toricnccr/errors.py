@@ -4,7 +4,8 @@ Errors fall into two families.  ``InputError`` subclasses signal bad user
 data (malformed files, weight data that is not a valid Gorenstein rank-one
 system, out-of-range arguments).  The library refuses every bad argument
 with an ``InputError``, which is a ``ValueError``, and the command line maps
-it to exit code 2 without checking the argument again.
+it to exit code 2 without checking the argument again.  A collection
+argument is read by ``groups.as_items``, a JSON-shaped vector by ``as_tuple``.
 ``InternalCheckError`` subclasses signal that a statement which is a theorem
 for valid inputs failed to hold, i.e. a bug; they map to exit code 3.  Any
 other exception, a bare ``ValueError`` included, is a bug and stays a traceback.

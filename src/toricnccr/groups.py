@@ -206,6 +206,23 @@ def as_tuple(values, what: str) -> tuple:
     return tuple(values)
 
 
+def as_items(values, what: str) -> tuple:
+    """The items of ``values``, any iterable, as a tuple, else a :class:`ParseError`;
+    :func:`as_tuple` is the stricter reader, for vectors shaped as JSON arrays."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ParseError(f"{what} must be a collection, got {values!r}") from None
+    return tuple(items)
+
+
+def of_type(value, cls: type):
+    """``value`` if it is a ``cls``, else a :class:`ParseError` naming ``cls``."""
+    if not isinstance(value, cls):
+        raise ParseError(f"expected {cls.__name__}, got {value!r}")
+    return value
+
+
 def int_text(text: str, what: str) -> int:
     """The integer that ``text`` writes as ASCII ``-?[0-9]+``, the form ``str`` gives;
     other text (``+``, ``_``, non-ASCII digits) is a :class:`ParseError` ``bad <what>``."""
@@ -317,6 +334,7 @@ class GroupElement(Value, fields=("group", "free", "tors")):
         return self.group.element(-self.free, tuple(-t for t in self.tors))
 
     def __mul__(self, n: int) -> "GroupElement":
+        n = exact_int(n, "scalar")
         return self.group.element(n * self.free, tuple(n * t for t in self.tors))
 
     __rmul__ = __mul__
@@ -374,7 +392,7 @@ def parse_element(group: FGGroup, text: str) -> GroupElement:
         raise ParseError("empty element text")
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    if group.free_rank == 1:
+    if of_type(group, FGGroup).free_rank == 1:
         if ";" in s:
             head, _, tail = s.partition(";")
         elif group.torsion:
@@ -460,7 +478,7 @@ def _relations(g: FGGroup, gens: Iterable[GroupElement]) -> list[list[int]]:
     """The relation rows of ``g`` followed by the raw coordinates of each generator."""
     r = g.free_rank
     rels = [[d * (i == r + j) for i in range(g.coordinate_count)] for j, d in enumerate(g.torsion)]
-    for x in gens:
+    for x in as_items(gens, "generators"):
         g.owns(x)
         rels.append(list(x.key()[1 - r:]))
     return rels
@@ -478,7 +496,7 @@ def quotient_by_subgroup(
     :class:`InternalInconsistency`.  The kernel is never listed: the map
     carries only its order, :attr:`QuotientMap.kernel_order`.
     """
-    gens = list(gens)
+    gens = as_items(gens, "generators")
     if not gens:  # the relations d_j·e_j alone: diag(d_1, ..., d_k) beside the free zero row,
         # with d_j | d_{j+1} (FGGroup checks it), is its own Smith form, so H = G and q = id
         k = range(len(g.torsion))

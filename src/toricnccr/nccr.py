@@ -68,7 +68,7 @@ def is_mcm_code(ctx: GradedContext, c: int) -> bool:
 def _images(ctx: GradedContext, summands) -> tuple[dict[int, int], list[int]]:
     """The code of each degree's image in H, by the degree's source code, and
     the sorted image."""
-    images = {c: ctx.image_code(c) for c in map(ctx.source_codes.code, summands)}
+    images = {c: ctx.image_code(c) for c in ctx.source_codes.codes_of(summands, "summands")}
     return images, sorted(set(images.values()))
 
 
@@ -104,7 +104,7 @@ def _nccr_images(ctx: GradedContext, summands) -> tuple[dict[int, int], list[int
     """:func:`_images` of an NCCR summand set; raise :class:`NotNCCR` otherwise."""
     images, image = _images(ctx, summands)
     if not _is_nccr(ctx, images, image):
-        raise NotNCCR(f"{SummandSet.of(summands)} does not give a toric NCCR")
+        raise NotNCCR(f"{_summand_set(ctx, images)} does not give a toric NCCR")
     return images, image
 
 
@@ -115,7 +115,7 @@ def rim_of(ctx: GradedContext, summands) -> Rim:
 
 def preimage_summands(ctx: GradedContext, rim: Rim) -> SummandSet:
     """Full preimage of a complete rim: the NCCR's summand degrees."""
-    return _summand_set(ctx, ctx.preimage_codes(map(ctx.codes.code, rim)))
+    return _summand_set(ctx, ctx.preimage_codes(ctx.codes.codes_of(rim, "rim")))
 
 
 def nccr_classes(ctx: GradedContext) -> tuple[SummandSet, ...]:

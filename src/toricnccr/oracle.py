@@ -16,7 +16,7 @@ The topological side: a sign vector's nonneg mask selects a subcomplex of the
 weight polytope's face complex, empty, a cone or a sphere.  An exact homology
 engine on face bitmasks checks which: a vertex shared by all facets proves a
 cone, and the rest are ranked over Q by sparse fraction-free elimination.
-Windowed local cohomology counts sign vectors by meeting two half-tables.
+Windowed local cohomology counts three sign boxes, each met in the middle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd
 from operator import and_
 
 from .errors import InputError, OracleMismatch, SearchBudgetExceeded
-from .groups import GroupElement, Value, exact_int
+from .groups import GroupElement, Value, as_items, exact_int
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
@@ -176,8 +176,8 @@ def sufficient_window(ctx: GradedContext, degrees) -> int:
     block entries at most ``(max |free(g)| - free(p)) / min generator free
     part + 1`` and torsion-weight entries at most the weight's order.
     """
-    codes = ctx.source_codes  # code refuses a degree outside G
-    return _window_bound(ctx, max((abs(codes.code(g) // codes.order) for g in degrees), default=0))
+    codes = ctx.source_codes.codes_of(degrees, "degrees")  # refuses a degree outside G
+    return _window_bound(ctx, max((abs(c // ctx.source_codes.order) for c in codes), default=0))
 
 
 class CrosscheckReport(Value, fields=("checked", "agreements", "mismatches", "window")):
@@ -249,7 +249,7 @@ def crosscheck_mcm(ctx: GradedContext, degrees, window: int) -> CrosscheckReport
     Raises :class:`OracleMismatch`, which carries the report, on any
     disagreement (a bug: the equivalence is a theorem).
     """
-    codes = [ctx.source_codes.code(g) for g in degrees]
+    codes = ctx.source_codes.codes_of(degrees, "degrees")
     cap = max((abs(c // ctx.source_codes.order) for c in codes), default=0)
     return _crosscheck(ctx, codes, cap, window)
 
@@ -275,7 +275,7 @@ def _is_face(ws: WeightSystem, mask: int) -> bool:
 
 def face_test(ws: WeightSystem, indices) -> bool:
     """Is the vertex subset (0-based weight positions) a face of the polytope?"""
-    n, indices = len(ws.weights), tuple(indices)
+    n, indices = len(ws.weights), as_items(indices, "vertex indices")
     if bad := [i for i in indices if not 0 <= exact_int(i, "vertex index") < n]:
         raise InputError(f"vertex index {bad[0]} outside 0..{n - 1}")
     return _is_face(ws, sum({1 << i for i in indices}))
@@ -449,47 +449,45 @@ def betti_numbers(complex_: SimplicialComplex) -> dict[int, int]:
 # Windowed local cohomology
 
 
-def _half_counts(ws: WeightSystem, indices, window: int, codes: IntegerCodes) -> dict:
-    """``(code of the sum, nonneg mask) -> count`` over coefficients in
-    [-window, window] on ``indices``; adding ``c * x`` to a code ``v`` adds
-    ``steps(c * x)[v % |T|]``."""
-    counts, order = {(0, 0): 1}, codes.order
-    for i in indices:
-        moves = [(codes.steps(c * ws.weights[i]), (c >= 0) << i) for c in range(-window, window + 1)]
-        new: dict = {}
-        for (value, mask), cnt in counts.items():
-            for steps, bit in moves:
-                key = (value + steps[value % order], mask | bit)
-                new[key] = new.get(key, 0) + cnt
-        counts = new
-    return counts
+def _box_count(ws: WeightSystem, boxes, target: int, codes: IntegerCodes) -> int:
+    """The number of vectors with ``a_i`` in ``boxes[i]`` and ``sum a_i x_i``
+    coded ``target``, met in the middle: each half of the weights is tabulated
+    by the code of its sum, where adding ``c * x`` to a code ``v`` adds
+    ``steps(c * x)[v % |T|]``, and the halves are joined on ``target - sum``."""
+    def half(indices):
+        counts = {0: 1}
+        for i in indices:
+            moves = [codes.steps(c * ws.weights[i]) for c in boxes[i]]
+            new: dict = {}
+            for value, cnt in counts.items():
+                for steps in moves:
+                    key = value + steps[value % codes.order]
+                    new[key] = new.get(key, 0) + cnt
+            counts = new
+        return counts
+
+    n = len(boxes)
+    right = half(range(n // 2, n))
+    return sum(cnt * right.get(codes.sub(target, v), 0) for v, cnt in half(range(n // 2)).items())
 
 
 def local_cohomology_window(ws: WeightSystem, g: GroupElement, window: int) -> dict[int, int]:
     """Per cohomological degree, the number of windowed sign vectors whose
     support complex contributes there; a lower bound for the true dimensions.
 
-    Meet in the middle: each half of the weights is tabulated by the code of
-    its sum and its nonneg mask, the halves are joined on ``g - sum``, and each
-    mask is classified once (the classification reads only signs).
+    By the apex lemma (:func:`classify_sign_vector`) only the nonneg masks ∅,
+    ``P`` and ``N`` have reduced homology, one unit in degree -1, ``l - 2``
+    and ``l' - 2``, and every other mask selects a cone.  So each mask counts
+    the vectors of one box: [0, window] on the mask, [-window, -1] off it.
     """
     if exact_int(window, "window") < 0:
         raise InputError("window must be nonnegative")
-    codes = IntegerCodes(ws.group)
-    target = codes.code(g)
-    n = len(ws.weights)
-    right: dict = {}
-    for (value, mask), cnt in _half_counts(ws, range(n // 2, n), window, codes).items():
-        right.setdefault(value, {})[mask] = cnt
-    by_mask: dict[int, int] = {}
-    for (value, left_mask), left_cnt in _half_counts(ws, range(n // 2), window, codes).items():
-        for right_mask, right_cnt in right.get(codes.sub(target, value), {}).items():
-            mask = left_mask | right_mask
-            by_mask[mask] = by_mask.get(mask, 0) + left_cnt * right_cnt
-    d = ws.ring_dimension - 1
+    codes, n, l, lp = IntegerCodes(ws.group), len(ws.weights), ws.positives, ws.negatives
+    target, d = codes.code(g), ws.ring_dimension - 1
+    spheres = [(l - 2, range(l)), (lp - 2, range(l, l + lp))] if l else []  # P = N = ∅ in rank 0
     totals: dict[int, int] = {}
-    for mask, cnt in sorted(by_mask.items()):
-        a = [0 if mask >> i & 1 else -1 for i in range(n)]
-        for deg, k in classify_sign_vector(ws, a).betti_profile().items():
-            totals[d - deg] = totals.get(d - deg, 0) + k * cnt
+    for deg, mask in [(-1, range(0)), *spheres]:
+        boxes = [range(window + 1) if i in mask else range(-window, 0) for i in range(n)]
+        if count := _box_count(ws, boxes, target, codes):
+            totals[d - deg] = totals.get(d - deg, 0) + count
     return totals

@@ -30,7 +30,7 @@ from .errors import (
     RankZeroGroup,
     SearchBudgetExceeded,
 )
-from .groups import GroupElement, Value, _matvec, _setattr, quotient_by_subgroup
+from .groups import GroupElement, Value, _matvec, _setattr, as_items, of_type, quotient_by_subgroup
 from .weights import WeightSystem
 
 
@@ -75,6 +75,11 @@ class IntegerCodes:
     def code(self, g: GroupElement) -> int:
         self.group.owns(g)
         return g.free * self.order + sum(map(mul, g.tors, self.strides))
+
+    def codes_of(self, elements, what: str) -> list[int]:
+        """The code of each element of the collection ``elements``, in order,
+        read by :func:`~.groups.as_items` (naming ``what``) and :meth:`code`."""
+        return list(map(self.code, as_items(elements, what)))
 
     def element(self, c: int) -> GroupElement:
         free, r = divmod(c, self.order)
@@ -127,7 +132,7 @@ class GradedContext:
     __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
     def __init__(self, ws: WeightSystem):
-        if ws.group.free_rank != 1:
+        if of_type(ws, WeightSystem).group.free_rank != 1:
             raise RankZeroGroup(
                 "the graded poset needs a rank-one system; for a finite group use the McKay quiver"
             )

@@ -27,7 +27,7 @@ from operator import mul
 
 from .errors import (BoundTooSmall, InfiniteGroup, InputError, InternalInconsistency,
                      SearchBudgetExceeded)
-from .groups import GroupElement, Value, exact_int
+from .groups import GroupElement, Value, exact_int, of_type
 from .poset import GradedContext, IntegerCodes
 from .weights import WeightSystem
 
@@ -228,7 +228,8 @@ def endomorphism_quiver(ctx: GradedContext, summands, search_bound: int | None =
     raises :class:`SearchBudgetExceeded` before it starts.  A degree outside
     the grading group raises :class:`MismatchedGroup`.
     """
-    vertices = tuple(sorted(set(summands), key=ctx.source_codes.code))  # codes sort as keys
+    codes = ctx.source_codes  # codes sort as keys
+    vertices = tuple(map(codes.element, sorted(set(codes.codes_of(summands, "summands")))))
     if search_bound is not None and exact_int(search_bound, "search bound") < 1:
         raise InputError("search bound must be at least 1")
     proven = degree_bound(ctx.weights, vertices)
@@ -257,7 +258,7 @@ def mckay_quiver(ws: WeightSystem) -> Quiver:
     exponent vector has a unit sub-vector that lands, so it is not
     irreducible.  Over :data:`QUIVER_WORK_CAP` arrows it builds no element.
     """
-    if ws.group.free_rank:
+    if of_type(ws, WeightSystem).group.free_rank:
         raise InfiniteGroup(f"{ws.group} is infinite")
     order, n = ws.group.torsion_order(), len(ws.weights)
     SearchBudgetExceeded.check(order * n, QUIVER_WORK_CAP, "the McKay quiver has |G| x weights "

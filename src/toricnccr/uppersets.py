@@ -73,7 +73,7 @@ def _rim_witness(ctx: GradedContext, codes) -> tuple[int, int] | None:
 
 def rim_status(ctx: GradedContext, elements) -> RimCheck:
     """Classify a finite set as invalid / valid-but-partial / complete rim."""
-    codes = sorted({ctx.codes.code(e) for e in elements})
+    codes = sorted(set(ctx.codes.codes_of(elements, "elements")))
     witness = _rim_witness(ctx, codes)
     if witness is not None:
         return RimCheck(RimStatus.INVALID, tuple(map(ctx.codes.element, witness)))
@@ -104,7 +104,7 @@ def _minimal_codes(ctx: GradedContext, codes) -> list[int]:
 
 def minimal_elements(ctx: GradedContext, rim: Rim) -> tuple[GroupElement, ...]:
     """Minimal elements of the upper set; they all lie on the rim."""
-    codes = [ctx.codes.code(e) for e in rim]
+    codes = ctx.codes.codes_of(rim, "rim")
     return tuple(map(ctx.codes.element, _minimal_codes(ctx, codes)))
 
 
@@ -117,7 +117,7 @@ def _swap_up(ctx: GradedContext, codes, c: int) -> tuple[int, ...]:
 def mutate(ctx: GradedContext, rim: Rim, m: GroupElement) -> Rim:
     """Remove the minimal element ``m`` from the upper set of a complete rim:
     swap m for m + p."""
-    codes, mc = sorted({ctx.codes.code(e) for e in rim}), ctx.codes.code(m)
+    codes, mc = sorted(set(ctx.codes.codes_of(rim, "rim"))), ctx.codes.code(m)
     if len(codes) != ctx.orbit_count:
         raise NotMinimal("mutation needs a complete rim")
     if (witness := _rim_witness(ctx, codes)) is not None:
@@ -157,7 +157,7 @@ def normalize(ctx: GradedContext, rim: Rim) -> Rim:
     and the translates that start with it are exactly the zero translates,
     so the winner is one of them.
     """
-    codes = tuple(sorted(ctx.codes.code(e) for e in rim))
+    codes = tuple(sorted(ctx.codes.codes_of(rim, "rim")))
     if not codes:
         raise NotMinimal("a canonical form needs a nonempty rim")
     best = min(_zero_translates(ctx, codes))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import NotGorenstein, GenerationFailure, SignCountFailure
-from .groups import FGGroup, GroupElement, Value, as_tuple, subgroup_is_whole
+from .groups import FGGroup, GroupElement, Value, as_tuple, of_type, subgroup_is_whole
 
 
 class WeightSystem(Value, fields=("group", "weights", "positives", "negatives", "permutation")):
@@ -62,6 +62,7 @@ def validate(group: FGGroup, raw_weights) -> WeightSystem:
     ``group``, then :class:`SignCountFailure`, :class:`NotGorenstein` or
     :class:`GenerationFailure` (with a witness index into the raw list).
     """
+    of_type(group, FGGroup)
     raw = as_tuple(raw_weights, "weights")
     if not raw:
         raise NotGorenstein("no weights given")

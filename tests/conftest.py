@@ -28,6 +28,7 @@ from toricnccr import (
     Rim,
     RimStatus,
     SummandSet,
+    classify_sign_vector,
     grading_context,
     minimal_elements,
     mutate,
@@ -559,6 +560,46 @@ def classify_sign_vector_by_sets(ws, a):
     if pos == neg:  # every coordinate negative
         return EMPTY
     return sphere(l - 2 if True in pos else lp - 2)
+
+
+# -- local cohomology on half-tables of every mask, oracle for the three boxes --
+
+
+def local_cohomology_by_masks(ws, g, window):
+    """``oracle.local_cohomology_window`` as the package once computed it:
+    each half of the weights tabulated by the code of its sum and its nonneg
+    mask, over coefficients in [-window, window], the halves joined on ``g -
+    sum``, and each mask met classified once, in mask order."""
+    codes = IntegerCodes(ws.group)
+    target, n = codes.code(g), len(ws.weights)
+
+    def half(indices):
+        counts = {(0, 0): 1}
+        for i in indices:
+            moves = [(codes.steps(c * ws.weights[i]), (c >= 0) << i)
+                     for c in range(-window, window + 1)]
+            new = {}
+            for (value, mask), cnt in counts.items():
+                for steps, bit in moves:
+                    key = (value + steps[value % codes.order], mask | bit)
+                    new[key] = new.get(key, 0) + cnt
+            counts = new
+        return counts
+
+    right = {}
+    for (value, mask), cnt in half(range(n // 2, n)).items():
+        right.setdefault(value, {})[mask] = cnt
+    by_mask = {}
+    for (value, left_mask), left_cnt in half(range(n // 2)).items():
+        for right_mask, right_cnt in right.get(codes.sub(target, value), {}).items():
+            mask = left_mask | right_mask
+            by_mask[mask] = by_mask.get(mask, 0) + left_cnt * right_cnt
+    d, totals = ws.ring_dimension - 1, {}
+    for mask, cnt in sorted(by_mask.items()):
+        a = [0 if mask >> i & 1 else -1 for i in range(n)]
+        for deg, k in classify_sign_vector(ws, a).betti_profile().items():
+            totals[d - deg] = totals.get(d - deg, 0) + k * cnt
+    return totals
 
 
 # -- the arrow search before dead coordinates, oracle for _arrow_set -------

@@ -13,19 +13,33 @@ from toricnccr import (
     InputError,
     MismatchedGroup,
     NotMinimal,
+    NotNCCR,
     ParseError,
     Rim,
     classify_sign_vector,
     crosscheck_mcm,
     endomorphism_quiver,
     face_test,
+    grading_context,
+    is_modifying,
+    is_nccr,
     local_cohomology_window,
+    mckay_quiver,
+    minimal_elements,
+    mutate,
+    mutate_nccr,
     nccr_classes,
     normalize,
     parse_element,
+    preimage_summands,
+    quotient_by_subgroup,
+    rim_of,
+    rim_status,
     sign_pattern_witness,
+    subgroup_is_whole,
     sufficient_window,
     support_complex,
+    translation_classes,
     validate,
 )
 from toricnccr.cli import parse_args
@@ -195,6 +209,35 @@ REFUSALS = {
     "int-text-digit-limit": (lambda: int_text("1" * 5000, "integer"), r"^bad integer$"),
     "int-text-minus-only": (lambda: int_text("-", "integer"), r"^bad integer$"),
     "int-text-spaced": (lambda: int_text("7 ", "integer"), r"^bad integer$"),
+    # a collection argument that is no collection, refused by groups.as_items alone
+    **{f"collection-{key}": (call, rf"^{what} must be a collection, got 5$")
+       for key, what, call in [
+        ("face-test", "vertex indices", lambda: face_test(build_system("a1"), 5)),
+        ("crosscheck-mcm", "degrees", lambda: crosscheck_mcm(_ca4(), 5, 3)),
+        ("is-nccr", "summands", lambda: is_nccr(_ca4(), 5)),
+        ("is-modifying", "summands", lambda: is_modifying(_ca4(), 5)),
+        ("preimage-summands", "rim", lambda: preimage_summands(_ca4(), 5)),
+        ("endomorphism-quiver", "summands", lambda: endomorphism_quiver(_ca4(), 5)),
+        ("sufficient-window", "degrees", lambda: sufficient_window(_ca4(), 5)),
+        ("quotient-by-subgroup", "generators", lambda: quotient_by_subgroup(Z, 5)),
+        ("subgroup-is-whole", "generators", lambda: subgroup_is_whole(Z, 5)),
+        ("normalize", "rim", lambda: normalize(_ca4(), 5)),
+        ("rim-status", "elements", lambda: rim_status(_ca4(), 5)),
+        ("minimal-elements", "rim", lambda: minimal_elements(_ca4(), 5)),
+        ("mutate", "rim", lambda: mutate(_ca4(), 5, Z.element(0))),
+        ("rim-of", "summands", lambda: rim_of(_ca4(), 5)),
+        ("mutate-nccr", "summands", lambda: mutate_nccr(_ca4(), 5, Z.element(0))),
+    ]},
+    # an argument of the wrong kind where a group or a weight system is expected (groups.of_type)
+    **{f"kind-{key}": (call, rf"^expected {kind}, got 5$") for key, kind, call in [
+        ("grading-context", "WeightSystem", lambda: grading_context(5)),
+        ("parse-element", "FGGroup", lambda: parse_element(5, "(1)")),
+        ("validate", "FGGroup", lambda: validate(5, [Z.element(1)])),
+        ("mckay-quiver", "WeightSystem", lambda: mckay_quiver(5)),
+    ]},
+    # a scalar is an exact int, as every other number the library takes
+    "element-times-bool": (lambda: Z.element(1) * True, r"^scalar must be an integer, got True$"),
+    "bool-times-element": (lambda: True * Z.element(1), r"^scalar must be an integer, got True$"),
 }
 
 # the class each refusal above raises, where it is more than an InputError
@@ -206,6 +249,8 @@ REFUSAL_CLASSES = {
                      "scalar-torsion-coordinates", "none-weights", "scalar-weights"], ParseError),
     **{key: ParseError for key in REFUSALS if key.startswith(("element-text-", "range-", "flag-",
                                                              "int-text-"))},
+    **{key: ParseError for key in REFUSALS if key.startswith(("collection-", "kind-"))},
+    **dict.fromkeys(["element-times-bool", "bool-times-element"], ParseError),
     **dict.fromkeys(["raw-weights", "foreign-weights", "element-plus-int", "raw-summands",
                      "raw-window-degrees"], MismatchedGroup),
     "empty-rim": NotMinimal,
@@ -218,6 +263,57 @@ def test_refusal_is_an_input_error_and_a_value_error(key):
     with pytest.raises(REFUSAL_CLASSES.get(key, InputError), match=message) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def _collection_calls(key):
+    """A call of the function ``key`` on a collection, the elements it reads,
+    and the package's own value of them where the function takes one."""
+    ctx, a1 = _ca4(), build_system("a1")
+    rim, summands, G = translation_classes(ctx)[0].rim, nccr_classes(ctx)[0], FGGroup(1, (4,))
+    degrees, m = [ctx.group.element(f) for f in range(-3, 4)], minimal_elements(ctx, rim)[0]
+    return {
+        "face_test": (lambda xs: face_test(a1, xs), [0, 1], range(2)),
+        "crosscheck_mcm": (lambda xs: crosscheck_mcm(ctx, xs, 6), degrees, set(degrees)),
+        "is_nccr": (lambda xs: is_nccr(ctx, xs), summands.degrees, summands),
+        "is_modifying": (lambda xs: is_modifying(ctx, xs), summands.degrees, summands),
+        "preimage_summands": (lambda xs: preimage_summands(ctx, xs), rim.elements, rim),
+        "endomorphism_quiver": (lambda xs: endomorphism_quiver(ctx, xs), summands.degrees,
+                                summands),
+        "sufficient_window": (lambda xs: sufficient_window(ctx, xs), degrees, set(degrees)),
+        "quotient_by_subgroup": (lambda xs: quotient_by_subgroup(G, xs), [G.element(0, (2,))],
+                                 {G.element(0, (2,))}),
+        "subgroup_is_whole": (lambda xs: subgroup_is_whole(G, xs), [G.element(1, (1,))],
+                              {G.element(1, (1,))}),
+        "normalize": (lambda xs: normalize(ctx, xs), rim.elements, rim),
+        "rim_status": (lambda xs: rim_status(ctx, xs), rim.elements, rim),
+        "minimal_elements": (lambda xs: minimal_elements(ctx, xs), rim.elements, rim),
+        "mutate": (lambda xs: mutate(ctx, xs, m), rim.elements, rim),
+        "rim_of": (lambda xs: rim_of(ctx, xs), summands.degrees, summands),
+        "mutate_nccr": (lambda xs: mutate_nccr(ctx, xs, ctx.element(0)), summands.degrees,
+                        summands),
+    }[key]
+
+
+@pytest.mark.parametrize("key", ["face_test", "crosscheck_mcm", "is_nccr", "is_modifying",
+                                 "preimage_summands", "endomorphism_quiver", "sufficient_window",
+                                 "quotient_by_subgroup", "subgroup_is_whole", "normalize",
+                                 "rim_status", "minimal_elements", "mutate", "rim_of",
+                                 "mutate_nccr"])
+def test_collection_readers_take_every_collection(key):
+    # groups.as_items reads any iterable: a list, a tuple and a generator of
+    # the same elements, and a Rim, a SummandSet, a range or a set, give one result
+    call, items, own = _collection_calls(key)
+    expected = call(list(items))
+    assert call(tuple(items)) == expected
+    assert call(x for x in items) == expected
+    assert call(own) == expected
+
+
+def test_a_generator_is_read_once():
+    # the NotNCCR message names the degrees read, not the spent generator
+    ctx = _ca4()
+    with pytest.raises(NotNCCR, match=r"^\{\(0\), \(1\)\} does not give a toric NCCR$"):
+        rim_of(ctx, (ctx.group.element(f) for f in (0, 1)))
 
 
 def test_no_bare_value_or_type_error_is_raised():

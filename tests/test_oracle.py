@@ -55,6 +55,7 @@ from conftest import (
     face_test_by_sets,
     input_system,
     kernel_systems,
+    local_cohomology_by_masks,
     ladder_context,
     matrix_rank_by_elimination,
     mcm_everywhere,
@@ -986,3 +987,31 @@ class TestLocalCohomologyWindow:
     def test_negative_window_raises(self, a1):
         with pytest.raises(ValueError):
             local_cohomology_window(a1.weights, a1.weights.group.element(2), -1)
+
+    @staticmethod
+    def assert_boxes_match_masks(ws, free_range, windows):
+        # the three sign boxes give every mask's count, in the same key order
+        G = ws.group
+        for window in windows:
+            for g in (G.element(f, t) for f in free_range for t in G.torsion_residues()):
+                table = local_cohomology_window(ws, g, window)
+                assert list(table.items()) == list(
+                    local_cohomology_by_masks(ws, g, window).items()), (g, window)
+
+    def test_boxes_match_masks_on_fixtures(self, ctx):
+        self.assert_boxes_match_masks(ctx.weights, range(-4, 5), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("key", ["w6", "w3535"])
+    def test_boxes_match_masks_on_ladder(self, key):
+        self.assert_boxes_match_masks(ladder_context(key).weights, range(-3, 8), (1, 3))
+
+    @pytest.mark.parametrize("key", ["mckay_z2", "mckay_z3"])
+    def test_boxes_match_masks_in_rank_zero(self, key):
+        # P and N are both empty there: only the all-negative box counts
+        ws = input_system(key)
+        self.assert_boxes_match_masks(ws, range(1), (0, 1, 2))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rank_one_systems(max_free=3, torsions=((), (2,), (3,), (4,))))
+    def test_boxes_match_masks_on_random_systems(self, ws):
+        self.assert_boxes_match_masks(ws, range(-3, 4), (1, 2))
